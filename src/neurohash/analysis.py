@@ -8,15 +8,10 @@ distinct random one-block messages, truncates the digests to a small
 width, and compares observed colliding pairs with the birthday-bound
 expectation. All randomized experiments take an explicit seed and
 record it in their report.
-
-Flips and trials are independent, so both sweeps and the birthday
-experiment accept a worker count; results are aggregated by index and
-identical for any worker count.
 """
 
 import csv
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 from .hashing import BLOCK_BITS, Message, hash_message
@@ -60,12 +55,8 @@ def hdr(a, b) -> float:
     return distance / 128.0
 
 
-def _sweep(indices, one_flip, workers):
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ratios = list(pool.map(one_flip, indices))
-    else:
-        ratios = [one_flip(i) for i in indices]
+def _sweep(indices, one_flip):
+    ratios = [one_flip(i) for i in indices]
     per_flip = tuple(zip(indices, ratios))
     return HdrReport(
         per_flip=per_flip,
@@ -75,9 +66,7 @@ def _sweep(indices, one_flip, workers):
     )
 
 
-def message_sensitivity_sweep(
-    message: Message, key: bytes, t: int, workers: int = 1
-) -> HdrReport:
+def message_sensitivity_sweep(message: Message, key: bytes, t: int) -> HdrReport:
     """Hdr of each single-bit flip among the first block's message bits.
 
     Covers min(1024, message length) bit positions, each exactly once.
@@ -90,12 +79,10 @@ def message_sensitivity_sweep(
     def one_flip(i):
         return hdr(baseline, hash_message(message.flip(i), key, t))
 
-    return _sweep(indices, one_flip, workers)
+    return _sweep(indices, one_flip)
 
 
-def key_sensitivity_sweep(
-    message: Message, key: bytes, t: int, workers: int = 1
-) -> HdrReport:
+def key_sensitivity_sweep(message: Message, key: bytes, t: int) -> HdrReport:
     """Hdr of each of the 128 single-bit key flips."""
     baseline = hash_message(message, key, t)
     indices = range(8 * KEY_BYTES)
@@ -103,11 +90,11 @@ def key_sensitivity_sweep(
     def one_flip(i):
         return hdr(baseline, hash_message(message, flip_key_bit(key, i), t))
 
-    return _sweep(indices, one_flip, workers)
+    return _sweep(indices, one_flip)
 
 
 def birthday_experiment(
-    width: int, trials: int, key: bytes, t: int, seed: int, workers: int = 1
+    width: int, trials: int, key: bytes, t: int, seed: int
 ) -> BirthdayReport:
     """Count truncated-digest collisions among random one-block messages.
 
@@ -130,17 +117,9 @@ def birthday_experiment(
         seen.add(value)
         messages.append(Message.from_int(value, BLOCK_BITS))
 
-    def truncated(m):
-        return hash_message(m, key, t)[0] >> (32 - width)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            tops = list(pool.map(truncated, messages))
-    else:
-        tops = [truncated(m) for m in messages]
-
     buckets = {}
-    for top in tops:
+    for m in messages:
+        top = hash_message(m, key, t)[0] >> (32 - width)
         buckets[top] = buckets.get(top, 0) + 1
     observed = sum(c * (c - 1) // 2 for c in buckets.values())
     return BirthdayReport(

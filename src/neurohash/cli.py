@@ -46,8 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="map iterations per keyed stage (default 50)")
         p.add_argument("--unsafe-small-t", action="store_true",
                        help="allow 1 <= t < 50 (testing only)")
-        p.add_argument("--no-parallel", action="store_true",
-                       help="disable concurrent neuron/sweep evaluation")
         p.add_argument("--out", metavar="PATH",
                        help="output destination (default: stdout or cwd)")
         if with_input:
@@ -106,8 +104,7 @@ def _read_message(path: str) -> Message:
 def _cmd_hash(args) -> int:
     key = _resolve_key(args)
     t = _resolve_t(args)
-    digest = hash_message(_read_message(args.input), key, t,
-                          parallel=not args.no_parallel)
+    digest = hash_message(_read_message(args.input), key, t)
     line = format_digest(digest) + "\n"
     if args.out:
         with open(args.out, "w") as handle:
@@ -121,12 +118,11 @@ def _cmd_sensitivity(args) -> int:
     key = _resolve_key(args)
     t = _resolve_t(args)
     message = _read_message(args.input)
-    workers = 1 if args.no_parallel else 4
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     for name, report in (
-        ("message", message_sensitivity_sweep(message, key, t, workers)),
-        ("key", key_sensitivity_sweep(message, key, t, workers)),
+        ("message", message_sensitivity_sweep(message, key, t)),
+        ("key", key_sensitivity_sweep(message, key, t)),
     ):
         path = os.path.join(out_dir, "%s_sensitivity.csv" % name)
         emit_csv(report, path)
@@ -139,8 +135,7 @@ def _cmd_sensitivity(args) -> int:
 def _cmd_birthday(args) -> int:
     key = _resolve_key(args)
     t = _resolve_t(args)
-    report = birthday_experiment(args.width, args.trials, key, t, args.seed,
-                                 workers=1 if args.no_parallel else 4)
+    report = birthday_experiment(args.width, args.trials, key, t, args.seed)
     if args.out:
         emit_csv(report, args.out)
         print("observed=%d expected=%.4f seed=%d -> %s"

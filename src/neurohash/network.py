@@ -8,12 +8,12 @@ the bias is added last, and one mod1 brings the pre-activation back
 into the map's domain. Digest words are the top 32 bits of each output
 signal.
 
-Within a layer the neurons are independent, so they may be evaluated
-concurrently; results are placed by index and are bit-identical to the
-sequential path.
+Within a layer the neurons are independent. `parallel=True` evaluates
+each layer in lockstep: every neuron takes map step k before any neuron
+takes step k+1, the schedule the critical-path operation counts model.
+It composes single map steps where the sequential path runs the inlined
+iteration, and both give bit-identical digests.
 """
-
-from concurrent.futures import ThreadPoolExecutor
 
 from .chaosmap import map_iter, map_step, mod1
 from .keyschedule import SubKeys, quantize_word
@@ -31,77 +31,52 @@ __all__ = [
 BLOCK_WORDS = 32
 DIGEST_WORDS = 4
 
-_pool = None
-
-
-def _shared_pool() -> ThreadPoolExecutor:
-    global _pool
-    if _pool is None:
-        _pool = ThreadPoolExecutor(max_workers=8, thread_name_prefix="neuron")
-    return _pool
-
 
 def check_block(words) -> tuple:
     words = tuple(words)
     if len(words) != BLOCK_WORDS:
         raise ValueError("block must be exactly %d words" % BLOCK_WORDS)
     for w in words:
-        if not 0 <= w <= 0xFFFFFFFF:
-            raise ValueError("block words must be 32-bit")
+        if not isinstance(w, int) or not 0 <= w <= 0xFFFFFFFF:
+            raise ValueError("block words must be 32-bit integers")
     return words
 
 
-def _input_neuron(j: int, p, w0, b0, q0: float, t: int) -> float:
+def _preactivation(inputs, weights, bias: float) -> float:
     s = 0.0
-    for i in range(4 * j, 4 * j + 4):
-        s += w0[i] * p[i]
-    s += b0[j]
-    return map_iter(mod1(s), q0, t)
+    for i in range(len(weights)):
+        s += weights[i] * inputs[i]
+    s += bias
+    return mod1(s)
 
 
-def _hidden_neuron(j: int, c, w1, b1, q1: float) -> float:
-    s = 0.0
-    row = w1[j]
-    for i in range(8):
-        s += row[i] * c[i]
-    s += b1[j]
-    return map_step(mod1(s), q1)
-
-
-def _output_neuron(j: int, d, w2, b2, q2: float, t: int) -> float:
-    s = 0.0
-    row = w2[j]
-    for i in range(8):
-        s += row[i] * d[i]
-    s += b2[j]
-    return map_iter(mod1(s), q2, t)
-
-
-def _map_neurons(fn, count, args, parallel):
+def _activate(pre, q: float, t: int, parallel: bool) -> tuple:
+    if t < 1:
+        raise ValueError("iteration count must be >= 1")
     if not parallel:
-        return tuple(fn(j, *args) for j in range(count))
-    pool = _shared_pool()
-    futures = [pool.submit(fn, j, *args) for j in range(count)]
-    return tuple(f.result() for f in futures)
+        return tuple([map_iter(x, q, t) for x in pre])
+    for _ in range(t):
+        pre = [map_step(x, q) for x in pre]
+    return tuple(pre)
 
 
 def input_layer(p, w0, b0, q0: float, t: int, parallel: bool = False) -> tuple:
     """Condense 32 quantized inputs into 8 signals (t iterations each)."""
-    if t < 1:
-        raise ValueError("iteration count must be >= 1")
-    return _map_neurons(_input_neuron, 8, (p, w0, b0, q0, t), parallel)
+    pre = [_preactivation(p[4 * j:4 * j + 4], w0[4 * j:4 * j + 4], b0[j])
+           for j in range(8)]
+    return _activate(pre, q0, t, parallel)
 
 
 def hidden_layer(c, w1, b1, q1: float, parallel: bool = False) -> tuple:
     """Mix 8 signals into 8; the map is applied exactly once."""
-    return _map_neurons(_hidden_neuron, 8, (c, w1, b1, q1), parallel)
+    pre = [_preactivation(c, w1[j], b1[j]) for j in range(8)]
+    return _activate(pre, q1, 1, parallel)
 
 
 def output_layer(d, w2, b2, q2: float, t: int, parallel: bool = False) -> tuple:
     """Compress 8 signals into 4 (t iterations each)."""
-    if t < 1:
-        raise ValueError("iteration count must be >= 1")
-    return _map_neurons(_output_neuron, 4, (d, w2, b2, q2, t), parallel)
+    pre = [_preactivation(d, w2[j], b2[j]) for j in range(4)]
+    return _activate(pre, q2, t, parallel)
 
 
 def extract_digest(h) -> tuple:

@@ -19,7 +19,7 @@ import struct
 from dataclasses import dataclass
 
 from .chaosmap import Q_MAX, Q_MIN
-from .keyschedule import SUBKEY_COUNT, check_key, expand_key
+from .keyschedule import SUBKEY_COUNT, check_key, clamp_seed, expand_key
 from .network import check_block, hash_block
 
 __all__ = [
@@ -33,9 +33,6 @@ __all__ = [
 # Fixed instrumentation inputs: a recognizable test-pattern key/block.
 DEFAULT_COUNT_KEY = bytes(range(16))
 DEFAULT_COUNT_BLOCK = tuple(range(32))
-
-_SEED_MIN = 2.0 ** -32
-_SEED_MAX = 1.0 - 2.0 ** -32
 
 
 @dataclass(frozen=True)
@@ -161,10 +158,7 @@ def _quantize(ops, word: int) -> _V:
 
 
 def _clamp_seed(x: _V) -> _V:
-    if x.x < _SEED_MIN:
-        x.x = _SEED_MIN
-    elif x.x > _SEED_MAX:
-        x.x = _SEED_MAX
+    x.x = clamp_seed(x.x)
     return x
 
 

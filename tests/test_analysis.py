@@ -1,9 +1,13 @@
 import csv
 import io
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import neurohash
 from neurohash.analysis import (
     BirthdayReport,
     HdrReport,
@@ -86,12 +90,27 @@ def test_key_sweep_shape():
     assert rep.min > 0.0                  # every key bit matters
 
 
-def test_sweeps_identical_across_worker_counts():
-    m = _small_message()
-    assert message_sensitivity_sweep(m, KEY, 1, workers=4) == \
-        message_sensitivity_sweep(m, KEY, 1, workers=1)
-    assert key_sensitivity_sweep(m, KEY, 1, workers=4) == \
-        key_sensitivity_sweep(m, KEY, 1, workers=1)
+def test_no_threads_left_running():
+    # a fresh interpreter, so threads started by other tests do not count
+    code = """
+import threading
+from neurohash.analysis import (
+    birthday_experiment, key_sensitivity_sweep, message_sensitivity_sweep)
+from neurohash.hashing import Message, hash_message
+key = bytes(range(16))
+hash_message(Message(b"threads?"), key, 1, parallel=True)
+message_sensitivity_sweep(Message(b"ab"), key, 1)
+key_sensitivity_sweep(Message(b"ab"), key, 1)
+birthday_experiment(8, 16, key, 1, seed=0)
+print(threading.active_count())
+"""
+    src = os.path.dirname(os.path.dirname(neurohash.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=60,
+                            env=dict(os.environ, PYTHONPATH=path))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "1"
 
 
 def test_birthday_expected_formula():
@@ -109,11 +128,10 @@ def test_birthday_two_trials():
     assert rep.collisions_observed in (0, 1)
 
 
-def test_birthday_determinism_and_workers():
+def test_birthday_determinism():
     a = birthday_experiment(12, 200, KEY, 1, seed=5)
     b = birthday_experiment(12, 200, KEY, 1, seed=5)
-    c = birthday_experiment(12, 200, KEY, 1, seed=5, workers=4)
-    assert a == b == c
+    assert a == b
     assert birthday_experiment(12, 200, KEY, 1, seed=6) != a
 
 

@@ -44,15 +44,6 @@ def test_hash_empty_stdin(capsys):
     assert capsys.readouterr().out.strip() == expected
 
 
-def test_hash_no_parallel_identical(tmp_path, capsys):
-    path = tmp_path / "msg.bin"
-    path.write_bytes(b"same bits either way")
-    assert run(["hash", str(path), "--key-hex", KEY_HEX]) == 0
-    a = capsys.readouterr().out
-    assert run(["hash", str(path), "--key-hex", KEY_HEX, "--no-parallel"]) == 0
-    assert capsys.readouterr().out == a
-
-
 def test_hash_out_file(tmp_path, capsys):
     src = tmp_path / "in.bin"
     src.write_bytes(b"abc")

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from neurohash.analysis import hdr
 from neurohash.hashing import format_digest
@@ -166,12 +168,31 @@ def test_hash_block_parallel_bitwise_equal():
             hash_block(block, keys, 50, parallel=False)
 
 
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    key=st.binary(min_size=16, max_size=16),
+    block=st.lists(st.integers(0, 0xFFFFFFFF), min_size=32, max_size=32),
+    t=st.integers(1, 80),
+)
+@example(key=bytes(range(16)), block=list(range(32)), t=1)
+def test_hash_block_lockstep_matches_scalar_and_oracle(key, block, t):
+    # t = 1 gives every layer the hidden layer's single map step
+    keys = expand_key(key, t)
+    assert hash_block(block, keys, t, parallel=True) == \
+        hash_block(block, keys, t, parallel=False) == \
+        block_hash_ref(block, key, t)
+
+
 def test_hash_block_validation():
     keys = expand_key(bytes(range(16)), 50)
     with pytest.raises(ValueError):
         hash_block(tuple(range(31)), keys, 50)
     with pytest.raises(ValueError):
         hash_block((1 << 32,) + (0,) * 31, keys, 50)
+    with pytest.raises(ValueError):
+        hash_block([1.5] + [0] * 31, keys, 50)
+    with pytest.raises(ValueError):
+        hash_block(["1"] + [0] * 31, keys, 50)
     with pytest.raises(ValueError):
         hash_block(tuple(range(32)), keys, 0)
 
