@@ -10,6 +10,19 @@ The map has four linear branches over [0, q), [q, 0.5), [0.5, 1-q) and
 knowing: at q = 0.25 (and only there) both branch divisors are powers
 of two, every branch operation is exact, and all binary64 orbits
 collapse to the fixed point 0.0 within ~28 iterations.
+
+Where the clamp to [0, 1] can fire. map_step clamps both ends, as the
+definition states; the iterated kernels (map_iter, map_orbit) keep only
+the clamp that can change a result, which is why they check their
+domain, x in [0, 1] and Q_MIN <= q <= Q_MAX, on entry:
+- The lower clamp never fires. Every numerator (x, x - q, top - x,
+  1 - x) is >= 0 on its branch and every divisor (q, 0.5 - q) is > 0.
+- In [0, 0.5) the upper clamp never fires either. x < q gives x / q
+  <= 1, and x - q <= 0.5 - q gives fl(x - q) <= fl(0.5 - q), since
+  rounding is monotone, so the quotient is <= 1.
+- In [0.5, 1] it can fire. top = fl(1 - q) may round away from 1 - q
+  while 0.5 - q rounds on a finer grid, so (top - 0.5) / (0.5 - q) or
+  (1 - top) / q can exceed 1 by an ulp.
 """
 
 import math
@@ -20,6 +33,7 @@ __all__ = [
     "Q_MAX",
     "map_step",
     "map_iter",
+    "map_orbit",
     "mod1",
     "divergence_probe",
 ]
@@ -55,26 +69,65 @@ def map_iter(x: float, q: float, t: int) -> float:
 
     The branch arithmetic is inlined for speed, but the operations are
     the same ones map_step performs, so map_iter(x, q, a + b) ==
-    map_iter(map_iter(x, q, a), q, b) holds bitwise.
+    map_iter(map_iter(x, q, a), q, b) holds bitwise. The loop tests
+    x < 0.5 first and clamps only the upper half at 1.0: on the domain
+    checked here the other clamps cannot fire (see the module
+    docstring). Raises ValueError for x outside [0, 1], q outside
+    [Q_MIN, Q_MAX] or t < 0.
     """
+    if not 0.0 <= x <= 1.0:
+        raise ValueError("map input must be in [0, 1]")
+    if not Q_MIN <= q <= Q_MAX:
+        raise ValueError("map parameter must be in [Q_MIN, Q_MAX]")
     if t < 0:
         raise ValueError("iteration count must be >= 0")
     half = 0.5 - q
     top = 1.0 - q
     for _ in range(t):
-        if x < q:
-            x = x / q
-        elif x < 0.5:
-            x = (x - q) / half
-        elif x < top:
-            x = (top - x) / half
+        if x < 0.5:
+            if x < q:
+                x = x / q
+            else:
+                x = (x - q) / half
         else:
-            x = (1.0 - x) / q
-        if x < 0.0:
-            x = 0.0
-        elif x > 1.0:
-            x = 1.0
+            if x < top:
+                x = (top - x) / half
+            else:
+                x = (1.0 - x) / q
+            if x > 1.0:
+                x = 1.0
     return x
+
+
+def map_orbit(x: float, q: float, t: int, count: int) -> list:
+    """Orbit points map_iter(x, q, t + j) for j = 0 .. count - 1.
+
+    One pass along the orbit with the same loop as map_iter, so every
+    point is bit-equal to restarting map_iter at its depth. Same domain
+    checks as map_iter, and count must be >= 1.
+    """
+    if count < 1:
+        raise ValueError("orbit length must be >= 1")
+    x = map_iter(x, q, t)
+    half = 0.5 - q
+    top = 1.0 - q
+    out = [x]
+    append = out.append
+    for _ in range(count - 1):
+        if x < 0.5:
+            if x < q:
+                x = x / q
+            else:
+                x = (x - q) / half
+        else:
+            if x < top:
+                x = (top - x) / half
+            else:
+                x = (1.0 - x) / q
+            if x > 1.0:
+                x = 1.0
+        append(x)
+    return out
 
 
 def mod1(a: float) -> float:

@@ -12,7 +12,7 @@ digest, i.e. key XOR (XOR of all per-block digests).
 import struct
 
 from .keyschedule import check_key, expand_key
-from .network import BLOCK_WORDS, hash_block
+from .network import BLOCK_WORDS, check_block, hash_block
 
 __all__ = [
     "BLOCK_BITS",
@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 BLOCK_BITS = 32 * BLOCK_WORDS
+_BLOCK_FORMAT = ">%dI" % BLOCK_WORDS
 
 
 class Message:
@@ -96,34 +97,29 @@ class Message:
 
 
 def pad(message: Message) -> tuple:
-    """Append '1' then minimal '0's to a 1024-bit multiple; split to blocks."""
+    """Append '1' then minimal '0's to a 1024-bit multiple; split to blocks.
+
+    One shift of the whole message and one unpack per block, so the cost
+    is linear in the message length.
+    """
     nbits = message.nbits
     total = ((nbits + 1) + BLOCK_BITS - 1) // BLOCK_BITS * BLOCK_BITS
     value = ((message.to_int() << 1) | 1) << (total - nbits - 1)
-    blocks = []
-    for b in range(total // BLOCK_BITS):
-        shift = total - (b + 1) * BLOCK_BITS
-        chunk = (value >> shift) & ((1 << BLOCK_BITS) - 1)
-        blocks.append(tuple(
-            (chunk >> (32 * (31 - w))) & 0xFFFFFFFF for w in range(32)
-        ))
-    return tuple(blocks)
+    raw = value.to_bytes(total // 8, "big")
+    return tuple(struct.unpack_from(_BLOCK_FORMAT, raw, off)
+                 for off in range(0, len(raw), BLOCK_BITS // 8))
 
 
 def unpad(blocks) -> Message:
     """Recover the message: strip trailing zeros, then the '1' marker."""
-    blocks = tuple(blocks)
-    value = 0
-    for block in blocks:
-        if len(block) != BLOCK_WORDS:
-            raise ValueError("block must be exactly %d words" % BLOCK_WORDS)
-        for w in block:
-            value = (value << 32) | w
-    total = BLOCK_BITS * len(blocks)
-    if total == 0 or value == 0:
+    blocks = [check_block(block) for block in blocks]
+    raw = b"".join(struct.pack(_BLOCK_FORMAT, *block) for block in blocks)
+    value = int.from_bytes(raw, "big")
+    if value == 0:
         raise ValueError("padding marker missing")
     trailing = (value & -value).bit_length() - 1
-    return Message.from_int(value >> (trailing + 1), total - trailing - 1)
+    nbits = 8 * len(raw) - trailing - 1
+    return Message.from_int(value >> (trailing + 1), nbits)
 
 
 def chain_step(prev_key: bytes, block, t: int, parallel: bool = False):

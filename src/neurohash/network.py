@@ -4,9 +4,11 @@ The input layer condenses 32 quantized words into 8 signals (4 inputs
 per neuron, t map iterations), the hidden layer mixes 8 into 8 with a
 single map application, and the output layer compresses 8 into 4 with t
 iterations again. Weighted sums accumulate in ascending index order,
-the bias is added last, and one mod1 brings the pre-activation back
-into the map's domain. Digest words are the top 32 bits of each output
-signal.
+the bias is added last, and one mod1 (written out as s - floor(s))
+brings the pre-activation back into the map's domain. The sums start
+from the first product rather than from 0.0; every term is
+non-negative, and 0.0 + a == a for those, so the result is the same.
+Digest words are the top 32 bits of each output signal.
 
 Within a layer the neurons are independent. `parallel=True` evaluates
 each layer in lockstep: every neuron takes map step k before any neuron
@@ -15,7 +17,9 @@ It composes single map steps where the sequential path runs the inlined
 iteration, and both give bit-identical digests.
 """
 
-from .chaosmap import map_iter, map_step, mod1
+from math import floor
+
+from .chaosmap import map_iter, map_step
 from .keyschedule import SubKeys, quantize_word
 
 __all__ = [
@@ -42,14 +46,6 @@ def check_block(words) -> tuple:
     return words
 
 
-def _preactivation(inputs, weights, bias: float) -> float:
-    s = 0.0
-    for i in range(len(weights)):
-        s += weights[i] * inputs[i]
-    s += bias
-    return mod1(s)
-
-
 def _activate(pre, q: float, t: int, parallel: bool) -> tuple:
     if t < 1:
         raise ValueError("iteration count must be >= 1")
@@ -60,23 +56,36 @@ def _activate(pre, q: float, t: int, parallel: bool) -> tuple:
     return tuple(pre)
 
 
+def _dense(x, w, b, q: float, t: int, parallel: bool) -> tuple:
+    """Fully connected 8-input layer: one neuron per (row, bias) pair."""
+    x0, x1, x2, x3, x4, x5, x6, x7 = x
+    pre = []
+    for (w0, w1, w2, w3, w4, w5, w6, w7), bias in zip(w, b):
+        s = (w0 * x0 + w1 * x1 + w2 * x2 + w3 * x3
+             + w4 * x4 + w5 * x5 + w6 * x6 + w7 * x7 + bias)
+        pre.append(s - floor(s))
+    return _activate(pre, q, t, parallel)
+
+
 def input_layer(p, w0, b0, q0: float, t: int, parallel: bool = False) -> tuple:
     """Condense 32 quantized inputs into 8 signals (t iterations each)."""
-    pre = [_preactivation(p[4 * j:4 * j + 4], w0[4 * j:4 * j + 4], b0[j])
-           for j in range(8)]
+    pre = []
+    for j, bias in enumerate(b0):
+        i = 4 * j
+        s = (w0[i] * p[i] + w0[i + 1] * p[i + 1] + w0[i + 2] * p[i + 2]
+             + w0[i + 3] * p[i + 3] + bias)
+        pre.append(s - floor(s))
     return _activate(pre, q0, t, parallel)
 
 
 def hidden_layer(c, w1, b1, q1: float, parallel: bool = False) -> tuple:
     """Mix 8 signals into 8; the map is applied exactly once."""
-    pre = [_preactivation(c, w1[j], b1[j]) for j in range(8)]
-    return _activate(pre, q1, 1, parallel)
+    return _dense(c, w1, b1, q1, 1, parallel)
 
 
 def output_layer(d, w2, b2, q2: float, t: int, parallel: bool = False) -> tuple:
     """Compress 8 signals into 4 (t iterations each)."""
-    pre = [_preactivation(d, w2[j], b2[j]) for j in range(4)]
-    return _activate(pre, q2, t, parallel)
+    return _dense(d, w2, b2, q2, t, parallel)
 
 
 def extract_digest(h) -> tuple:
@@ -93,7 +102,7 @@ def extract_digest(h) -> tuple:
 def hash_block(block, keys: SubKeys, t: int, parallel: bool = False) -> tuple:
     """Hash one 32-word block under an expanded key; 4-word digest."""
     block = check_block(block)
-    p = tuple(quantize_word(w) for w in block)
+    p = list(map(quantize_word, block))
     c = input_layer(p, keys.w0, keys.b0, keys.q0, t, parallel)
     d = hidden_layer(c, keys.w1, keys.b1, keys.q1, parallel)
     h = output_layer(d, keys.w2, keys.b2, keys.q2, t, parallel)

@@ -2,16 +2,19 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from neurohash.chaosmap import (
     Q_MAX,
     Q_MIN,
     divergence_probe,
     map_iter,
+    map_orbit,
     map_step,
     mod1,
 )
-from oracles import decorrelated_band, pwlcm_once
+from oracles import decorrelated_band, pwlcm_many, pwlcm_once
 
 SEED = 20210
 
@@ -52,15 +55,80 @@ def test_map_iter_composition_bitwise():
         assert whole == split
 
 
-def test_map_iter_matches_repeated_map_step():
-    rng = random.Random(SEED + 1)
-    for _ in range(100):
-        x = rng.random()
-        q = rng.uniform(Q_MIN, Q_MAX)
-        y = x
-        for _ in range(25):
-            y = map_step(y, q)
-        assert map_iter(x, q, 25) == y
+# The upper clamp fires where fl(1 - q) rounds: at q = 0.2 for x = 0.5,
+# since (top - 0.5) / (0.5 - q) > 1, and at q = 0.3 for x = fl(1 - q),
+# since (1 - top) / q > 1. Q_MIN, Q_MAX and 0.25 round nowhere, and a
+# uniform q rounds generically (the clamp fires at 0.5 or at fl(1 - q)
+# for about half of them).
+CLAMP_AT_HALF = 0.2
+CLAMP_AT_TOP = 0.3
+PARAMS = st.one_of(
+    st.sampled_from([Q_MIN, Q_MAX, 0.25, CLAMP_AT_HALF, CLAMP_AT_TOP]),
+    st.randoms(use_true_random=False).map(lambda r: r.uniform(Q_MIN, Q_MAX)),
+    st.floats(Q_MIN, Q_MAX),
+)
+
+
+@st.composite
+def map_inputs(draw):
+    """(x, q) with x near the branch boundaries and clamp-prone points.
+
+    The anchors are 0, 1, q, 0.5 and fl(1 - q), each also moved one ulp
+    either way; a uniform x covers the branch interiors.
+    """
+    q = draw(PARAMS)
+    anchor = draw(st.sampled_from(["0", "1", "q", "0.5", "top", "uniform"]))
+    x = {"0": 0.0, "1": 1.0, "q": q, "0.5": 0.5, "top": 1.0 - q,
+         "uniform": draw(st.floats(0.0, 1.0))}[anchor]
+    x = math.nextafter(x, draw(st.sampled_from([0.0, x, 1.0])))
+    return x, q
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(xq=map_inputs(), t=st.integers(0, 40))
+@example(xq=(0.5, CLAMP_AT_HALF), t=3)
+@example(xq=(1.0 - CLAMP_AT_TOP, CLAMP_AT_TOP), t=3)
+def test_map_iter_matches_repeated_map_step(xq, t):
+    x, q = xq
+    y = x
+    for _ in range(t):
+        y = map_step(y, q)
+    assert map_iter(x, q, t) == y == pwlcm_many(x, q, t)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(xq=map_inputs(), t=st.integers(0, 60), count=st.integers(1, 40))
+@example(xq=(0.5, CLAMP_AT_HALF), t=0, count=3)
+@example(xq=(1.0 - CLAMP_AT_TOP, CLAMP_AT_TOP), t=0, count=3)
+def test_map_orbit_points_equal_map_iter(xq, t, count):
+    x, q = xq
+    orbit = map_orbit(x, q, t, count)
+    assert orbit == [map_iter(x, q, t + j) for j in range(count)]
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda x, q: map_iter(x, q, 5),
+    lambda x, q: map_orbit(x, q, 5, 3),
+], ids=["map_iter", "map_orbit"])
+@pytest.mark.parametrize("x, q", [
+    (-2.0 ** -60, 0.3),         # x < 0
+    (1.0 + 2.0 ** -52, 0.3),    # x > 1
+    (0.3, 0.0),                 # q = 0: a zero divisor
+    (0.3, 0.5),                 # q = 0.5: 0.5 - q is a zero divisor
+    (math.nan, 0.3),
+    (0.3, math.nan),
+])
+def test_map_kernels_reject_out_of_domain(kernel, x, q):
+    with pytest.raises(ValueError):
+        kernel(x, q)
+
+
+def test_map_kernels_accept_domain_edges():
+    for q in (Q_MIN, Q_MAX):
+        for x in (0.0, 1.0):
+            assert map_orbit(x, q, 0, 2) == [x, map_step(x, q)]
+    with pytest.raises(ValueError):
+        map_orbit(0.3, 0.3, 5, 0)
 
 
 def test_branch_formulas_bit_exact_on_grid():
@@ -122,6 +190,10 @@ def test_divergence_probe_validation():
         divergence_probe(1.0, 0.3, 50, 100, SEED)
     with pytest.raises(ValueError):
         divergence_probe(0.5, 0.3, 50, 0, SEED)
+    # q outside [Q_MIN, Q_MAX] is refused by the map, not divided by
+    for q in (0.0, 0.5):
+        with pytest.raises(ValueError):
+            divergence_probe(2.0 ** -32, q, 50, 10, SEED)
 
 
 def test_divergence_probe_generic_parameter():

@@ -2,6 +2,8 @@ import os
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from neurohash.goldens import (
     SAMPLE_KEY,
@@ -25,6 +27,7 @@ from neurohash.hashing import (
 )
 from neurohash.keyschedule import expand_key
 from neurohash.network import hash_block
+from oracles import pad_bits_ref
 
 SEED = 59201
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_vectors.csv")
@@ -97,6 +100,41 @@ def test_pad_injective():
             assert seen[blocks] == m
         seen[blocks] = m
     assert len(seen) == len(set(messages))
+
+
+@st.composite
+def unaligned_messages(draw):
+    """Messages of 2-4 padded blocks whose length is not a whole byte."""
+    nbits = 8 * draw(st.integers(128, 511)) + draw(st.integers(1, 7))
+    return nbits, draw(st.integers(0, (1 << nbits) - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(message=unaligned_messages())
+@example(message=(1025, (1 << 1025) - 1))
+@example(message=(2047, 1))
+def test_pad_matches_bit_list_oracle(message):
+    nbits, value = message
+    bits = [(value >> (nbits - 1 - i)) & 1 for i in range(nbits)]
+    blocks = pad(Message.from_int(value, nbits))
+    assert blocks == tuple(pad_bits_ref(bits))
+    assert unpad(blocks) == Message.from_int(value, nbits)
+
+
+def test_pad_unpad_round_trip_1mib():
+    data = random.Random(SEED + 3).randbytes(1 << 20)
+    for nbits in (8 * len(data), 8 * len(data) - 3):
+        m = Message(data, nbits)
+        blocks = pad(m)
+        assert len(blocks) == (nbits + 1 + 1023) // 1024
+        assert unpad(blocks) == m
+
+
+def test_unpad_rejects_words_outside_32_bits():
+    with pytest.raises(ValueError):
+        unpad(((1 << 32,) + (0,) * 31,))
+    with pytest.raises(ValueError):
+        unpad(((0,) * 31,))
 
 
 def test_unpad_rejects_all_zero():

@@ -2,6 +2,8 @@ import random
 import struct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from neurohash.chaosmap import Q_MAX, Q_MIN
 from neurohash.keyschedule import (
@@ -98,10 +100,22 @@ def test_incremental_equals_from_scratch():
             assert stream[j] == literal
 
 
-def test_stream_matches_literal_oracle():
-    for key in KEYS:
-        assert subkey_stream(key, SUBKEY_COUNT, 5) == \
-            subkey_stream_literal(key, SUBKEY_COUNT, 5)
+# key words: the all-zero seed, the dyadic parameter word and the top
+# word, or any 32-bit value
+KEY_WORDS = st.one_of(st.sampled_from([0x00000000, 0x80000000, 0xFFFFFFFF]),
+                      st.integers(0, 0xFFFFFFFF))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(words=st.lists(KEY_WORDS, min_size=4, max_size=4),
+       count=st.integers(1, 40), t=st.integers(1, 60))
+@example(words=[0x00000000, 0x80000000, 0xFFFFFFFF, 0x80000000], count=40, t=50)
+@example(words=list(struct.unpack(">4I", KEYS[0])), count=SUBKEY_COUNT, t=5)
+@example(words=list(struct.unpack(">4I", KEYS[1])), count=SUBKEY_COUNT, t=5)
+@example(words=list(struct.unpack(">4I", KEYS[2])), count=SUBKEY_COUNT, t=5)
+def test_stream_matches_literal_oracle(words, count, t):
+    key = struct.pack(">4I", *words)
+    assert subkey_stream(key, count, t) == subkey_stream_literal(key, count, t)
 
 
 def test_every_key_bit_matters():
