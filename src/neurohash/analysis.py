@@ -8,14 +8,23 @@ distinct random one-block messages, truncates the digests to a small
 width, and compares observed colliding pairs with the birthday-bound
 expectation. All randomized experiments take an explicit seed and
 record it in their report.
+
+The sweeps and the birthday experiment hash thousands of independent
+messages. They spread them over every CPU in the process's affinity
+mask: this process hashes the first contiguous chunk while forked
+workers hash the rest, and the digests are joined in order, so the
+reports are bit-identical to a single loop. Inputs are checked and
+seeded messages generated here, before any worker starts.
 """
 
 import csv
+import os
 import random
+import threading
 from dataclasses import dataclass, fields
 
-from .hashing import BLOCK_BITS, Message, hash_message
-from .keyschedule import KEY_BYTES, check_key, flip_key_bit
+from .hashing import BLOCK_BITS, Message, check_message, hash_message
+from .keyschedule import KEY_BYTES, check_iterations, check_key, flip_key_bit
 
 __all__ = [
     "HdrReport",
@@ -55,11 +64,106 @@ def hdr(a, b) -> float:
     return distance / 128.0
 
 
-def _sweep(indices, one_flip):
-    ratios = [one_flip(i) for i in indices]
-    per_flip = tuple(zip(indices, ratios))
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where there is one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _hash_jobs(jobs, t: int) -> list:
+    """Digest of each (message, key) job, in order.
+
+    The unit of work of a worker process. It looks `hash_message` up when
+    it runs, so a wrapper installed on this module applies here too.
+    """
+    return [hash_message(message, key, t) for message, key in jobs]
+
+
+def _fork_worker(jobs, t: int):
+    """Fork a process that hashes `jobs`; returns (pid, read end of its pipe).
+
+    The child pickles (True, digests), or (False, exception), into the
+    pipe and leaves through os._exit, so it never returns to the caller
+    and never flushes the parent's buffered output.
+    """
+    import pickle
+
+    reader, writer = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(writer)
+        return pid, reader
+    status = 1
+    try:
+        os.close(reader)
+        try:
+            outcome = (True, _hash_jobs(jobs, t))
+        except BaseException as error:  # raised again by _join_worker
+            outcome = (False, error)
+        with open(writer, "wb") as handle:
+            pickle.dump(outcome, handle)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _join_worker(pid: int, reader: int) -> list:
+    """The digests of a _fork_worker child; re-raises what it raised."""
+    import pickle
+
+    with open(reader, "rb") as handle:
+        data = handle.read()
+    _, status = os.waitpid(pid, 0)
+    try:
+        ok, value = pickle.loads(data)
+    except (EOFError, pickle.UnpicklingError):
+        raise RuntimeError(
+            "hash worker %d failed with wait status %d" % (pid, status)) from None
+    if not ok:
+        raise value
+    return value
+
+
+def _hash_all(jobs, t: int) -> list:
+    """_hash_jobs spread over every CPU this process may run on.
+
+    The jobs split into one contiguous chunk per CPU. Forked workers hash
+    chunks 1..n-1 while this process hashes chunk 0, and the digests join
+    in job order. Workers are always reaped before this returns or raises.
+    No process is started with one CPU or one job, without os.fork, or
+    while other threads run: a forked child gets only the calling thread,
+    so a lock another thread holds would stay locked in it forever.
+    """
+    n = min(_cpu_count(), len(jobs))
+    if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return _hash_jobs(jobs, t)
+    import signal
+
+    bounds = [len(jobs) * i // n for i in range(n + 1)]
+    workers = []
+    try:
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            workers.append(_fork_worker(jobs[lo:hi], t))
+        digests = _hash_jobs(jobs[:bounds[1]], t)
+        while workers:
+            digests.extend(_join_worker(*workers.pop(0)))
+    finally:
+        # left over only when something raised: stop and reap them
+        for pid, reader in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(reader)
+    return digests
+
+
+def _sweep(indices, jobs, t: int) -> HdrReport:
+    """Hdr of each flip job against the unflipped baseline, job 0."""
+    baseline, *flipped = _hash_all(jobs, t)
+    ratios = [hdr(baseline, digest) for digest in flipped]
     return HdrReport(
-        per_flip=per_flip,
+        per_flip=tuple(zip(indices, ratios)),
         mean=sum(ratios) / len(ratios),
         min=min(ratios),
         max=max(ratios),
@@ -71,26 +175,24 @@ def message_sensitivity_sweep(message: Message, key: bytes, t: int) -> HdrReport
 
     Covers min(1024, message length) bit positions, each exactly once.
     """
+    check_message(message)
     if message.nbits == 0:
         raise ValueError("message must be non-empty")
-    baseline = hash_message(message, key, t)
+    key = check_key(key)
+    check_iterations(t)
     indices = range(min(BLOCK_BITS, message.nbits))
-
-    def one_flip(i):
-        return hdr(baseline, hash_message(message.flip(i), key, t))
-
-    return _sweep(indices, one_flip)
+    jobs = [(message, key)] + [(message.flip(i), key) for i in indices]
+    return _sweep(indices, jobs, t)
 
 
 def key_sensitivity_sweep(message: Message, key: bytes, t: int) -> HdrReport:
     """Hdr of each of the 128 single-bit key flips."""
-    baseline = hash_message(message, key, t)
+    check_message(message)
+    key = check_key(key)
+    check_iterations(t)
     indices = range(8 * KEY_BYTES)
-
-    def one_flip(i):
-        return hdr(baseline, hash_message(message, flip_key_bit(key, i), t))
-
-    return _sweep(indices, one_flip)
+    jobs = [(message, key)] + [(message, flip_key_bit(key, i)) for i in indices]
+    return _sweep(indices, jobs, t)
 
 
 def birthday_experiment(
@@ -106,20 +208,21 @@ def birthday_experiment(
         raise ValueError("truncation width must be in [8, 32]")
     if trials < 2:
         raise ValueError("trials must be >= 2")
-    check_key(key)
+    key = check_key(key)
+    check_iterations(t)
     rng = random.Random(seed)
     seen = set()
-    messages = []
-    while len(messages) < trials:
+    jobs = []
+    while len(jobs) < trials:
         value = rng.getrandbits(BLOCK_BITS)
         if value in seen:
             continue
         seen.add(value)
-        messages.append(Message.from_int(value, BLOCK_BITS))
+        jobs.append((Message.from_int(value, BLOCK_BITS), key))
 
     buckets = {}
-    for m in messages:
-        top = hash_message(m, key, t)[0] >> (32 - width)
+    for digest in _hash_all(jobs, t):
+        top = digest[0] >> (32 - width)
         buckets[top] = buckets.get(top, 0) + 1
     observed = sum(c * (c - 1) // 2 for c in buckets.values())
     return BirthdayReport(

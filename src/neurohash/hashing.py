@@ -17,6 +17,7 @@ from .network import BLOCK_WORDS, check_block, hash_block
 __all__ = [
     "BLOCK_BITS",
     "Message",
+    "check_message",
     "pad",
     "unpad",
     "chain_step",
@@ -57,6 +58,11 @@ class Message:
     def __setattr__(self, name, value):
         raise AttributeError("Message is immutable")
 
+    def __reduce__(self):
+        # rebuild through __init__: the default slot restore would go
+        # through the blocking __setattr__
+        return (Message, (self.data, self.nbits))
+
     @classmethod
     def from_int(cls, value: int, nbits: int):
         """Bit string from the low nbits of value, MSB first."""
@@ -96,12 +102,19 @@ class Message:
         return "Message(%s, nbits=%d)" % (self.data.hex() or "''", self.nbits)
 
 
+def check_message(message) -> Message:
+    if not isinstance(message, Message):
+        raise TypeError("message must be a Message, not %s" % type(message).__name__)
+    return message
+
+
 def pad(message: Message) -> tuple:
     """Append '1' then minimal '0's to a 1024-bit multiple; split to blocks.
 
     One shift of the whole message and one unpack per block, so the cost
     is linear in the message length.
     """
+    check_message(message)
     nbits = message.nbits
     total = ((nbits + 1) + BLOCK_BITS - 1) // BLOCK_BITS * BLOCK_BITS
     value = ((message.to_int() << 1) | 1) << (total - nbits - 1)

@@ -23,6 +23,7 @@ __all__ = [
     "SubKeys",
     "key_from_hex",
     "check_key",
+    "check_iterations",
     "flip_key_bit",
     "quantize_word",
     "derive_param",
@@ -70,6 +71,16 @@ def check_key(key: bytes) -> bytes:
     return bytes(key)
 
 
+def check_iterations(t) -> int:
+    """Validate a network iteration count: an int, at least 1."""
+    if not isinstance(t, int):
+        raise TypeError(
+            "iteration count must be an int, not %s" % type(t).__name__)
+    if t < 1:
+        raise ValueError("iteration count must be >= 1")
+    return t
+
+
 def flip_key_bit(key: bytes, index: int) -> bytes:
     """Flip bit `index` of the key, MSB of byte 0 being bit 0."""
     if not 0 <= index < 8 * KEY_BYTES:
@@ -113,8 +124,7 @@ def subkey_stream(key: bytes, count: int, t: int) -> list:
     key = check_key(key)
     if count < 1:
         raise ValueError("sub-key count must be >= 1")
-    if t < 1:
-        raise ValueError("iteration count must be >= 1")
+    check_iterations(t)
     k0, k1, k2, k3 = struct.unpack(">4I", key)
     qa = derive_param(quantize_word(k1))
     qb = derive_param(quantize_word(k3))

@@ -20,7 +20,7 @@ iteration, and both give bit-identical digests.
 from math import floor
 
 from .chaosmap import map_iter, map_step
-from .keyschedule import SubKeys, quantize_word
+from .keyschedule import SubKeys, check_iterations, quantize_word
 
 __all__ = [
     "BLOCK_WORDS",
@@ -47,8 +47,7 @@ def check_block(words) -> tuple:
 
 
 def _activate(pre, q: float, t: int, parallel: bool) -> tuple:
-    if t < 1:
-        raise ValueError("iteration count must be >= 1")
+    check_iterations(t)
     if not parallel:
         return tuple([map_iter(x, q, t) for x in pre])
     for _ in range(t):

@@ -1,13 +1,17 @@
 import csv
+import functools
 import io
+import multiprocessing
 import os
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 
 import neurohash
+from neurohash import analysis
 from neurohash.analysis import (
     BirthdayReport,
     HdrReport,
@@ -18,7 +22,7 @@ from neurohash.analysis import (
     message_sensitivity_sweep,
 )
 from neurohash.goldens import SAMPLE_KEY, SAMPLE_SENTENCE
-from neurohash.hashing import Message, parse_digest
+from neurohash.hashing import BLOCK_BITS, Message, hash_message, parse_digest
 
 SEED = 66017
 KEY = bytes(range(16))
@@ -178,3 +182,184 @@ def test_emit_csv_unwritable_destination(tmp_path):
     rep = BirthdayReport(16, 2, 0, 2.0 ** -16, 0)
     with pytest.raises(OSError):
         emit_csv(rep, str(tmp_path / "missing_dir" / "x.csv"))
+
+
+# --- fan-out over worker processes ------------------------------------------
+
+
+def _expected_sweep(message, key, t, flipped):
+    """HdrReport of an in-process loop over the flipped (message, key) jobs."""
+    baseline = hash_message(message, key, t)
+    ratios = [hdr(baseline, hash_message(m, k, t)) for m, k in flipped]
+    return HdrReport(
+        per_flip=tuple(enumerate(ratios)),
+        mean=sum(ratios) / len(ratios),
+        min=min(ratios),
+        max=max(ratios),
+    )
+
+
+def _expected_message_sweep(message, key, t):
+    flipped = [(message.flip(i), key) for i in range(min(BLOCK_BITS, message.nbits))]
+    return _expected_sweep(message, key, t, flipped)
+
+
+def _expected_key_sweep(message, key, t):
+    flipped = [(message, analysis.flip_key_bit(key, i)) for i in range(128)]
+    return _expected_sweep(message, key, t, flipped)
+
+
+def _expected_birthday(width, trials, key, t, seed):
+    rng = random.Random(seed)
+    values = []
+    while len(values) < trials:
+        value = rng.getrandbits(BLOCK_BITS)
+        if value not in values:
+            values.append(value)
+    buckets = {}
+    for value in values:
+        top = hash_message(Message.from_int(value, BLOCK_BITS), key, t)[0] >> (32 - width)
+        buckets[top] = buckets.get(top, 0) + 1
+    return BirthdayReport(width, trials, sum(c * (c - 1) // 2 for c in buckets.values()),
+                          trials * (trials - 1) / 2 / 2.0 ** width, seed)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Count the processes the fan-out forks (counted in the parent)."""
+    started = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            started.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return started
+
+
+def _assert_nothing_left(threads_before):
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):     # no child, running or zombie
+        os.waitpid(-1, os.WNOHANG)
+    assert threading.active_count() == threads_before
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_fan_out_reports_equal_in_process_loop(monkeypatch, forks, cpus):
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: cpus)
+    threads = threading.active_count()
+    m = _small_message()                  # 121 jobs: uneven for 2 and 3 CPUs
+    assert message_sensitivity_sweep(m, KEY, 1) == _expected_message_sweep(m, KEY, 1)
+    assert key_sensitivity_sweep(m, KEY, 1) == _expected_key_sweep(m, KEY, 1)
+    assert (birthday_experiment(8, 50, KEY, 1, seed=4)
+            == _expected_birthday(8, 50, KEY, 1, 4))
+    assert len(forks) == 3 * (cpus - 1)
+    _assert_nothing_left(threads)
+
+
+def test_fan_out_fewer_jobs_than_cpus(monkeypatch, forks):
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 8)
+    m = Message(b"\xc0", 2)                # baseline plus 2 flips: 3 jobs
+    assert message_sensitivity_sweep(m, KEY, 1) == _expected_message_sweep(m, KEY, 1)
+    assert len(forks) == 2
+
+
+def test_fan_out_single_job_starts_no_process(monkeypatch, forks):
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 3)
+    m = _small_message()
+    assert analysis._hash_all([(m, KEY)], 1) == [hash_message(m, KEY, 1)]
+    assert forks == []
+
+
+def test_one_cpu_starts_no_process(monkeypatch, forks):
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 1)
+    m = _small_message()
+    assert message_sensitivity_sweep(m, KEY, 1) == _expected_message_sweep(m, KEY, 1)
+    assert birthday_experiment(8, 20, KEY, 1, seed=2) == _expected_birthday(8, 20, KEY, 1, 2)
+    assert forks == []
+
+
+def test_no_process_while_other_threads_run(monkeypatch, forks):
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        m = _small_message()
+        assert key_sensitivity_sweep(m, KEY, 1) == _expected_key_sweep(m, KEY, 1)
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert forks == []
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: message_sensitivity_sweep(_small_message(), KEY, 0), ValueError),
+    (lambda: message_sensitivity_sweep(_small_message(), KEY, 1.5), TypeError),
+    (lambda: message_sensitivity_sweep(_small_message(), bytes(15), 1), ValueError),
+    (lambda: message_sensitivity_sweep(b"sweep target", KEY, 1), TypeError),
+    (lambda: key_sensitivity_sweep(_small_message(), KEY, "50"), TypeError),
+    (lambda: key_sensitivity_sweep(_small_message(), KEY[:8], 1), ValueError),
+    (lambda: key_sensitivity_sweep(bytearray(b"ab"), KEY, 1), TypeError),
+    (lambda: birthday_experiment(8, 20, KEY, 0, seed=0), ValueError),
+    (lambda: birthday_experiment(8, 20, KEY, 2.0, seed=0), TypeError),
+    (lambda: birthday_experiment(8, 20, "key", 1, seed=0), ValueError),
+])
+def test_bad_input_raises_before_any_fork(monkeypatch, forks, call, error):
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 2)
+    with pytest.raises(error):
+        call()
+    assert forks == []
+
+
+def _failing_on(bad, error):
+    @functools.wraps(hash_message)
+    def wrapper(message, key, t, parallel=False):
+        if message == bad:
+            raise error
+        return hash_message(message, key, t, parallel)
+    return wrapper
+
+
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("cannot pickle this error")
+
+
+@pytest.mark.parametrize("flip, error, raised", [
+    (100, ValueError("failed in a worker"), ValueError),   # a worker's chunk
+    (3, ValueError("failed in the parent"), ValueError),   # the parent's chunk
+    (100, _Unpicklable(), RuntimeError),                   # lost on the way back
+])
+def test_failure_reaps_every_worker(monkeypatch, forks, flip, error, raised):
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 3)
+    m = _small_message()
+    monkeypatch.setattr(analysis, "hash_message", _failing_on(m.flip(flip), error))
+    threads = threading.active_count()
+    with pytest.raises(raised):
+        message_sensitivity_sweep(m, KEY, 1)
+    assert len(forks) == 2
+    _assert_nothing_left(threads)
+
+
+def test_sweeps_under_a_wrapped_hash_message(monkeypatch):
+    # the traced benchmark pass swaps hash_message for a wrapper like this
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 2)
+    calls = []
+
+    @functools.wraps(hash_message)
+    def wrapper(*args, **kwargs):
+        calls.append(1)                   # in the parent's memory only
+        return hash_message(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "hash_message", wrapper)
+    m = _small_message()
+    assert message_sensitivity_sweep(m, KEY, 1) == _expected_message_sweep(m, KEY, 1)
+    assert key_sensitivity_sweep(m, KEY, 1) == _expected_key_sweep(m, KEY, 1)
+    assert (birthday_experiment(8, 50, KEY, 1, seed=4)
+            == _expected_birthday(8, 50, KEY, 1, 4))
+    assert len(calls) == 121 // 2 + 129 // 2 + 50 // 2    # chunk 0 of each

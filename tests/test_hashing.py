@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import random
 
 import pytest
@@ -46,6 +48,32 @@ def test_message_basics():
         m.bit(4)
     with pytest.raises(ValueError):
         Message(b"\x00", 9)
+
+
+def test_message_pickle_and_copy_round_trip():
+    for m in (Message(b"abc", 20), Message(b""), Message(SAMPLE_SENTENCE.encode())):
+        for twin in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+            assert twin == m
+            assert (twin.data, twin.nbits) == (m.data, m.nbits)
+            with pytest.raises(AttributeError, match="immutable"):
+                twin.nbits = 0
+
+
+def test_non_message_input_is_a_type_error():
+    key = bytes(16)
+    for call in (hash_message, hash_message_trace):
+        with pytest.raises(TypeError, match="must be a Message, not bytes"):
+            call(b"abc", key, 1)
+    with pytest.raises(TypeError, match="not str"):
+        pad("abc")
+
+
+def test_float_iteration_count_rejected_on_a_key_cache_hit():
+    # expand_key's cache treats 50.0 like 50; the network still refuses it
+    m, key = Message(b"abc"), bytes(16)
+    hash_message(m, key, 50)
+    with pytest.raises(TypeError, match="iteration count must be an int"):
+        hash_message(m, key, 50.0)
 
 
 def test_message_byte_expansion_msb_first():

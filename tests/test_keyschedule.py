@@ -9,6 +9,7 @@ from neurohash.chaosmap import Q_MAX, Q_MIN
 from neurohash.keyschedule import (
     SUBKEY_COUNT,
     assign_subkeys,
+    check_iterations,
     clamp_seed,
     derive_param,
     expand_key,
@@ -77,6 +78,21 @@ def test_stream_validation():
         subkey_stream(bytes(16), 0, 50)
     with pytest.raises(ValueError):
         subkey_stream(bytes(16), 151, 0)
+
+
+@pytest.mark.parametrize("t", [1.5, 50.0, "50", None])
+def test_non_integer_iteration_count(t):
+    with pytest.raises(TypeError, match="iteration count must be an int"):
+        check_iterations(t)
+    with pytest.raises(TypeError, match="iteration count must be an int"):
+        subkey_stream(bytes(16), 151, t)
+
+
+def test_iteration_count_range():
+    assert check_iterations(1) == 1
+    for t in (0, -1):
+        with pytest.raises(ValueError, match="iteration count must be >= 1"):
+            check_iterations(t)
 
 
 def test_all_zero_key_escapes_fixed_point():

@@ -195,6 +195,9 @@ def test_hash_block_validation():
         hash_block(["1"] + [0] * 31, keys, 50)
     with pytest.raises(ValueError):
         hash_block(tuple(range(32)), keys, 0)
+    for parallel in (False, True):
+        with pytest.raises(TypeError, match="iteration count must be an int"):
+            hash_block(tuple(range(32)), keys, 50.0, parallel)
 
 
 def test_block_avalanche():
