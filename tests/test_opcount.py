@@ -1,3 +1,6 @@
+import json
+import os
+
 import pytest
 
 from neurohash.hashing import format_digest
@@ -8,6 +11,8 @@ from neurohash.opcount import (
     DEFAULT_COUNT_KEY,
     count_operations,
 )
+
+REPORTS_PATH = os.path.join(os.path.dirname(__file__), "data", "opcount_reports.json")
 
 # published single-block reference counts at t = 50
 SEQ_MUL_DIV = 1088
@@ -81,6 +86,28 @@ def test_instrumented_pipeline_matches_hash_block():
     )
     assert format_digest(digest) == "1ABC267ABA9BE657E8FDBAF50726AE26"
     count_operations(50)  # raises if the instrumented digest drifts
+
+
+def test_reports_match_frozen_table():
+    # 108 frozen reports: t in {0, 1, 2, 7, 50, 80}, two blocks, and keys
+    # that include clamped seeds (K0/K2 = 0, 0xFFFFFFFF), clamped
+    # parameters (K1/K3 = 0, 0xFFFFFFFF) and dead orbits (K1 and
+    # K1 = K3 = 0x80000000); every field and every stage must match
+    with open(REPORTS_PATH) as f:
+        table = json.load(f)
+    assert len(table) == 108
+    for entry in table:
+        rep = count_operations(entry["t"], bytes.fromhex(entry["key"]),
+                               entry["block"])
+        got = {
+            "mul_div": rep.mul_div,
+            "add_sub": rep.add_sub,
+            "critical_path_mul_div": rep.critical_path_mul_div,
+            "critical_path_add_sub": rep.critical_path_add_sub,
+            "stages": {name: vars(ops) for name, ops in rep.stages.items()},
+        }
+        want = {k: v for k, v in entry.items() if k not in ("key", "block", "t")}
+        assert got == want, (entry["key"], entry["block"][0], entry["t"])
 
 
 def test_counts_depend_on_branch_occupancy():
