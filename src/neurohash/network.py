@@ -55,7 +55,18 @@ def _activate(pre, q: float, t: int, parallel: bool) -> tuple:
     return tuple(pre)
 
 
-def _dense(x, w, b, q: float, t: int, parallel: bool) -> tuple:
+def _input_preactivation(p, w0, b0) -> list:
+    """mod1 of each input neuron's weighted sum plus bias."""
+    pre = []
+    for j, bias in enumerate(b0):
+        i = 4 * j
+        s = (w0[i] * p[i] + w0[i + 1] * p[i + 1] + w0[i + 2] * p[i + 2]
+             + w0[i + 3] * p[i + 3] + bias)
+        pre.append(s - floor(s))
+    return pre
+
+
+def _dense_preactivation(x, w, b) -> list:
     """Fully connected 8-input layer: one neuron per (row, bias) pair."""
     x0, x1, x2, x3, x4, x5, x6, x7 = x
     pre = []
@@ -63,28 +74,22 @@ def _dense(x, w, b, q: float, t: int, parallel: bool) -> tuple:
         s = (w0 * x0 + w1 * x1 + w2 * x2 + w3 * x3
              + w4 * x4 + w5 * x5 + w6 * x6 + w7 * x7 + bias)
         pre.append(s - floor(s))
-    return _activate(pre, q, t, parallel)
+    return pre
 
 
 def input_layer(p, w0, b0, q0: float, t: int, parallel: bool = False) -> tuple:
     """Condense 32 quantized inputs into 8 signals (t iterations each)."""
-    pre = []
-    for j, bias in enumerate(b0):
-        i = 4 * j
-        s = (w0[i] * p[i] + w0[i + 1] * p[i + 1] + w0[i + 2] * p[i + 2]
-             + w0[i + 3] * p[i + 3] + bias)
-        pre.append(s - floor(s))
-    return _activate(pre, q0, t, parallel)
+    return _activate(_input_preactivation(p, w0, b0), q0, t, parallel)
 
 
 def hidden_layer(c, w1, b1, q1: float, parallel: bool = False) -> tuple:
     """Mix 8 signals into 8; the map is applied exactly once."""
-    return _dense(c, w1, b1, q1, 1, parallel)
+    return _activate(_dense_preactivation(c, w1, b1), q1, 1, parallel)
 
 
 def output_layer(d, w2, b2, q2: float, t: int, parallel: bool = False) -> tuple:
     """Compress 8 signals into 4 (t iterations each)."""
-    return _dense(d, w2, b2, q2, t, parallel)
+    return _activate(_dense_preactivation(d, w2, b2), q2, t, parallel)
 
 
 def extract_digest(h) -> tuple:

@@ -1,26 +1,27 @@
-"""Instrumented single-block hash that tallies arithmetic operations.
+"""Arithmetic operation counts for one block hash, taken from the hash.
 
-Mirrors the production pipeline (key schedule plus the three layers)
-with a tracked value type: every multiplication/division and
-addition/subtraction is counted, per pipeline stage, and each value
-carries the operation counts of its deepest dependency chain. The
-critical path reported is the deepest chain reaching any digest word,
-which models all neurons of a layer and both key-generator orbits
-running concurrently. Comparisons (branch selection, clamping) and
-floor are not arithmetic and are not counted.
-
-The tracked values perform the identical binary64 operations as the
-production code; the instrumented digest is checked against hash_block
-on every run so the accounting cannot drift.
+count_operations runs the production stage functions on tracked floats,
+which hold the identical binary64 values plus the (mul/div, add/sub)
+counts of their deepest dependency chain. Every multiplication/division
+and addition/subtraction whose result is used is counted once, in the
+pipeline stage that computed it. Comparisons (branch selection,
+clamping) and floor are not arithmetic and are not counted. The key
+orbits advance one map step at a time and each layer applies the map
+in lockstep, so the critical path reported, the deepest chain reaching
+any digest word, models all neurons of a layer and both key-generator
+orbits running concurrently. The instrumented digest is checked
+against hash_block on every run so the accounting cannot drift.
 """
 
-import math
 import struct
 from dataclasses import dataclass
 
-from .chaosmap import Q_MAX, Q_MIN
-from .keyschedule import SUBKEY_COUNT, check_key, clamp_seed, expand_key
-from .network import check_block, hash_block
+from .chaosmap import map_step, mod1
+from .keyschedule import SUBKEY_COUNT, assign_subkeys, check_iterations
+from .keyschedule import check_key, clamp_seed, derive_param, expand_key
+from .keyschedule import quantize_word
+from .network import _dense_preactivation, _input_preactivation, check_block
+from .network import extract_digest, hash_block
 
 __all__ = [
     "StageOps",
@@ -62,122 +63,128 @@ class OpCountReport:
     stages: dict  # stage name -> StageOps
 
 
-class _Tally:
-    __slots__ = ("mul", "div", "add", "sub")
+class _Tracked(float):
+    """A float plus the (mul/div, add/sub) counts of its deepest chain.
 
-    def __init__(self):
-        self.mul = self.div = self.add = self.sub = 0
+    `op`, the operation that computed the value, is charged to `tally`,
+    the stage that computed it, when the value is first used: a result
+    that is only compared (map_step's 1 - q in a branch test) is free.
+    """
 
-    def snapshot(self) -> StageOps:
-        return StageOps(self.mul, self.div, self.add, self.sub)
+    __slots__ = ("run", "m", "a", "tally", "op")
 
-
-class _V:
-    """A float plus the (mul/div, add/sub) counts of its deepest path."""
-
-    __slots__ = ("x", "m", "a")
-
-    def __init__(self, x, m=0, a=0):
-        self.x = x
+    def __new__(cls, x, run, m=0, a=0, op=None):
+        self = float.__new__(cls, x)
+        self.run = run
         self.m = m
         self.a = a
+        self.tally = run.tally
+        self.op = op
+        return self
+
+    def use(self):
+        if self.op is not None:
+            self.tally[self.op] += 1
+            self.op = None
+        return self
+
+    def joined(self, op: str, x: float, other):
+        """x = self op other: use both operands, extend the deeper chain."""
+        self.use()
+        m, a = self.m, self.a
+        if isinstance(other, _Tracked):
+            other.use()
+            if (other.m + other.a, other.m) > (m + a, m):  # ties to mul/div
+                m, a = other.m, other.a
+        if op in ("mul", "div"):
+            return _Tracked(x, self.run, m + 1, a, op)
+        return _Tracked(x, self.run, m, a + 1, op)
+
+    # the stage functions put a plain float on the left only to subtract
+    def __add__(self, other):
+        return self.joined("add", float.__add__(self, other), other)
+
+    def __sub__(self, other):
+        return self.joined("sub", float.__sub__(self, other), other)
+
+    def __rsub__(self, other):
+        return self.joined("sub", float.__rsub__(self, other), other)
+
+    def __mul__(self, other):
+        return self.joined("mul", float.__mul__(self, other), other)
+
+    def __truediv__(self, other):
+        return self.joined("div", float.__truediv__(self, other), other)
+
+    # the stage functions test with < and > only
+    def __lt__(self, other):
+        return self.run.tested(self, float.__lt__(self, other))
+
+    def __gt__(self, other):
+        return self.run.tested(self, float.__gt__(self, other))
+
+    def __floor__(self):
+        return _Tracked(float.__floor__(self), self.run, self.m, self.a)
+
+    def __int__(self):
+        # only extract_digest converts to int, the scaled digest words
+        self.run.outputs.append(self.use())
+        return float.__int__(self)
 
 
-def _deepest(u: _V, v: _V):
-    # deepest dependency chain: max total ops, ties toward mul/div
-    if (u.m + u.a, u.m) >= (v.m + v.a, v.m):
-        return u.m, u.a
-    return v.m, v.a
-
-
-class _Ops:
-    """Arithmetic on tracked values, charged to the current stage."""
+class _Run:
+    """The per-stage tallies of one instrumented block hash."""
 
     def __init__(self):
-        self.tally = _Tally()
         self.stages = {}
+        self.tally = None
+        self.passed = []    # tracked values that tested true, latest last
+        self.outputs = []   # the scaled digest words
 
     def stage(self, name: str):
-        self.tally = self.stages.setdefault(name, _Tally())
+        self.tally = self.stages.setdefault(
+            name, {"mul": 0, "div": 0, "add": 0, "sub": 0})
 
-    def mul(self, u: _V, v: _V) -> _V:
-        self.tally.mul += 1
-        m, a = _deepest(u, v)
-        return _V(u.x * v.x, m + 1, a)
+    def tested(self, x: _Tracked, hit: bool) -> bool:
+        if hit:
+            self.passed.append(x)
+        return hit
 
-    def div(self, u: _V, v: _V) -> _V:
-        self.tally.div += 1
-        m, a = _deepest(u, v)
-        return _V(u.x / v.x, m + 1, a)
+    def kept(self, *values) -> list:
+        """`values`, with each plain float a clamp returned tracked again.
 
-    def add(self, u: _V, v: _V) -> _V:
-        self.tally.add += 1
-        m, a = _deepest(u, v)
-        return _V(u.x + v.x, m, a + 1)
+        A clamp tests a tracked value, finds it past a bound and returns
+        the bound as a plain float. The last values to test true are the
+        ones the clamps replaced, in order; each bound takes over one's
+        chain, stage and uncharged operation.
+        """
+        passed, self.passed = self.passed, []
+        out = []
+        for v in reversed(values):
+            if not isinstance(v, _Tracked):
+                r = passed.pop()
+                v = _Tracked(v, self, r.m, r.a, r.op)
+                v.tally = r.tally
+                r.op = None
+            out.append(v)
+        return out[::-1]
 
-    def sub(self, u: _V, v: _V) -> _V:
-        self.tally.sub += 1
-        m, a = _deepest(u, v)
-        return _V(u.x - v.x, m, a + 1)
+    def step(self, x: _Tracked, q: _Tracked) -> _Tracked:
+        y, = self.kept(map_step(x, q))
+        return y
 
+    def lockstep(self, pre, q: _Tracked, t: int) -> list:
+        for _ in range(t):
+            pre = [self.step(x, q) for x in pre]
+        return pre
 
-_ONE = _V(1.0)
-_HALF = _V(0.5)
-_TWO = _V(2.0)
-_SCALE = _V(4294967296.0)
-
-
-def _map_step(ops, x: _V, q: _V) -> _V:
-    if x.x < q.x:
-        y = ops.div(x, q)
-    elif x.x < 0.5:
-        y = ops.div(ops.sub(x, q), ops.sub(_HALF, q))
-    elif x.x < 1.0 - q.x:
-        y = ops.div(ops.sub(ops.sub(_ONE, q), x), ops.sub(_HALF, q))
-    else:
-        y = ops.div(ops.sub(_ONE, x), q)
-    if y.x < 0.0:
-        y.x = 0.0
-    elif y.x > 1.0:
-        y.x = 1.0
-    return y
-
-
-def _map_iter(ops, x: _V, q: _V, t: int) -> _V:
-    for _ in range(t):
-        x = _map_step(ops, x, q)
-    return x
-
-
-def _mod1(ops, a: _V) -> _V:
-    return ops.sub(a, _V(float(math.floor(a.x)), a.m, a.a))
-
-
-def _quantize(ops, word: int) -> _V:
-    return ops.div(_V(float(word)), _SCALE)
-
-
-def _clamp_seed(x: _V) -> _V:
-    x.x = clamp_seed(x.x)
-    return x
-
-
-def _derive_param(ops, u: _V) -> _V:
-    q = ops.div(u, _TWO)
-    if q.x < Q_MIN:
-        q.x = Q_MIN
-    elif q.x > Q_MAX:
-        q.x = Q_MAX
-    return q
-
-
-def _neuron(ops, inputs, weights, bias: _V, q: _V, t: int) -> _V:
-    # n-term weighted sum: n multiplications, n-1 accumulations, 1 bias add
-    s = ops.mul(weights[0], inputs[0])
-    for w, p in zip(weights[1:], inputs[1:]):
-        s = ops.add(s, ops.mul(w, p))
-    s = ops.add(s, bias)
-    return _map_iter(ops, _mod1(ops, s), q, t)
+    def orbit(self, x: _Tracked, q: _Tracked, t: int) -> list:
+        # map_orbit works 0.5 - q and 1 - q out once, but the model
+        # charges them on every step that uses them
+        points = [x]
+        for _ in range(t + SUBKEY_COUNT - 1):
+            points.append(self.step(points[-1], q))
+        return points[t:]
 
 
 def count_operations(t: int, key: bytes = DEFAULT_COUNT_KEY,
@@ -187,63 +194,49 @@ def count_operations(t: int, key: bytes = DEFAULT_COUNT_KEY,
     t = 0 is accepted so the layer weight-matrix counts can be checked
     in isolation; production callers pass the same t they hash with.
     """
+    if not isinstance(t, int):
+        check_iterations(t)  # raises its TypeError
     if t < 0:
         raise ValueError("iteration count must be >= 0")
     key = check_key(key)
     block = check_block(block)
-    ops = _Ops()
+    run = _Run()
 
-    # key schedule: two orbits advanced once, then stepped per sub-key
-    ops.stage("key_schedule")
-    k0, k1, k2, k3 = struct.unpack(">4I", key)
-    qa = _derive_param(ops, _quantize(ops, k1))
-    qb = _derive_param(ops, _quantize(ops, k3))
-    x0 = _map_iter(ops, _clamp_seed(_quantize(ops, k0)), qa, t)
-    x1 = _map_iter(ops, _clamp_seed(_quantize(ops, k2)), qb, t)
-    stream = [_mod1(ops, ops.add(x0, x1))]
-    for _ in range(SUBKEY_COUNT - 1):
-        x0 = _map_step(ops, x0, qa)
-        x1 = _map_step(ops, x1, qb)
-        stream.append(_mod1(ops, ops.add(x0, x1)))
-    w0 = stream[0:32]
-    b0 = stream[32:40]
-    q0 = _derive_param(ops, stream[40])
-    w1 = [stream[41 + 8 * j:49 + 8 * j] for j in range(8)]
-    b1 = stream[105:113]
-    q1 = _derive_param(ops, stream[113])
-    w2 = [stream[114 + 8 * j:122 + 8 * j] for j in range(4)]
-    b2 = stream[146:150]
-    q2 = _derive_param(ops, stream[150])
+    run.stage("key_schedule")
+    k0, k1, k2, k3 = (quantize_word(_Tracked(k, run))
+                      for k in struct.unpack(">4I", key))
+    qa, qb, xa, xb = run.kept(derive_param(k1), derive_param(k3),
+                              clamp_seed(k0), clamp_seed(k2))
+    stream = [mod1(a + b)
+              for a, b in zip(run.orbit(xa, qa, t), run.orbit(xb, qb, t))]
+    keys = assign_subkeys(stream)
+    # charged now: at t = 0 the map never uses q0 or q2
+    q0, q1, q2 = (q.use() for q in run.kept(keys.q0, keys.q1, keys.q2))
 
-    ops.stage("block_quantize")
-    p = [_quantize(ops, w) for w in block]
+    run.stage("block_quantize")
+    p = [quantize_word(_Tracked(w, run)) for w in block]
 
-    ops.stage("input_layer")
-    c = [_neuron(ops, p[4 * j:4 * j + 4], w0[4 * j:4 * j + 4], b0[j], q0, t)
-         for j in range(8)]
+    run.stage("input_layer")
+    c = run.lockstep(_input_preactivation(p, keys.w0, keys.b0), q0, t)
 
-    ops.stage("hidden_layer")
-    d = [_neuron(ops, c, w1[j], b1[j], q1, 1) for j in range(8)]
+    run.stage("hidden_layer")
+    d = run.lockstep(_dense_preactivation(c, keys.w1, keys.b1), q1, 1)
 
-    ops.stage("output_layer")
-    h = [_neuron(ops, d, w2[j], b2[j], q2, t) for j in range(4)]
+    run.stage("output_layer")
+    h = run.lockstep(_dense_preactivation(d, keys.w2, keys.b2), q2, t)
 
-    ops.stage("digest_extract")
-    scaled = [ops.mul(x, _SCALE) for x in h]
-    digest = tuple(min(int(s.x), 0xFFFFFFFF) for s in scaled)
+    run.stage("digest_extract")
+    digest = extract_digest(h)
 
     if t >= 1 and digest != hash_block(block, expand_key(key, t), t):
         raise RuntimeError("instrumented pipeline diverged from hash_block")
 
-    stages = {name: tally.snapshot() for name, tally in ops.stages.items()}
-    total_m = sum(s.mul_div for s in stages.values())
-    total_a = sum(s.add_sub for s in stages.values())
-    deep_m, deep_a = max(((s.m, s.a) for s in scaled),
-                         key=lambda ma: (ma[0] + ma[1], ma[0]))
+    stages = {name: StageOps(**tally) for name, tally in run.stages.items()}
+    deep = max(run.outputs, key=lambda s: (s.m + s.a, s.m))
     return OpCountReport(
-        mul_div=total_m,
-        add_sub=total_a,
-        critical_path_mul_div=deep_m,
-        critical_path_add_sub=deep_a,
+        mul_div=sum(s.mul_div for s in stages.values()),
+        add_sub=sum(s.add_sub for s in stages.values()),
+        critical_path_mul_div=deep.m,
+        critical_path_add_sub=deep.a,
         stages=stages,
     )

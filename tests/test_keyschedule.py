@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neurohash.chaosmap import Q_MAX, Q_MIN
+from neurohash.hashing import Message, hash_message
 from neurohash.keyschedule import (
     SUBKEY_COUNT,
     assign_subkeys,
@@ -198,3 +199,25 @@ def test_expand_key_deterministic():
         assert flipped != a
         for q in (a.q0, a.q1, a.q2):
             assert Q_MIN <= q <= Q_MAX
+
+
+# K1 or K3 = 0x80000000 gives its orbit q = 0.25, the dyadic collapse:
+# the orbit is 0.0 long before t = 50 whatever its seed word
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(words=st.lists(KEY_WORDS, min_size=4, max_size=4), seed=KEY_WORDS,
+       orbit=st.sampled_from([0, 2]))
+def test_dyadic_parameter_word_hides_its_seed_word(words, seed, orbit):
+    words[orbit + 1] = 0x80000000
+    key = struct.pack(">4I", *words)
+    words[orbit] = seed
+    assert expand_key(struct.pack(">4I", *words), 50) == expand_key(key, 50)
+
+
+def test_both_orbits_dead_hashes_every_message_to_the_key():
+    # K1 = K3 = 0x80000000: all 151 sub-keys are 0.0, every block digest
+    # is 0, and the chained running key never moves
+    key = bytes.fromhex("000102038000000008090a0b80000000")
+    assert set(subkey_stream(key, SUBKEY_COUNT, 50)) == {0.0}
+    for data in (b"", b"abc", bytes(range(256)) * 5):
+        digest = hash_message(Message(data), key, 50)
+        assert digest == struct.unpack(">4I", key)

@@ -3,14 +3,18 @@ import os
 
 import pytest
 
+from neurohash.chaosmap import map_step
 from neurohash.hashing import format_digest
 from neurohash.keyschedule import expand_key
 from neurohash.network import hash_block
 from neurohash.opcount import (
     DEFAULT_COUNT_BLOCK,
     DEFAULT_COUNT_KEY,
+    _Run,
+    _Tracked,
     count_operations,
 )
+from test_chaosmap import CLAMP_AT_HALF, CLAMP_AT_TOP
 
 REPORTS_PATH = os.path.join(os.path.dirname(__file__), "data", "opcount_reports.json")
 
@@ -89,10 +93,12 @@ def test_instrumented_pipeline_matches_hash_block():
 
 
 def test_reports_match_frozen_table():
-    # 108 frozen reports: t in {0, 1, 2, 7, 50, 80}, two blocks, and keys
-    # that include clamped seeds (K0/K2 = 0, 0xFFFFFFFF), clamped
-    # parameters (K1/K3 = 0, 0xFFFFFFFF) and dead orbits (K1 and
-    # K1 = K3 = 0x80000000); every field and every stage must match
+    # 108 reports written by the hand-written counting model that the
+    # tracked-float run replaced: t in {0, 1, 2, 7, 50, 80}, two blocks,
+    # and nine keys, among them clamped seeds (K0/K2 = 0, 0xFFFFFFFF),
+    # clamped parameters (K1/K3 = 0, 0xFFFFFFFF) and dead orbits
+    # (K1 = 0x80000000, K1 = K3 = 0x80000000); every field and every
+    # stage must match
     with open(REPORTS_PATH) as f:
         table = json.load(f)
     assert len(table) == 108
@@ -117,8 +123,37 @@ def test_counts_depend_on_branch_occupancy():
     assert a.add_sub != b.add_sub          # branch subtractions are not
 
 
+# x = 0.5 takes branch 3, (1 - q - x) / (0.5 - q), and x = fl(1 - q)
+# takes branch 4, (1 - x) / q
+@pytest.mark.parametrize("x, q, subs, chain", [
+    (0.5, CLAMP_AT_HALF, 3, (1, 2)),
+    (1.0 - CLAMP_AT_TOP, CLAMP_AT_TOP, 1, (1, 1)),
+])
+def test_counting_step_keeps_clamped_result(x, q, subs, chain):
+    # no public input reaches a map_step clamp inside the layers, so the
+    # counting step runs alone. map_step returns its bound as a plain
+    # float; the counting step must give it the cost and the chain of
+    # the quotient it replaced
+    probe = _Run()
+    probe.stage("map")
+    assert type(map_step(_Tracked(x, probe), _Tracked(q, probe))) is float
+    run = _Run()
+    run.stage("map")
+    y = run.step(_Tracked(x, run), _Tracked(q, run))
+    assert y == map_step(x, q) == 1.0
+    y.use()
+    assert run.stages["map"] == {"mul": 0, "div": 1, "add": 0, "sub": subs}
+    assert (y.m, y.a) == chain
+
+
 def test_validation():
     with pytest.raises(ValueError):
         count_operations(-1)
     with pytest.raises(ValueError):
         count_operations(50, bytes(15))
+    for t in (1.5, 50.0, "50", None):
+        with pytest.raises(TypeError,
+                           match="iteration count must be an int, not "
+                           + type(t).__name__):
+            count_operations(t)
+    assert count_operations(0).critical_path_mul_div > 0
