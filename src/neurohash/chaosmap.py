@@ -11,10 +11,9 @@ knowing: at q = 0.25 (and only there) both branch divisors are powers
 of two, every branch operation is exact, and all binary64 orbits
 collapse to the fixed point 0.0 within ~28 iterations.
 
-Where the clamp to [0, 1] can fire. map_step clamps both ends, as the
-definition states; the iterated kernels (map_iter, map_orbit) keep only
-the clamp that can change a result, which is why they check their
-domain, x in [0, 1] and Q_MIN <= q <= Q_MAX, on entry:
+Where the clamp to [0, 1] can fire. The kernels keep only the clamp
+that can change a result, which is why they check their domain, x in
+[0, 1] and Q_MIN <= q <= Q_MAX, on entry:
 - The lower clamp never fires. Every numerator (x, x - q, top - x,
   1 - x) is >= 0 on its branch and every divisor (q, 0.5 - q) is > 0.
 - In [0, 0.5) the upper clamp never fires either. x < q gives x / q
@@ -44,32 +43,19 @@ Q_MAX = 0.5 - 2.0 ** -20
 
 
 def map_step(x: float, q: float) -> float:
-    """One application of the four-branch map.
+    """One application of the four-branch map: map_iter(x, q, 1).
 
-    The caller guarantees x in [0, 1] and Q_MIN <= q <= Q_MAX. The
-    result is clamped to [0, 1] in case rounding lands a hair outside.
+    Raises ValueError for x outside [0, 1] or q outside [Q_MIN, Q_MAX].
     """
-    if x < q:            # [0, q)
-        y = x / q
-    elif x < 0.5:        # [q, 0.5)
-        y = (x - q) / (0.5 - q)
-    elif x < 1.0 - q:    # [0.5, 1-q)
-        y = (1.0 - q - x) / (0.5 - q)
-    else:                # [1-q, 1]
-        y = (1.0 - x) / q
-    if y < 0.0:
-        return 0.0
-    if y > 1.0:
-        return 1.0
-    return y
+    return map_iter(x, q, 1)
 
 
 def map_iter(x: float, q: float, t: int) -> float:
-    """t-fold composition of map_step; bit-equal to t separate calls.
+    """The map applied t times; map_step is this loop with t = 1.
 
-    The branch arithmetic is inlined for speed, but the operations are
-    the same ones map_step performs, so map_iter(x, q, a + b) ==
-    map_iter(map_iter(x, q, a), q, b) holds bitwise. The loop tests
+    Every step performs the same operations in the same order, so
+    map_iter(x, q, a + b) == map_iter(map_iter(x, q, a), q, b) holds
+    bitwise, and t map_step calls give map_iter(x, q, t). The loop tests
     x < 0.5 first and clamps only the upper half at 1.0: on the domain
     checked here the other clamps cannot fire (see the module
     docstring). Raises ValueError for x outside [0, 1], q outside
@@ -105,6 +91,12 @@ def map_orbit(x: float, q: float, t: int, count: int) -> list:
     One pass along the orbit with the same loop as map_iter, so every
     point is bit-equal to restarting map_iter at its depth. Same domain
     checks as map_iter, and count must be >= 1.
+
+    The loop is a second copy of map_iter's on purpose; both alternatives
+    were measured (CPython 3.11, 2-vCPU host). One shared loop with an
+    "emit after step t" test made map_iter(x, q, 50) 23-34% slower
+    (4.28 -> 5.25-5.75 us), and building the 151-point key orbit from
+    map_iter(x, q, 1) calls took 4-5x as long (25-27 -> 113-121 us).
     """
     if count < 1:
         raise ValueError("orbit length must be >= 1")

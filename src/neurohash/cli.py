@@ -3,8 +3,9 @@
 Subcommands: hash a file or stdin under a key, run the sensitivity
 sweeps, run the birthday-collision experiment, print the operation
 counts, and regenerate the golden-vector file. Every command takes a
-key (--key-hex or --key-ascii); iteration counts below 50 are refused
-unless --unsafe-small-t is given.
+key (--key-hex or --key-ascii). All but goldens, whose content is
+fixed, take --t; iteration counts below 50 are refused unless
+--unsafe-small-t is given.
 """
 
 import argparse
@@ -36,16 +37,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=False):
+    def common(p, with_input=False, with_t=True):
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--key-hex", metavar="HEX",
                            help="128-bit key as 32 hex digits")
         group.add_argument("--key-ascii", metavar="TEXT",
                            help="128-bit key as exactly 16 ASCII characters")
-        p.add_argument("--t", type=int, default=50, metavar="N",
-                       help="map iterations per keyed stage (default 50)")
-        p.add_argument("--unsafe-small-t", action="store_true",
-                       help="allow 1 <= t < 50 (testing only)")
+        if with_t:
+            p.add_argument("--t", type=int, default=50, metavar="N",
+                           help="map iterations per keyed stage (default 50)")
+            p.add_argument("--unsafe-small-t", action="store_true",
+                           help="allow 1 <= t < 50 (testing only)")
         p.add_argument("--out", metavar="PATH",
                        help="output destination (default: stdout or cwd)")
         if with_input:
@@ -73,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("goldens", help="regenerate the golden-vector file "
                                        "(content is fixed; the key is not used)")
-    common(p)
+    common(p, with_t=False)
     return parser
 
 

@@ -145,14 +145,11 @@ def chain_step(prev_key: bytes, block, t: int, parallel: bool = False):
 
 def hash_message(message: Message, key: bytes, t: int, parallel: bool = False) -> tuple:
     """Digest of an arbitrary-length message under a 128-bit key."""
-    running = check_key(key)
-    for block in pad(message):
-        _, running = chain_step(running, block, t, parallel)
-    return bytes_to_digest(running)
+    return hash_message_trace(message, key, t, parallel)[0]
 
 
 def hash_message_trace(message: Message, key: bytes, t: int, parallel: bool = False):
-    """Like hash_message, also returning every per-block digest in order."""
+    """The message digest and every per-block digest, in chain order."""
     running = check_key(key)
     per_block = []
     for block in pad(message):

@@ -72,8 +72,8 @@ def check_key(key: bytes) -> bytes:
 
 
 def check_iterations(t) -> int:
-    """Validate a network iteration count: an int, at least 1."""
-    if not isinstance(t, int):
+    """Validate a network iteration count: an int (not a bool), at least 1."""
+    if type(t) is not int:
         raise TypeError(
             "iteration count must be an int, not %s" % type(t).__name__)
     if t < 1:
@@ -155,7 +155,8 @@ def assign_subkeys(stream) -> SubKeys:
     )
 
 
-@functools.lru_cache(maxsize=256)
+# typed: True == 1, and a bool t must miss the cache to reach the t check
+@functools.lru_cache(maxsize=256, typed=True)
 def _expand_key_cached(key: bytes, t: int) -> SubKeys:
     return assign_subkeys(subkey_stream(key, SUBKEY_COUNT, t))
 

@@ -13,8 +13,8 @@ Digest words are the top 32 bits of each output signal.
 Within a layer the neurons are independent. `parallel=True` evaluates
 each layer in lockstep: every neuron takes map step k before any neuron
 takes step k+1, the schedule the critical-path operation counts model.
-It composes single map steps where the sequential path runs the inlined
-iteration, and both give bit-identical digests.
+It composes map_step, which is map_iter(x, q, 1), where the sequential
+path runs map_iter(x, q, t); both give bit-identical digests.
 """
 
 from math import floor

@@ -194,7 +194,7 @@ def count_operations(t: int, key: bytes = DEFAULT_COUNT_KEY,
     t = 0 is accepted so the layer weight-matrix counts can be checked
     in isolation; production callers pass the same t they hash with.
     """
-    if not isinstance(t, int):
+    if type(t) is not int:
         check_iterations(t)  # raises its TypeError
     if t < 0:
         raise ValueError("iteration count must be >= 0")

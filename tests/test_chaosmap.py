@@ -109,7 +109,8 @@ def test_map_orbit_points_equal_map_iter(xq, t, count):
 @pytest.mark.parametrize("kernel", [
     lambda x, q: map_iter(x, q, 5),
     lambda x, q: map_orbit(x, q, 5, 3),
-], ids=["map_iter", "map_orbit"])
+    map_step,
+], ids=["map_iter", "map_orbit", "map_step"])
 @pytest.mark.parametrize("x, q", [
     (-2.0 ** -60, 0.3),         # x < 0
     (1.0 + 2.0 ** -52, 0.3),    # x > 1
@@ -126,6 +127,7 @@ def test_map_kernels_reject_out_of_domain(kernel, x, q):
 def test_map_kernels_accept_domain_edges():
     for q in (Q_MIN, Q_MAX):
         for x in (0.0, 1.0):
+            assert map_step(x, q) == pwlcm_once(x, q)
             assert map_orbit(x, q, 0, 2) == [x, map_step(x, q)]
     with pytest.raises(ValueError):
         map_orbit(0.3, 0.3, 5, 0)

@@ -93,6 +93,15 @@ def test_key_required():
     assert exc.value.code == 2
 
 
+def test_goldens_takes_no_t(tmp_path, capsys):
+    # the golden file is fixed, so an iteration count would be ignored
+    with pytest.raises(SystemExit) as exc:
+        run(["goldens", "--key-hex", KEY_HEX, "--t", "3",
+             "--out", str(tmp_path / "g.csv")])
+    assert exc.value.code == 2
+    assert "--t" in capsys.readouterr().err
+
+
 def test_sensitivity_writes_csvs(tmp_path, capsys):
     src = tmp_path / "m"
     src.write_bytes(b"avalanche subject")

@@ -81,12 +81,19 @@ def test_stream_validation():
         subkey_stream(bytes(16), 151, 0)
 
 
-@pytest.mark.parametrize("t", [1.5, 50.0, "50", None])
+@pytest.mark.parametrize("t", [1.5, 50.0, "50", None, True])
 def test_non_integer_iteration_count(t):
     with pytest.raises(TypeError, match="iteration count must be an int"):
         check_iterations(t)
     with pytest.raises(TypeError, match="iteration count must be an int"):
         subkey_stream(bytes(16), 151, t)
+    # cached entries at the int t that 50.0 or True equals must not answer
+    expand_key(bytes(16), 1)
+    expand_key(bytes(16), 50)
+    with pytest.raises(TypeError, match="iteration count must be an int"):
+        expand_key(bytes(16), t)
+    with pytest.raises(TypeError, match="iteration count must be an int"):
+        hash_message(Message(b"abc"), bytes(16), t)
 
 
 def test_iteration_count_range():

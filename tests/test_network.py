@@ -196,8 +196,9 @@ def test_hash_block_validation():
     with pytest.raises(ValueError):
         hash_block(tuple(range(32)), keys, 0)
     for parallel in (False, True):
-        with pytest.raises(TypeError, match="iteration count must be an int"):
-            hash_block(tuple(range(32)), keys, 50.0, parallel)
+        for t in (50.0, True):
+            with pytest.raises(TypeError, match="iteration count must be an int"):
+                hash_block(tuple(range(32)), keys, t, parallel)
 
 
 def test_block_avalanche():

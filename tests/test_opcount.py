@@ -151,7 +151,7 @@ def test_validation():
         count_operations(-1)
     with pytest.raises(ValueError):
         count_operations(50, bytes(15))
-    for t in (1.5, 50.0, "50", None):
+    for t in (1.5, 50.0, "50", None, True):
         with pytest.raises(TypeError,
                            match="iteration count must be an int, not "
                            + type(t).__name__):
