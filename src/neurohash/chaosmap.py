@@ -59,12 +59,15 @@ def map_iter(x: float, q: float, t: int) -> float:
     x < 0.5 first and clamps only the upper half at 1.0: on the domain
     checked here the other clamps cannot fire (see the module
     docstring). Raises ValueError for x outside [0, 1], q outside
-    [Q_MIN, Q_MAX] or t < 0.
+    [Q_MIN, Q_MAX] or t < 0, and TypeError unless type(t) is int.
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError("map input must be in [0, 1]")
     if not Q_MIN <= q <= Q_MAX:
         raise ValueError("map parameter must be in [Q_MIN, Q_MAX]")
+    if type(t) is not int:
+        raise TypeError(
+            "iteration count must be an int, not %s" % type(t).__name__)
     if t < 0:
         raise ValueError("iteration count must be >= 0")
     half = 0.5 - q

@@ -135,25 +135,25 @@ def unpad(blocks) -> Message:
     return Message.from_int(value >> (trailing + 1), nbits)
 
 
-def chain_step(prev_key: bytes, block, t: int, parallel: bool = False):
+def chain_step(prev_key: bytes, block, t: int):
     """Hash one block under the running key; returns (digest, next key)."""
     prev_key = check_key(prev_key)
-    digest = hash_block(block, expand_key(prev_key, t), t, parallel)
+    digest = hash_block(block, expand_key(prev_key, t), t)
     next_key = bytes(a ^ b for a, b in zip(prev_key, digest_to_bytes(digest)))
     return digest, next_key
 
 
-def hash_message(message: Message, key: bytes, t: int, parallel: bool = False) -> tuple:
+def hash_message(message: Message, key: bytes, t: int) -> tuple:
     """Digest of an arbitrary-length message under a 128-bit key."""
-    return hash_message_trace(message, key, t, parallel)[0]
+    return hash_message_trace(message, key, t)[0]
 
 
-def hash_message_trace(message: Message, key: bytes, t: int, parallel: bool = False):
+def hash_message_trace(message: Message, key: bytes, t: int):
     """The message digest and every per-block digest, in chain order."""
     running = check_key(key)
     per_block = []
     for block in pad(message):
-        digest, running = chain_step(running, block, t, parallel)
+        digest, running = chain_step(running, block, t)
         per_block.append(digest)
     return bytes_to_digest(running), tuple(per_block)
 

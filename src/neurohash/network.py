@@ -10,16 +10,15 @@ from the first product rather than from 0.0; every term is
 non-negative, and 0.0 + a == a for those, so the result is the same.
 Digest words are the top 32 bits of each output signal.
 
-Within a layer the neurons are independent. `parallel=True` evaluates
-each layer in lockstep: every neuron takes map step k before any neuron
-takes step k+1, the schedule the critical-path operation counts model.
-It composes map_step, which is map_iter(x, q, 1), where the sequential
-path runs map_iter(x, q, t); both give bit-identical digests.
+Within a layer the neurons are independent; each runs its map to
+completion with map_iter(x, q, t). opcount runs the layers in lockstep,
+the schedule its critical-path counts model, and checks its digest
+against hash_block on every call.
 """
 
 from math import floor
 
-from .chaosmap import map_iter, map_step
+from .chaosmap import map_iter
 from .keyschedule import SubKeys, check_iterations, quantize_word
 
 __all__ = [
@@ -46,13 +45,9 @@ def check_block(words) -> tuple:
     return words
 
 
-def _activate(pre, q: float, t: int, parallel: bool) -> tuple:
+def _activate(pre, q: float, t: int) -> tuple:
     check_iterations(t)
-    if not parallel:
-        return tuple([map_iter(x, q, t) for x in pre])
-    for _ in range(t):
-        pre = [map_step(x, q) for x in pre]
-    return tuple(pre)
+    return tuple([map_iter(x, q, t) for x in pre])
 
 
 def _input_preactivation(p, w0, b0) -> list:
@@ -77,19 +72,19 @@ def _dense_preactivation(x, w, b) -> list:
     return pre
 
 
-def input_layer(p, w0, b0, q0: float, t: int, parallel: bool = False) -> tuple:
+def input_layer(p, w0, b0, q0: float, t: int) -> tuple:
     """Condense 32 quantized inputs into 8 signals (t iterations each)."""
-    return _activate(_input_preactivation(p, w0, b0), q0, t, parallel)
+    return _activate(_input_preactivation(p, w0, b0), q0, t)
 
 
-def hidden_layer(c, w1, b1, q1: float, parallel: bool = False) -> tuple:
+def hidden_layer(c, w1, b1, q1: float) -> tuple:
     """Mix 8 signals into 8; the map is applied exactly once."""
-    return _activate(_dense_preactivation(c, w1, b1), q1, 1, parallel)
+    return _activate(_dense_preactivation(c, w1, b1), q1, 1)
 
 
-def output_layer(d, w2, b2, q2: float, t: int, parallel: bool = False) -> tuple:
+def output_layer(d, w2, b2, q2: float, t: int) -> tuple:
     """Compress 8 signals into 4 (t iterations each)."""
-    return _activate(_dense_preactivation(d, w2, b2), q2, t, parallel)
+    return _activate(_dense_preactivation(d, w2, b2), q2, t)
 
 
 def extract_digest(h) -> tuple:
@@ -103,11 +98,11 @@ def extract_digest(h) -> tuple:
     return tuple(words)
 
 
-def hash_block(block, keys: SubKeys, t: int, parallel: bool = False) -> tuple:
+def hash_block(block, keys: SubKeys, t: int) -> tuple:
     """Hash one 32-word block under an expanded key; 4-word digest."""
     block = check_block(block)
     p = list(map(quantize_word, block))
-    c = input_layer(p, keys.w0, keys.b0, keys.q0, t, parallel)
-    d = hidden_layer(c, keys.w1, keys.b1, keys.q1, parallel)
-    h = output_layer(d, keys.w2, keys.b2, keys.q2, t, parallel)
+    c = input_layer(p, keys.w0, keys.b0, keys.q0, t)
+    d = hidden_layer(c, keys.w1, keys.b1, keys.q1)
+    h = output_layer(d, keys.w2, keys.b2, keys.q2, t)
     return extract_digest(h)

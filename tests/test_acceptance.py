@@ -6,6 +6,11 @@ Criterion 7 is split: 7a checks the map core; 7b checks that a 2^-32
 perturbation decorrelates within t = 50 steps at the parameters the
 hash derives from the sample key, and that the dyadic parameter
 q = 0.25 collapses every orbit (see that test's docstring).
+Criterion 4 checks the two concurrent evaluation paths against the
+sequential one: the experiments' forked fan-out on 1000 random
+(message, key) pairs, with workers forked even on one CPU, and the
+lockstep layer schedule of count_operations on the first block of the
+first 100 of them.
 """
 
 import math
@@ -13,6 +18,7 @@ import os
 import random
 import struct
 
+from neurohash import analysis
 from neurohash.analysis import (
     birthday_experiment,
     key_sensitivity_sweep,
@@ -66,19 +72,37 @@ def test_criterion_3_chain_identity():
     assert _verdict(3, "3-block chain identity", ok)
 
 
-def test_criterion_4_parallel_fidelity():
+def test_criterion_4_parallel_fidelity(monkeypatch):
     rng = random.Random(4004)
-    ok = True
+    pairs = []
     for _ in range(1000):
         key = rng.randbytes(16)
         nbits = rng.randrange(0, 5001)
         message = Message.from_int(
             rng.getrandbits(nbits) if nbits else 0, nbits
         )
-        sequential = hash_message(message, key, 50, parallel=False)
-        concurrent = hash_message(message, key, 50, parallel=True)
-        ok = ok and sequential == concurrent
-    assert _verdict(4, "parallel fidelity", ok)
+        pairs.append((message, key))
+    # sweep concurrency: with three CPUs reported, two forked workers hash
+    # chunks 1 and 2 whatever the real affinity mask holds
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 3)
+    fanned_out = analysis._hash_all(pairs, 50)
+    looped = [hash_message(message, key, 50) for message, key in pairs]
+    # neuron concurrency: count_operations runs every layer in lockstep
+    # and raises if its digest differs from hash_block's
+    for message, key in pairs[:100]:
+        count_operations(50, key, pad(message)[0])
+    ok = len(forked) == 2 and fanned_out == looped
+    assert _verdict(4, "parallel fidelity", ok), len(forked)
 
 
 def test_criterion_5_operation_counts():

@@ -94,6 +94,29 @@ def test_key_sweep_shape():
     assert rep.min > 0.0                  # every key bit matters
 
 
+def _run_fresh(code: str) -> str:
+    """Stdout of `code` run in a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(neurohash.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=60,
+                            env=dict(os.environ, PYTHONPATH=path))
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_import_loads_no_heavy_modules():
+    # the fan-out imports pickle and signal only once it forks; importing
+    # the package must not pay for them, for process pools or for numpy
+    heavy = ["multiprocessing", "concurrent.futures", "pickle", "signal", "numpy"]
+    code = """
+import sys
+import neurohash
+print([name for name in %r if name in sys.modules])
+""" % heavy
+    assert _run_fresh(code).strip() == "[]"
+
+
 def test_no_threads_left_running():
     # a fresh interpreter, so threads started by other tests do not count
     code = """
@@ -102,19 +125,13 @@ from neurohash.analysis import (
     birthday_experiment, key_sensitivity_sweep, message_sensitivity_sweep)
 from neurohash.hashing import Message, hash_message
 key = bytes(range(16))
-hash_message(Message(b"threads?"), key, 1, parallel=True)
+hash_message(Message(b"threads?"), key, 1)
 message_sensitivity_sweep(Message(b"ab"), key, 1)
 key_sensitivity_sweep(Message(b"ab"), key, 1)
 birthday_experiment(8, 16, key, 1, seed=0)
 print(threading.active_count())
 """
-    src = os.path.dirname(os.path.dirname(neurohash.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                            text=True, timeout=60,
-                            env=dict(os.environ, PYTHONPATH=path))
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "1"
+    assert _run_fresh(code).strip() == "1"
 
 
 def test_birthday_expected_formula():
@@ -318,10 +335,10 @@ def test_bad_input_raises_before_any_fork(monkeypatch, forks, call, error):
 
 def _failing_on(bad, error):
     @functools.wraps(hash_message)
-    def wrapper(message, key, t, parallel=False):
+    def wrapper(message, key, t):
         if message == bad:
             raise error
-        return hash_message(message, key, t, parallel)
+        return hash_message(message, key, t)
     return wrapper
 
 

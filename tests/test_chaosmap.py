@@ -124,6 +124,18 @@ def test_map_kernels_reject_out_of_domain(kernel, x, q):
         kernel(x, q)
 
 
+@pytest.mark.parametrize("kernel", [
+    lambda t: map_iter(0.3, 0.2, t),
+    lambda t: map_orbit(0.3, 0.2, t, 3),
+    lambda t: divergence_probe(2.0 ** -32, 0.2, t, 10, 0),
+], ids=["map_iter", "map_orbit", "divergence_probe"])
+@pytest.mark.parametrize("t", [True, 2.5, "5", None])
+def test_map_kernels_reject_non_int_iteration_count(kernel, t):
+    with pytest.raises(TypeError, match="iteration count must be an int, not "
+                       + type(t).__name__):
+        kernel(t)
+
+
 def test_map_kernels_accept_domain_edges():
     for q in (Q_MIN, Q_MAX):
         for x in (0.0, 1.0):

@@ -14,6 +14,7 @@ from neurohash.network import (
     input_layer,
     output_layer,
 )
+from neurohash.opcount import count_operations
 from neurohash.chaosmap import map_iter, map_step, mod1
 from oracles import (
     block_hash_ref,
@@ -158,16 +159,6 @@ def test_hash_block_matches_oracle():
         assert mine == block_hash_ref(block, key, 50)
 
 
-def test_hash_block_parallel_bitwise_equal():
-    rng = random.Random(SEED + 10)
-    for _ in range(100):
-        key = rng.randbytes(16)
-        keys = expand_key(key, 50)
-        block = [rng.getrandbits(32) for _ in range(32)]
-        assert hash_block(block, keys, 50, parallel=True) == \
-            hash_block(block, keys, 50, parallel=False)
-
-
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(
     key=st.binary(min_size=16, max_size=16),
@@ -176,11 +167,12 @@ def test_hash_block_parallel_bitwise_equal():
 )
 @example(key=bytes(range(16)), block=list(range(32)), t=1)
 def test_hash_block_lockstep_matches_scalar_and_oracle(key, block, t):
-    # t = 1 gives every layer the hidden layer's single map step
-    keys = expand_key(key, t)
-    assert hash_block(block, keys, t, parallel=True) == \
-        hash_block(block, keys, t, parallel=False) == \
+    # t = 1 gives every layer the hidden layer's single map step;
+    # count_operations runs the layers in lockstep and raises if its
+    # digest differs from hash_block's
+    assert hash_block(block, expand_key(key, t), t) == \
         block_hash_ref(block, key, t)
+    count_operations(t, key, block)
 
 
 def test_hash_block_validation():
@@ -195,10 +187,9 @@ def test_hash_block_validation():
         hash_block(["1"] + [0] * 31, keys, 50)
     with pytest.raises(ValueError):
         hash_block(tuple(range(32)), keys, 0)
-    for parallel in (False, True):
-        for t in (50.0, True):
-            with pytest.raises(TypeError, match="iteration count must be an int"):
-                hash_block(tuple(range(32)), keys, t, parallel)
+    for t in (50.0, True):
+        with pytest.raises(TypeError, match="iteration count must be an int"):
+            hash_block(tuple(range(32)), keys, t)
 
 
 def test_block_avalanche():
