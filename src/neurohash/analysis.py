@@ -10,10 +10,15 @@ expectation. All randomized experiments take an explicit seed and
 record it in their report.
 
 The sweeps and the birthday experiment hash thousands of independent
-messages. They spread them over every CPU in the process's affinity
-mask: this process hashes the first contiguous chunk while forked
-workers hash the rest, and the digests are joined in order, so the
-reports are bit-identical to a single loop. Inputs are checked and
+messages. A message-bit flip does not rehash its whole message: the
+flipped bit reaches one word of the first block, which one input neuron
+reads, so the sweep computes the unflipped message's pad, key expansion
+and first-block input signals once, and each flip re-evaluates that one
+neuron and then the rest of the chain (hashing.first_block_flips).
+The jobs are spread over every CPU in the process's affinity mask: this
+process runs the first contiguous chunk while forked workers run the
+rest, and the digests are joined in order, so the reports are
+bit-identical to a single loop of hash_message. Inputs are checked and
 seeded messages generated here, before any worker starts.
 """
 
@@ -23,7 +28,13 @@ import random
 import threading
 from dataclasses import dataclass, fields
 
-from .hashing import BLOCK_BITS, Message, check_message, hash_message
+from .hashing import (
+    BLOCK_BITS,
+    Message,
+    check_message,
+    first_block_flips,
+    hash_message,
+)
 from .keyschedule import KEY_BYTES, check_iterations, check_key, flip_key_bit
 
 __all__ = [
@@ -72,21 +83,13 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _hash_jobs(jobs, t: int) -> list:
-    """Digest of each (message, key) job, in order.
+def _fork_worker(work, jobs):
+    """Fork a process that runs `work` on `jobs`; returns (pid, pipe read end).
 
-    The unit of work of a worker process. It looks `hash_message` up when
-    it runs, so a wrapper installed on this module applies here too.
-    """
-    return [hash_message(message, key, t) for message, key in jobs]
-
-
-def _fork_worker(jobs, t: int):
-    """Fork a process that hashes `jobs`; returns (pid, read end of its pipe).
-
-    The child pickles (True, digests), or (False, exception), into the
+    The child pickles (True, results), or (False, exception), into the
     pipe and leaves through os._exit, so it never returns to the caller
-    and never flushes the parent's buffered output.
+    and never flushes the parent's buffered output. `work` reaches the
+    child through the fork, not through the pipe, so it may be a closure.
     """
     import pickle
 
@@ -99,7 +102,7 @@ def _fork_worker(jobs, t: int):
     try:
         os.close(reader)
         try:
-            outcome = (True, _hash_jobs(jobs, t))
+            outcome = (True, [work(job) for job in jobs])
         except BaseException as error:  # raised again by _join_worker
             outcome = (False, error)
         with open(writer, "wb") as handle:
@@ -110,7 +113,7 @@ def _fork_worker(jobs, t: int):
 
 
 def _join_worker(pid: int, reader: int) -> list:
-    """The digests of a _fork_worker child; re-raises what it raised."""
+    """The results of a _fork_worker child; re-raises what it raised."""
     import pickle
 
     with open(reader, "rb") as handle:
@@ -126,11 +129,11 @@ def _join_worker(pid: int, reader: int) -> list:
     return value
 
 
-def _hash_all(jobs, t: int) -> list:
-    """_hash_jobs spread over every CPU this process may run on.
+def _fan_out(work, jobs) -> list:
+    """work(job) for each job, in order, over every CPU this process may use.
 
-    The jobs split into one contiguous chunk per CPU. Forked workers hash
-    chunks 1..n-1 while this process hashes chunk 0, and the digests join
+    The jobs split into one contiguous chunk per CPU. Forked workers run
+    chunks 1..n-1 while this process runs chunk 0, and the results join
     in job order. Workers are always reaped before this returns or raises.
     No process is started with one CPU or one job, without os.fork, or
     while other threads run: a forked child gets only the calling thread,
@@ -138,29 +141,38 @@ def _hash_all(jobs, t: int) -> list:
     """
     n = min(_cpu_count(), len(jobs))
     if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return _hash_jobs(jobs, t)
+        return [work(job) for job in jobs]
     import signal
 
     bounds = [len(jobs) * i // n for i in range(n + 1)]
     workers = []
     try:
         for lo, hi in zip(bounds[1:], bounds[2:]):
-            workers.append(_fork_worker(jobs[lo:hi], t))
-        digests = _hash_jobs(jobs[:bounds[1]], t)
+            workers.append(_fork_worker(work, jobs[lo:hi]))
+        results = [work(job) for job in jobs[:bounds[1]]]
         while workers:
-            digests.extend(_join_worker(*workers.pop(0)))
+            results.extend(_join_worker(*workers.pop(0)))
     finally:
         # left over only when something raised: stop and reap them
         for pid, reader in workers:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(reader)
-    return digests
+    return results
 
 
-def _sweep(indices, jobs, t: int) -> HdrReport:
-    """Hdr of each flip job against the unflipped baseline, job 0."""
-    baseline, *flipped = _hash_all(jobs, t)
+def _hash_all(jobs, t: int) -> list:
+    """Digest of each (message, key) job, in order, through _fan_out.
+
+    `hash_message` is looked up when each job runs, so a wrapper
+    installed on this module applies here too.
+    """
+    return _fan_out(lambda job: hash_message(job[0], job[1], t), jobs)
+
+
+def _report(indices, digests) -> HdrReport:
+    """Hdr of each flip's digest against the unflipped baseline, digests[0]."""
+    baseline, *flipped = digests
     ratios = [hdr(baseline, digest) for digest in flipped]
     return HdrReport(
         per_flip=tuple(zip(indices, ratios)),
@@ -174,6 +186,8 @@ def message_sensitivity_sweep(message: Message, key: bytes, t: int) -> HdrReport
     """Hdr of each single-bit flip among the first block's message bits.
 
     Covers min(1024, message length) bit positions, each exactly once.
+    The work shared by every flip is done once, before the fan-out; each
+    flip then evaluates one input neuron and the rest of the chain.
     """
     check_message(message)
     if message.nbits == 0:
@@ -181,8 +195,8 @@ def message_sensitivity_sweep(message: Message, key: bytes, t: int) -> HdrReport
     key = check_key(key)
     check_iterations(t)
     indices = range(min(BLOCK_BITS, message.nbits))
-    jobs = [(message, key)] + [(message.flip(i), key) for i in indices]
-    return _sweep(indices, jobs, t)
+    digest = first_block_flips(message, key, t)
+    return _report(indices, _fan_out(digest, [None, *indices]))
 
 
 def key_sensitivity_sweep(message: Message, key: bytes, t: int) -> HdrReport:
@@ -192,7 +206,7 @@ def key_sensitivity_sweep(message: Message, key: bytes, t: int) -> HdrReport:
     check_iterations(t)
     indices = range(8 * KEY_BYTES)
     jobs = [(message, key)] + [(message, flip_key_bit(key, i)) for i in indices]
-    return _sweep(indices, jobs, t)
+    return _report(indices, _hash_all(jobs, t))
 
 
 def birthday_experiment(

@@ -11,8 +11,15 @@ digest, i.e. key XOR (XOR of all per-block digests).
 
 import struct
 
-from .keyschedule import check_key, expand_key
-from .network import BLOCK_WORDS, check_block, hash_block
+from .keyschedule import check_key, expand_key, quantize_word
+from .network import (
+    BLOCK_WORDS,
+    check_block,
+    finish_block,
+    hash_block,
+    input_layer,
+    update_input_layer,
+)
 
 __all__ = [
     "BLOCK_BITS",
@@ -23,6 +30,7 @@ __all__ = [
     "chain_step",
     "hash_message",
     "hash_message_trace",
+    "first_block_flips",
     "format_digest",
     "parse_digest",
     "digest_to_bytes",
@@ -139,8 +147,21 @@ def chain_step(prev_key: bytes, block, t: int):
     """Hash one block under the running key; returns (digest, next key)."""
     prev_key = check_key(prev_key)
     digest = hash_block(block, expand_key(prev_key, t), t)
-    next_key = bytes(a ^ b for a, b in zip(prev_key, digest_to_bytes(digest)))
-    return digest, next_key
+    return digest, _next_key(prev_key, digest)
+
+
+def _next_key(prev_key: bytes, digest) -> bytes:
+    """The running key after a block: XOR with the block digest."""
+    return bytes(a ^ b for a, b in zip(prev_key, digest_to_bytes(digest)))
+
+
+def _chain(running: bytes, blocks, t: int):
+    """Chain blocks from a running key; returns (final key, per-block digests)."""
+    per_block = []
+    for block in blocks:
+        digest, running = chain_step(running, block, t)
+        per_block.append(digest)
+    return running, tuple(per_block)
 
 
 def hash_message(message: Message, key: bytes, t: int) -> tuple:
@@ -150,12 +171,44 @@ def hash_message(message: Message, key: bytes, t: int) -> tuple:
 
 def hash_message_trace(message: Message, key: bytes, t: int):
     """The message digest and every per-block digest, in chain order."""
-    running = check_key(key)
-    per_block = []
-    for block in pad(message):
-        digest, running = chain_step(running, block, t)
-        per_block.append(digest)
-    return bytes_to_digest(running), tuple(per_block)
+    running, per_block = _chain(check_key(key), pad(message), t)
+    return bytes_to_digest(running), per_block
+
+
+def first_block_flips(message: Message, key: bytes, t: int):
+    """A function of a first-block bit: the digest with that bit flipped.
+
+    The function, digest(i), equals hash_message(message.flip(i), key, t)
+    for each bit 0 <= i < min(1024, message length), and digest(None)
+    equals hash_message(message, key, t). Bit i lies in word i // 32 of
+    the first padded block, so digest(i) quantizes that one word,
+    evaluates the one input neuron that reads it, finishes the block and
+    chains the remaining blocks as hash_message does. Everything else
+    (the pad, the key expansion, the quantized block and its input-layer
+    signals) is computed here, once.
+    """
+    check_message(message)
+    key = check_key(key)
+    first, *rest = pad(message)
+    keys = expand_key(key, t)
+    p = list(map(quantize_word, first))
+    c = input_layer(p, keys.w0, keys.b0, keys.q0, t)
+    limit = min(BLOCK_BITS, message.nbits)
+
+    def digest(i) -> tuple:
+        signals = c
+        if i is not None:
+            if not 0 <= i < limit:
+                raise IndexError("bit index out of range")
+            w = i // 32
+            flipped = p.copy()
+            flipped[w] = quantize_word(first[w] ^ (0x80000000 >> (i % 32)))
+            signals = update_input_layer(c, flipped, keys.w0, keys.b0, keys.q0, t, w)
+        first_digest = finish_block(signals, keys, t)
+        running, _ = _chain(_next_key(key, first_digest), rest, t)
+        return bytes_to_digest(running)
+
+    return digest
 
 
 def format_digest(digest) -> str:

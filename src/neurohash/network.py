@@ -11,9 +11,12 @@ non-negative, and 0.0 + a == a for those, so the result is the same.
 Digest words are the top 32 bits of each output signal.
 
 Within a layer the neurons are independent; each runs its map to
-completion with map_iter(x, q, t). opcount runs the layers in lockstep,
-the schedule its critical-path counts model, and checks its digest
-against hash_block on every call.
+completion with map_iter(x, q, t). Input neuron j reads only inputs
+4j..4j+3, so when one input of a block changes, update_input_layer
+evaluates that neuron again and keeps the other seven signals, and
+finish_block takes the new signals through the rest of the network.
+opcount runs the layers in lockstep, the schedule its critical-path
+counts model, and checks its digest against hash_block on every call.
 """
 
 from math import floor
@@ -25,9 +28,11 @@ __all__ = [
     "BLOCK_WORDS",
     "DIGEST_WORDS",
     "input_layer",
+    "update_input_layer",
     "hidden_layer",
     "output_layer",
     "extract_digest",
+    "finish_block",
     "hash_block",
 ]
 
@@ -77,6 +82,20 @@ def input_layer(p, w0, b0, q0: float, t: int) -> tuple:
     return _activate(_input_preactivation(p, w0, b0), q0, t)
 
 
+def update_input_layer(c, p, w0, b0, q0: float, t: int, index: int) -> tuple:
+    """Input signals after input `index` of p changed; c are those before.
+
+    Only neuron index // 4 reads that input: it alone is evaluated again,
+    by input_layer over its own four inputs, weights and bias.
+    """
+    if not 0 <= index < BLOCK_WORDS:
+        raise IndexError("input index out of range")
+    j = index // 4
+    i = 4 * j
+    signal = input_layer(p[i:i + 4], w0[i:i + 4], b0[j:j + 1], q0, t)
+    return c[:j] + signal + c[j + 1:]
+
+
 def hidden_layer(c, w1, b1, q1: float) -> tuple:
     """Mix 8 signals into 8; the map is applied exactly once."""
     return _activate(_dense_preactivation(c, w1, b1), q1, 1)
@@ -98,11 +117,15 @@ def extract_digest(h) -> tuple:
     return tuple(words)
 
 
+def finish_block(c, keys: SubKeys, t: int) -> tuple:
+    """A block's 4-word digest from its input-layer signals c."""
+    d = hidden_layer(c, keys.w1, keys.b1, keys.q1)
+    h = output_layer(d, keys.w2, keys.b2, keys.q2, t)
+    return extract_digest(h)
+
+
 def hash_block(block, keys: SubKeys, t: int) -> tuple:
     """Hash one 32-word block under an expanded key; 4-word digest."""
     block = check_block(block)
     p = list(map(quantize_word, block))
-    c = input_layer(p, keys.w0, keys.b0, keys.q0, t)
-    d = hidden_layer(c, keys.w1, keys.b1, keys.q1)
-    h = output_layer(d, keys.w2, keys.b2, keys.q2, t)
-    return extract_digest(h)
+    return finish_block(input_layer(p, keys.w0, keys.b0, keys.q0, t), keys, t)

@@ -1,5 +1,6 @@
 import csv
 import functools
+import hashlib
 import io
 import multiprocessing
 import os
@@ -7,11 +8,14 @@ import random
 import subprocess
 import sys
 import threading
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import neurohash
-from neurohash import analysis
+from neurohash import analysis, network
 from neurohash.analysis import (
     BirthdayReport,
     HdrReport,
@@ -22,7 +26,9 @@ from neurohash.analysis import (
     message_sensitivity_sweep,
 )
 from neurohash.goldens import SAMPLE_KEY, SAMPLE_SENTENCE
-from neurohash.hashing import BLOCK_BITS, Message, hash_message, parse_digest
+from neurohash.hashing import BLOCK_BITS, Message, hash_message, pad, parse_digest
+from neurohash.keyschedule import expand_key
+from oracles import hash_message_ref
 
 SEED = 66017
 KEY = bytes(range(16))
@@ -334,12 +340,19 @@ def test_bad_input_raises_before_any_fork(monkeypatch, forks, call, error):
 
 
 def _failing_on(bad, error):
-    @functools.wraps(hash_message)
-    def wrapper(message, key, t):
-        if message == bad:
-            raise error
-        return hash_message(message, key, t)
-    return wrapper
+    """first_block_flips whose per-flip work raises `error` on flip `bad`."""
+    real = analysis.first_block_flips
+
+    @functools.wraps(real)
+    def factory(message, key, t):
+        digest = real(message, key, t)
+
+        def failing(i):
+            if i == bad:
+                raise error
+            return digest(i)
+        return failing
+    return factory
 
 
 class _Unpicklable(Exception):
@@ -353,9 +366,11 @@ class _Unpicklable(Exception):
     (100, _Unpicklable(), RuntimeError),                   # lost on the way back
 ])
 def test_failure_reaps_every_worker(monkeypatch, forks, flip, error, raised):
+    # 121 jobs (the baseline, then flips 0..119) in chunks of 40, 40 and 41:
+    # flip 3 is job 4, hashed here; flip 100 is job 101, in the last worker
     monkeypatch.setattr(analysis, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(analysis, "first_block_flips", _failing_on(flip, error))
     m = _small_message()
-    monkeypatch.setattr(analysis, "hash_message", _failing_on(m.flip(flip), error))
     threads = threading.active_count()
     with pytest.raises(raised):
         message_sensitivity_sweep(m, KEY, 1)
@@ -379,4 +394,139 @@ def test_sweeps_under_a_wrapped_hash_message(monkeypatch):
     assert key_sensitivity_sweep(m, KEY, 1) == _expected_key_sweep(m, KEY, 1)
     assert (birthday_experiment(8, 50, KEY, 1, seed=4)
             == _expected_birthday(8, 50, KEY, 1, 4))
-    assert len(calls) == 121 // 2 + 129 // 2 + 50 // 2    # chunk 0 of each
+    # chunk 0 of the key sweep and of birthday; the message sweep's jobs
+    # run first_block_flips' per-flip function, not hash_message
+    assert len(calls) == 129 // 2 + 50 // 2
+
+
+# --- the message sweep's per-flip work ---------------------------------------
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+# emit_csv text of both sweeps, frozen from the per-flip rehash
+# (hash_message(message.flip(i), key, t) for every flip) before the sweep
+# began to re-evaluate one input neuron per flip
+FROZEN_SWEEP_SHA256 = {
+    "one block, 237 bits, t=2": (
+        "3b5f84d30b933218c3b7a21c8fa0740ab42dc9f8704cbd6ec917af91a04b105a",
+        "72a7e4cc34586b0f54f01fc61ec37dfa4c2dfd023fba532736e9f85e393a21ee",
+    ),
+    "three blocks, 2400 bits, t=2": (
+        "f4a3da1715fc1629a5c27cfa13f44ff681de47f5c4238bd0818df33531e8cf0a",
+        "97633c6b0fcf7759cb7dd3edb105f63a795e543cb680f4515d6f717f49a345a6",
+    ),
+}
+FROZEN_SWEEP_INPUTS = {
+    "one block, 237 bits, t=2": (
+        Message(b"non-aligned message under test", 237), bytes(range(16)), 2),
+    "three blocks, 2400 bits, t=2": (
+        Message(bytes((7 * i + 3) % 256 for i in range(300))),
+        bytes(range(100, 116)), 2),
+}
+
+
+def _csv_text(report) -> str:
+    buf = io.StringIO(newline="")
+    emit_csv(report, buf)
+    return buf.getvalue()
+
+
+def test_sample_sweep_csv_frozen():
+    # the same files the CLI's `sensitivity` writes for the sample sentence
+    m = Message(SAMPLE_SENTENCE.encode("ascii"))
+    for name, sweep in (("message", message_sensitivity_sweep),
+                        ("key", key_sensitivity_sweep)):
+        path = os.path.join(DATA, "sample_sensitivity", "%s_sensitivity.csv" % name)
+        with open(path, newline="") as handle:
+            assert _csv_text(sweep(m, SAMPLE_KEY, 50)) == handle.read(), name
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_SWEEP_SHA256))
+def test_sweep_csv_frozen(case):
+    message, key, t = FROZEN_SWEEP_INPUTS[case]
+    texts = (_csv_text(message_sensitivity_sweep(message, key, t)),
+             _csv_text(key_sensitivity_sweep(message, key, t)))
+    digests = tuple(hashlib.sha256(text.encode("ascii")).hexdigest() for text in texts)
+    assert digests == FROZEN_SWEEP_SHA256[case]
+
+
+def _random_message(nbits, seed):
+    return Message.from_int(random.Random(seed).getrandbits(nbits), nbits)
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(nbits=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1),
+       key=st.binary(min_size=16, max_size=16), t=st.integers(1, 3),
+       cpus=st.integers(1, 3))
+@example(nbits=1, seed=1, key=KEY, t=1, cpus=1)
+@example(nbits=31, seed=2, key=SAMPLE_KEY, t=2, cpus=2)
+@example(nbits=32, seed=3, key=bytes(16), t=3, cpus=3)
+@example(nbits=127, seed=4, key=KEY, t=1, cpus=2)
+@example(nbits=128, seed=5, key=SAMPLE_KEY, t=2, cpus=3)
+@example(nbits=1023, seed=6, key=bytes(16), t=3, cpus=1)
+@example(nbits=1024, seed=7, key=KEY, t=1, cpus=3)
+@example(nbits=1025, seed=8, key=SAMPLE_KEY, t=2, cpus=1)
+@example(nbits=2048, seed=9, key=b"\xff" * 16, t=3, cpus=2)
+def test_message_sweep_equals_per_flip_rehash(nbits, seed, key, t, cpus):
+    message = _random_message(nbits, seed)
+    indices = range(min(BLOCK_BITS, nbits))
+    expected = _expected_sweep(message, key, t, [(message.flip(i), key) for i in indices])
+    with mock.patch.object(analysis, "_cpu_count", lambda: cpus):
+        assert message_sensitivity_sweep(message, key, t) == expected
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(nbits=st.integers(1, 2100), seed=st.integers(0, 2**32 - 1),
+       key=st.binary(min_size=16, max_size=16), t=st.integers(1, 3),
+       picks=st.lists(st.integers(0, 1023), min_size=1, max_size=3))
+@example(nbits=1, seed=1, key=KEY, t=1, picks=[0])
+@example(nbits=31, seed=2, key=SAMPLE_KEY, t=2, picks=[30])
+@example(nbits=32, seed=3, key=bytes(16), t=3, picks=[31])
+@example(nbits=127, seed=4, key=KEY, t=1, picks=[96, 126])
+@example(nbits=128, seed=5, key=SAMPLE_KEY, t=2, picks=[0, 127])
+@example(nbits=1023, seed=6, key=bytes(16), t=3, picks=[1022])
+@example(nbits=1024, seed=7, key=KEY, t=1, picks=[895, 896, 1023])
+@example(nbits=1025, seed=8, key=SAMPLE_KEY, t=2, picks=[512, 1023])
+@example(nbits=2048, seed=9, key=b"\xff" * 16, t=3, picks=[0, 1023])
+def test_message_sweep_matches_oracle(nbits, seed, key, t, picks):
+    # the oracle is slow: it checks the baseline and a few picked flips
+    message = _random_message(nbits, seed)
+    report = message_sensitivity_sweep(message, key, t)
+    bits = [message.bit(j) for j in range(nbits)]
+    baseline = hash_message_ref(bits, key, t)
+    for i in {pick % len(report.per_flip) for pick in picks}:
+        bits[i] ^= 1
+        assert report.per_flip[i] == (i, hdr(baseline, hash_message_ref(bits, key, t)))
+        bits[i] ^= 1
+
+
+@pytest.mark.parametrize("message", [
+    Message(b"work count", 77),                      # one block, 77 flips
+    Message(SAMPLE_SENTENCE.encode("ascii")),        # two blocks, 1024 flips
+])
+def test_each_flip_evaluates_one_input_neuron(monkeypatch, message):
+    # counts every map_iter call the network makes; with one CPU they all
+    # happen in this process
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 1)
+    t = 2
+    keys = expand_key(KEY, t)
+    assert len({keys.q0, keys.q1, keys.q2}) == 3
+    calls = []
+    real = network.map_iter
+
+    def counting(x, q, t):
+        calls.append(q)
+        return real(x, q, t)
+
+    monkeypatch.setattr(network, "map_iter", counting)
+    report = message_sensitivity_sweep(message, KEY, t)
+    flips = len(report.per_flip)
+    blocks = len(pad(message))
+    # the first block's input layer once, shared by every job; one input
+    # neuron per flip; hidden (8) and output (4) per job; and every later
+    # block in full (8 + 8 + 4) per job. A full rehash per flip would
+    # make calls.count(keys.q0) 8 * (1 + flips).
+    assert calls.count(keys.q0) == 8 + flips
+    assert calls.count(keys.q1) == 8 * (1 + flips)
+    assert calls.count(keys.q2) == 4 * (1 + flips)
+    assert len(calls) == 8 + flips + (1 + flips) * (12 + 20 * (blocks - 1))
