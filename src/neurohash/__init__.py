@@ -16,8 +16,8 @@ from .analysis import (
     key_sensitivity_sweep,
     message_sensitivity_sweep,
 )
-from .chaosmap import Q_MAX, Q_MIN, divergence_probe, map_iter, map_orbit
-from .chaosmap import map_step, mod1
+from .chaosmap import Q_MAX, Q_MIN, divergence_probe, map_iter
+from .chaosmap import map_layer, map_step, mod1
 from .goldens import SAMPLE_KEY, SAMPLE_SENTENCE, default_vectors, write_vectors
 from .hashing import (
     Message,
@@ -82,7 +82,7 @@ __all__ = [
     "key_from_hex",
     "key_sensitivity_sweep",
     "map_iter",
-    "map_orbit",
+    "map_layer",
     "map_step",
     "message_sensitivity_sweep",
     "mod1",

@@ -152,7 +152,9 @@ def chain_step(prev_key: bytes, block, t: int):
 
 def _next_key(prev_key: bytes, digest) -> bytes:
     """The running key after a block: XOR with the block digest."""
-    return bytes(a ^ b for a, b in zip(prev_key, digest_to_bytes(digest)))
+    a, b, c, d = digest
+    value = int.from_bytes(prev_key, "big") ^ (a << 96 | b << 64 | c << 32 | d)
+    return value.to_bytes(16, "big")
 
 
 def _chain(running: bytes, blocks, t: int):

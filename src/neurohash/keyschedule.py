@@ -3,19 +3,17 @@
 The key splits into four big-endian 32-bit words K0..K3. K0/K2 seed two
 map orbits, K1/K3 set their parameters, and the orbits are advanced t
 steps before emission; sub-key j is mod1(X0(j) + X1(j)) where X(j) sits
-j steps further along its orbit. The 151 emitted values fill, in order:
-32 input weights, 8 input biases, 1 input parameter, 64 hidden weights,
-8 hidden biases, 1 hidden parameter, 32 output weights, 4 output
-biases, 1 output parameter.
+j steps further along its orbit (chaosmap.orbit_sums walks both). The
+151 emitted values fill, in order: 32 input weights, 8 input biases, 1
+input parameter, 64 hidden weights, 8 hidden biases, 1 hidden
+parameter, 32 output weights, 4 output biases, 1 output parameter.
 """
 
 import functools
-import math
-import operator
 import struct
 from dataclasses import dataclass
 
-from .chaosmap import Q_MAX, Q_MIN, map_orbit
+from .chaosmap import Q_MAX, Q_MIN, orbit_sums
 
 __all__ = [
     "KEY_BYTES",
@@ -117,8 +115,8 @@ def clamp_seed(x: float) -> float:
 def subkey_stream(key: bytes, count: int, t: int) -> list:
     """Emit `count` sub-keys from the two key-seeded orbits.
 
-    Each orbit is walked once by map_orbit, which is bit-equal to
-    restarting map_iter at depth t + j for every j (the composition
+    orbit_sums walks both orbits once, side by side, which is bit-equal
+    to restarting map_iter at depth t + j for every j (the composition
     law) at a fraction of the work.
     """
     key = check_key(key)
@@ -126,13 +124,11 @@ def subkey_stream(key: bytes, count: int, t: int) -> list:
         raise ValueError("sub-key count must be >= 1")
     check_iterations(t)
     k0, k1, k2, k3 = struct.unpack(">4I", key)
+    xa = clamp_seed(quantize_word(k0))
     qa = derive_param(quantize_word(k1))
+    xb = clamp_seed(quantize_word(k2))
     qb = derive_param(quantize_word(k3))
-    xa = map_orbit(clamp_seed(quantize_word(k0)), qa, t, count)
-    xb = map_orbit(clamp_seed(quantize_word(k2)), qb, t, count)
-    # mod1 of each sum, written out: this runs 151 times per key
-    floor = math.floor
-    return [s - floor(s) for s in map(operator.add, xa, xb)]
+    return orbit_sums(xa, qa, xb, qb, t, count)
 
 
 def assign_subkeys(stream) -> SubKeys:
@@ -146,10 +142,12 @@ def assign_subkeys(stream) -> SubKeys:
         w0=stream[0:32],
         b0=stream[32:40],
         q0=derive_param(stream[40]),
-        w1=tuple(stream[41 + 8 * j:49 + 8 * j] for j in range(8)),
+        w1=(stream[41:49], stream[49:57], stream[57:65], stream[65:73],
+            stream[73:81], stream[81:89], stream[89:97], stream[97:105]),
         b1=stream[105:113],
         q1=derive_param(stream[113]),
-        w2=tuple(stream[114 + 8 * j:122 + 8 * j] for j in range(4)),
+        w2=(stream[114:122], stream[122:130], stream[130:138],
+            stream[138:146]),
         b2=stream[146:150],
         q2=derive_param(stream[150]),
     )

@@ -10,19 +10,20 @@ from the first product rather than from 0.0; every term is
 non-negative, and 0.0 + a == a for those, so the result is the same.
 Digest words are the top 32 bits of each output signal.
 
-Within a layer the neurons are independent; each runs its map to
-completion with map_iter(x, q, t). Input neuron j reads only inputs
-4j..4j+3, so when one input of a block changes, update_input_layer
-evaluates that neuron again and keeps the other seven signals, and
-finish_block takes the new signals through the rest of the network.
-opcount runs the layers in lockstep, the schedule its critical-path
-counts model, and checks its digest against hash_block on every call.
+Within a layer the neurons are independent. One map_layer call runs
+each neuron's map to completion, and it is the layer's only check of q
+and t. Input neuron j reads only inputs 4j..4j+3, so when one input of
+a block changes, update_input_layer evaluates that neuron again and
+keeps the other seven signals, and finish_block takes the new signals
+through the rest of the network. opcount runs the layers in lockstep,
+the schedule its critical-path counts model, and checks its digest
+against hash_block on every call.
 """
 
 from math import floor
 
-from .chaosmap import map_iter
-from .keyschedule import SubKeys, check_iterations, quantize_word
+from .chaosmap import map_layer
+from .keyschedule import SubKeys, quantize_word
 
 __all__ = [
     "BLOCK_WORDS",
@@ -51,8 +52,11 @@ def check_block(words) -> tuple:
 
 
 def _activate(pre, q: float, t: int) -> tuple:
-    check_iterations(t)
-    return tuple([map_iter(x, q, t) for x in pre])
+    signals = map_layer(pre, q, t)
+    # map_layer has refused a t that is not an int or is negative
+    if t < 1:
+        raise ValueError("iteration count must be >= 1")
+    return signals
 
 
 def _input_preactivation(p, w0, b0) -> list:

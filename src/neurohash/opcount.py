@@ -179,7 +179,7 @@ class _Run:
         return pre
 
     def orbit(self, x: _Tracked, q: _Tracked, t: int) -> list:
-        # map_orbit works 0.5 - q and 1 - q out once, but the model
+        # orbit_sums works 0.5 - q and 1 - q out once, but the model
         # charges them on every step that uses them
         points = [x]
         for _ in range(t + SUBKEY_COUNT - 1):

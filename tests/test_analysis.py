@@ -194,7 +194,8 @@ def test_emit_csv_birthday_to_path(tmp_path):
     rep = birthday_experiment(12, 50, KEY, 1, seed=1)
     path = tmp_path / "birthday.csv"
     emit_csv(rep, str(path))
-    rows = list(csv.reader(path.open()))
+    with path.open(newline="") as f:
+        rows = list(csv.reader(f))
     assert rows[0] == ["truncation_width", "trials", "collisions_observed",
                        "collisions_expected", "seed"]
     assert rows[1] == ["12", "50", str(rep.collisions_observed),
@@ -505,20 +506,20 @@ def test_message_sweep_matches_oracle(nbits, seed, key, t, picks):
     Message(SAMPLE_SENTENCE.encode("ascii")),        # two blocks, 1024 flips
 ])
 def test_each_flip_evaluates_one_input_neuron(monkeypatch, message):
-    # counts every map_iter call the network makes; with one CPU they all
-    # happen in this process
+    # counts the neurons (lanes) of every map_layer call the network
+    # makes, by q; with one CPU they all happen in this process
     monkeypatch.setattr(analysis, "_cpu_count", lambda: 1)
     t = 2
     keys = expand_key(KEY, t)
     assert len({keys.q0, keys.q1, keys.q2}) == 3
     calls = []
-    real = network.map_iter
+    real = network.map_layer
 
-    def counting(x, q, t):
-        calls.append(q)
-        return real(x, q, t)
+    def counting(xs, q, t):
+        calls.extend([q] * len(xs))
+        return real(xs, q, t)
 
-    monkeypatch.setattr(network, "map_iter", counting)
+    monkeypatch.setattr(network, "map_layer", counting)
     report = message_sensitivity_sweep(message, KEY, t)
     flips = len(report.per_flip)
     blocks = len(pad(message))

@@ -110,8 +110,10 @@ def test_sensitivity_writes_csvs(tmp_path, capsys):
                 "--t", "1", "--unsafe-small-t", "--out", str(out_dir)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2 and lines[0].startswith("message ")
-    msg_rows = list(csv.reader((out_dir / "message_sensitivity.csv").open()))
-    key_rows = list(csv.reader((out_dir / "key_sensitivity.csv").open()))
+    with (out_dir / "message_sensitivity.csv").open(newline="") as f:
+        msg_rows = list(csv.reader(f))
+    with (out_dir / "key_sensitivity.csv").open(newline="") as f:
+        key_rows = list(csv.reader(f))
     assert msg_rows[0] == ["bit_index", "hdr"]
     assert len(msg_rows) == 1 + 8 * len(b"avalanche subject")
     assert len(key_rows) == 1 + 128

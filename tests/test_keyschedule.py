@@ -137,6 +137,23 @@ KEY_WORDS = st.one_of(st.sampled_from([0x00000000, 0x80000000, 0xFFFFFFFF]),
 @example(words=list(struct.unpack(">4I", KEYS[0])), count=SUBKEY_COUNT, t=5)
 @example(words=list(struct.unpack(">4I", KEYS[1])), count=SUBKEY_COUNT, t=5)
 @example(words=list(struct.unpack(">4I", KEYS[2])), count=SUBKEY_COUNT, t=5)
+# both orbits go 0.5 -> 1.0 -> 0.0: the sums pass through exactly 1.0
+# and 2.0, and the stream is [0.0] * 4
+@example(words=[0x10000000, 0x40000000, 0x10000000, 0x40000000], count=4, t=1)
+# dead-orbit families, in either orbit: K0 = 0x80000000 (seed 0.5),
+# K1 = 4 * K0 (seed q / 2) and K1 = 2^33 - 2 * K0 (seed 1 - q)
+@example(words=[0x80000000, 0x12345678, 0x9ABCDEF0, 0x0FEDCBA9],
+         count=SUBKEY_COUNT, t=50)
+@example(words=[0x0BADCAFE, 0xC0FFEE11, 0x80000000, 0x2F2F2F2F],
+         count=SUBKEY_COUNT, t=50)
+@example(words=[0x01234567, 4 * 0x01234567, 0x89ABCDEF, 0x3C3C3C3C],
+         count=SUBKEY_COUNT, t=50)
+@example(words=[0x13579BDF, 0x2468ACE0, 0x2468ACE0, 4 * 0x2468ACE0],
+         count=SUBKEY_COUNT, t=50)
+@example(words=[0x90000000, 2**33 - 2 * 0x90000000, 0x5A5A5A5A, 0xA5A5A5A5],
+         count=SUBKEY_COUNT, t=50)
+@example(words=[0x0F0F0F0F, 0xF0F0F0F0, 0xDEADBEEF, 2**33 - 2 * 0xDEADBEEF],
+         count=SUBKEY_COUNT, t=50)
 def test_stream_matches_literal_oracle(words, count, t):
     key = struct.pack(">4I", *words)
     assert subkey_stream(key, count, t) == subkey_stream_literal(key, count, t)

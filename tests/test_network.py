@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from neurohash import chaosmap, keyschedule, network
 from neurohash.analysis import hdr
 from neurohash.hashing import format_digest
 from neurohash.keyschedule import expand_key
@@ -226,6 +227,50 @@ def test_hash_block_validation():
     for t in (50.0, True):
         with pytest.raises(TypeError, match="iteration count must be an int"):
             hash_block(tuple(range(32)), keys, t)
+
+
+def test_hash_block_runs_one_map_layer_call_per_layer(monkeypatch):
+    # each layer is one map_layer call, the only place t's type is tested:
+    # a counting `type` in the modules hash_block runs sees 3 tests of t
+    # (one per layer), where a map_iter call per neuron made 3 + 20
+    keys = expand_key(bytes(range(16)), 50)
+    t = 50
+    layers = []
+    real = network.map_layer
+
+    def counting_layer(xs, q, t):
+        layers.append((len(xs), q, t))
+        return real(xs, q, t)
+
+    tested = []
+
+    def counting_type(*args):
+        if len(args) == 1:
+            tested.append(args[0])
+        return type(*args)
+
+    monkeypatch.setattr(network, "map_layer", counting_layer)
+    for module in (network, chaosmap, keyschedule):
+        monkeypatch.setattr(module, "type", counting_type, raising=False)
+    digest = hash_block(tuple(range(32)), keys, t)
+    assert format_digest(digest) == ASCENDING_BLOCK_DIGEST
+    assert layers == [(8, keys.q0, t), (8, keys.q1, 1), (4, keys.q2, t)]
+    assert tested == [t, 1, t]
+
+
+def test_layers_refuse_a_bad_iteration_count():
+    keys = expand_key(bytes(range(16)), 50)
+    p = [0.5] * 32
+    d = (0.5,) * 8
+    for layer in (lambda t: input_layer(p, keys.w0, keys.b0, keys.q0, t),
+                  lambda t: output_layer(d, keys.w2, keys.b2, keys.q2, t)):
+        with pytest.raises(ValueError, match="iteration count must be >= 1"):
+            layer(0)
+        with pytest.raises(ValueError, match="iteration count must be >= "):
+            layer(-1)
+        for t in (True, False, 2.0, "2"):
+            with pytest.raises(TypeError, match="iteration count must be an int"):
+                layer(t)
 
 
 def test_block_avalanche():
