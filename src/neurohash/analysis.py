@@ -218,6 +218,8 @@ def birthday_experiment(
     `width` digest bits, and counts colliding unordered pairs against
     the birthday expectation trials*(trials-1)/2 / 2^width.
     """
+    if type(width) is not int or type(trials) is not int:
+        raise TypeError("truncation width and trials must be ints")
     if not 8 <= width <= 32:
         raise ValueError("truncation width must be in [8, 32]")
     if trials < 2:

@@ -2,10 +2,10 @@
 
 Subcommands: hash a file or stdin under a key, run the sensitivity
 sweeps, run the birthday-collision experiment, print the operation
-counts, and regenerate the golden-vector file. Every command takes a
-key (--key-hex or --key-ascii). All but goldens, whose content is
-fixed, take --t; iteration counts below 50 are refused unless
---unsafe-small-t is given.
+counts, and regenerate the golden-vector file. Every command but
+goldens, whose content is fixed and which takes only --out, takes a
+key (--key-hex or --key-ascii) and --t; iteration counts below 50 are
+refused unless --unsafe-small-t is given.
 """
 
 import argparse
@@ -20,7 +20,7 @@ from .analysis import (
 )
 from .goldens import write_vectors
 from .hashing import Message, format_digest, hash_message
-from .keyschedule import key_from_hex
+from .keyschedule import check_key, key_from_hex
 from .opcount import count_operations
 
 _PROG = "neurohash"
@@ -37,17 +37,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=False, with_t=True):
+    def common(p, with_input=False):
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--key-hex", metavar="HEX",
                            help="128-bit key as 32 hex digits")
         group.add_argument("--key-ascii", metavar="TEXT",
                            help="128-bit key as exactly 16 ASCII characters")
-        if with_t:
-            p.add_argument("--t", type=int, default=50, metavar="N",
-                           help="map iterations per keyed stage (default 50)")
-            p.add_argument("--unsafe-small-t", action="store_true",
-                           help="allow 1 <= t < 50 (testing only)")
+        p.add_argument("--t", type=int, default=50, metavar="N",
+                       help="map iterations per keyed stage (default 50)")
+        p.add_argument("--unsafe-small-t", action="store_true",
+                       help="allow 1 <= t < 50 (testing only)")
         p.add_argument("--out", metavar="PATH",
                        help="output destination (default: stdout or cwd)")
         if with_input:
@@ -74,18 +73,16 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("goldens", help="regenerate the golden-vector file "
-                                       "(content is fixed; the key is not used)")
-    common(p, with_t=False)
+                                       "(content is fixed)")
+    p.add_argument("--out", metavar="PATH",
+                   help="output file (default: golden_vectors.csv)")
     return parser
 
 
 def _resolve_key(args) -> bytes:
     if args.key_hex is not None:
         return key_from_hex(args.key_hex)
-    key = args.key_ascii.encode("ascii", "strict")
-    if len(key) != 16:
-        raise _UsageError("--key-ascii must be exactly 16 bytes")
-    return key
+    return check_key(args.key_ascii.encode("ascii", "strict"))
 
 
 def _resolve_t(args) -> int:
@@ -120,12 +117,12 @@ def _cmd_sensitivity(args) -> int:
     key = _resolve_key(args)
     t = _resolve_t(args)
     message = _read_message(args.input)
+    # both reports first: a refused input must not leave an empty --out
+    reports = (("message", message_sensitivity_sweep(message, key, t)),
+               ("key", key_sensitivity_sweep(message, key, t)))
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    for name, report in (
-        ("message", message_sensitivity_sweep(message, key, t)),
-        ("key", key_sensitivity_sweep(message, key, t)),
-    ):
+    for name, report in reports:
         path = os.path.join(out_dir, "%s_sensitivity.csv" % name)
         emit_csv(report, path)
         print("%s flips=%d mean=%.6f min=%.6f max=%.6f -> %s"
@@ -161,7 +158,6 @@ def _cmd_opcount(args) -> int:
 
 
 def _cmd_goldens(args) -> int:
-    _resolve_key(args)  # keys are mandatory CLI-wide; content is fixed
     path = args.out or "golden_vectors.csv"
     count = write_vectors(path)
     print("wrote %d vectors to %s" % (count, path))

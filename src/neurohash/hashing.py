@@ -11,7 +11,7 @@ digest, i.e. key XOR (XOR of all per-block digests).
 
 import struct
 
-from .keyschedule import check_key, expand_key, quantize_word
+from .keyschedule import check_key, expand_key, key_from_hex, quantize_word
 from .network import (
     BLOCK_WORDS,
     check_block,
@@ -219,13 +219,8 @@ def format_digest(digest) -> str:
 
 
 def parse_digest(text: str) -> tuple:
-    if len(text) != 32:
-        raise ValueError("digest must be exactly 32 hex digits")
-    try:
-        raw = bytes.fromhex(text)
-    except ValueError:
-        raise ValueError("digest is not valid hexadecimal") from None
-    return bytes_to_digest(raw)
+    # a digest is the final running key, so it reads like one
+    return bytes_to_digest(key_from_hex(text))
 
 
 def digest_to_bytes(digest) -> bytes:

@@ -1,12 +1,14 @@
 """Expansion of a 128-bit key into the 151 network sub-keys.
 
-The key splits into four big-endian 32-bit words K0..K3. K0/K2 seed two
-map orbits, K1/K3 set their parameters, and the orbits are advanced t
-steps before emission; sub-key j is mod1(X0(j) + X1(j)) where X(j) sits
-j steps further along its orbit (chaosmap.orbit_sums walks both). The
-151 emitted values fill, in order: 32 input weights, 8 input biases, 1
-input parameter, 64 hidden weights, 8 hidden biases, 1 hidden
-parameter, 32 output weights, 4 output biases, 1 output parameter.
+The one reader of a key: key_from_hex parses 32 hex digits, check_key
+holds the 16-byte length, and orbit_starts is the one decode of the
+four big-endian 32-bit words K0..K3: K0/K2 seed two map orbits, K1/K3
+set their parameters. The orbits are advanced t steps before emission;
+sub-key j is mod1(X0(j) + X1(j)) where X(j) sits j steps further along
+its orbit (chaosmap.orbit_sums walks both). The 151 emitted values
+fill, in order: 32 input weights, 8 input biases, 1 input parameter, 64
+hidden weights, 8 hidden biases, 1 hidden parameter, 32 output weights,
+4 output biases, 1 output parameter.
 """
 
 import functools
@@ -26,6 +28,7 @@ __all__ = [
     "quantize_word",
     "derive_param",
     "clamp_seed",
+    "orbit_starts",
     "subkey_stream",
     "assign_subkeys",
     "expand_key",
@@ -34,6 +37,7 @@ __all__ = [
 KEY_BYTES = 16
 SUBKEY_COUNT = 151
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _SEED_MIN = 2.0 ** -32
 _SEED_MAX = 1.0 - 2.0 ** -32
 
@@ -54,13 +58,11 @@ class SubKeys:
 
 
 def key_from_hex(text: str) -> bytes:
-    """Parse a 32-hex-digit key string."""
-    if len(text) != 2 * KEY_BYTES:
-        raise ValueError("key must be exactly 32 hex digits")
-    try:
-        return bytes.fromhex(text)
-    except ValueError:
-        raise ValueError("key is not valid hexadecimal") from None
+    """Parse exactly 32 hex digits, with no whitespace, as a key."""
+    # bytes.fromhex alone would skip whitespace and return a short key
+    if len(text) != 2 * KEY_BYTES or not _HEX_DIGITS.issuperset(text):
+        raise ValueError("expected exactly 32 hex digits with no whitespace")
+    return check_key(bytes.fromhex(text))
 
 
 def check_key(key: bytes) -> bytes:
@@ -112,6 +114,17 @@ def clamp_seed(x: float) -> float:
     return x
 
 
+def orbit_starts(words) -> tuple:
+    """Key words K0..K3 to the orbit starts (xa, qa, xb, qb).
+
+    Evaluated in the order K0, K1, K2, K3; opcount pairs each clamp with
+    the value it replaced in that order.
+    """
+    k0, k1, k2, k3 = words
+    return (clamp_seed(quantize_word(k0)), derive_param(quantize_word(k1)),
+            clamp_seed(quantize_word(k2)), derive_param(quantize_word(k3)))
+
+
 def subkey_stream(key: bytes, count: int, t: int) -> list:
     """Emit `count` sub-keys from the two key-seeded orbits.
 
@@ -123,12 +136,7 @@ def subkey_stream(key: bytes, count: int, t: int) -> list:
     if count < 1:
         raise ValueError("sub-key count must be >= 1")
     check_iterations(t)
-    k0, k1, k2, k3 = struct.unpack(">4I", key)
-    xa = clamp_seed(quantize_word(k0))
-    qa = derive_param(quantize_word(k1))
-    xb = clamp_seed(quantize_word(k2))
-    qb = derive_param(quantize_word(k3))
-    return orbit_sums(xa, qa, xb, qb, t, count)
+    return orbit_sums(*orbit_starts(struct.unpack(">4I", key)), t, count)
 
 
 def assign_subkeys(stream) -> SubKeys:

@@ -10,7 +10,8 @@ orbits advance one map step at a time and each layer applies the map
 in lockstep, so the critical path reported, the deepest chain reaching
 any digest word, models all neurons of a layer and both key-generator
 orbits running concurrently. The instrumented digest is checked
-against hash_block on every run so the accounting cannot drift.
+against hash_block on every run so the accounting cannot drift. The key
+is read through keyschedule.orbit_starts, on tracked key words.
 """
 
 import struct
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 
 from .chaosmap import map_step, mod1
 from .keyschedule import SUBKEY_COUNT, assign_subkeys, check_iterations
-from .keyschedule import check_key, clamp_seed, derive_param, expand_key
-from .keyschedule import quantize_word
+from .keyschedule import check_key, expand_key, orbit_starts, quantize_word
 from .network import _dense_preactivation, _input_preactivation, check_block
 from .network import extract_digest, hash_block
 
@@ -203,10 +203,8 @@ def count_operations(t: int, key: bytes = DEFAULT_COUNT_KEY,
     run = _Run()
 
     run.stage("key_schedule")
-    k0, k1, k2, k3 = (quantize_word(_Tracked(k, run))
-                      for k in struct.unpack(">4I", key))
-    qa, qb, xa, xb = run.kept(derive_param(k1), derive_param(k3),
-                              clamp_seed(k0), clamp_seed(k2))
+    xa, qa, xb, qb = run.kept(*orbit_starts(
+        _Tracked(k, run) for k in struct.unpack(">4I", key)))
     stream = [mod1(a + b)
               for a, b in zip(run.orbit(xa, qa, t), run.orbit(xb, qb, t))]
     keys = assign_subkeys(stream)

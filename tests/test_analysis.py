@@ -332,6 +332,10 @@ def test_no_process_while_other_threads_run(monkeypatch, forks):
     (lambda: birthday_experiment(8, 20, KEY, 0, seed=0), ValueError),
     (lambda: birthday_experiment(8, 20, KEY, 2.0, seed=0), TypeError),
     (lambda: birthday_experiment(8, 20, "key", 1, seed=0), ValueError),
+    (lambda: birthday_experiment(16.0, 20, KEY, 1, seed=0), TypeError),
+    (lambda: birthday_experiment(True, 20, KEY, 1, seed=0), TypeError),
+    (lambda: birthday_experiment(8, 20.5, KEY, 1, seed=0), TypeError),
+    (lambda: birthday_experiment(8, True, KEY, 1, seed=0), TypeError),
 ])
 def test_bad_input_raises_before_any_fork(monkeypatch, forks, call, error):
     monkeypatch.setattr(analysis, "_cpu_count", lambda: 2)

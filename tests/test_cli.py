@@ -145,7 +145,46 @@ def test_opcount_matches_library(capsys):
 
 def test_goldens_regenerates_frozen_file(tmp_path, capsys):
     dst = tmp_path / "golden_vectors.csv"
-    assert run(["goldens", "--key-hex", KEY_HEX, "--out", str(dst)]) == 0
+    assert run(["goldens", "--out", str(dst)]) == 0
     assert "wrote 20 vectors" in capsys.readouterr().out
-    with open(GOLDEN_PATH) as handle:
-        assert dst.read_text() == handle.read()
+    with open(GOLDEN_PATH, "rb") as handle:
+        assert dst.read_bytes() == handle.read()
+
+
+@pytest.mark.parametrize("key_option", [
+    ["--key-hex", KEY_HEX],
+    ["--key-ascii", "0123456789abcdef"],
+])
+def test_goldens_takes_no_key(tmp_path, capsys, key_option):
+    # the golden file is fixed, so a key would be ignored
+    dst = tmp_path / "g.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["goldens", *key_option, "--out", str(dst)])
+    assert exc.value.code == 2
+    assert key_option[0] in capsys.readouterr().err
+    assert not dst.exists()
+
+
+@pytest.mark.parametrize("key_hex", [
+    " " * 32,
+    "00 01 02 03 04 05 06 07 08 09 0a",
+    KEY_HEX[:16] + "\t" + KEY_HEX[17:],
+])
+def test_hex_key_with_whitespace_refused(tmp_path, capsys, key_hex):
+    assert len(key_hex) == 32
+    path = tmp_path / "m"
+    path.write_bytes(b"x")
+    assert run(["hash", str(path), "--key-hex", key_hex]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "32 hex digits" in captured.err
+
+
+def test_sensitivity_refusal_leaves_no_out_dir(tmp_path, capsys):
+    src = tmp_path / "empty"
+    src.write_bytes(b"")
+    out_dir = tmp_path / "reports"
+    assert run(["sensitivity", str(src), "--key-hex", KEY_HEX,
+                "--t", "1", "--unsafe-small-t", "--out", str(out_dir)]) == 2
+    assert "non-empty" in capsys.readouterr().err
+    assert not out_dir.exists()

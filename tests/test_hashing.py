@@ -262,6 +262,35 @@ def test_parse_format_round_trip():
         parse_digest("G" * 32)
 
 
+# 32 characters with at least one whitespace character among hex digits;
+# bytes.fromhex skips whitespace, so a loose parser reads a short digest
+_WHITESPACE_HEX = st.lists(
+    st.sampled_from("0123456789abcdefABCDEF \t\n\r\x0b\x0c"),
+    min_size=32, max_size=32,
+).map("".join).filter(lambda s: not s.isalnum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_WHITESPACE_HEX)
+@example(text=" " * 32)
+@example(text="00 01 02 03 04 05 06 07 08 09 0a")
+def test_parse_digest_refuses_whitespace(text):
+    # ValueError, never struct.error from a short digest
+    assert len(text) == 32
+    with pytest.raises(ValueError):
+        parse_digest(text)
+
+
+@pytest.mark.parametrize("field", ["key", "digest"])
+def test_read_vectors_refuses_whitespace(tmp_path, field):
+    fields = {"key": "0" * 32, "digest": "0" * 32}
+    fields[field] = "00 01 02 03 04 05 06 07 08 09 0a"
+    path = tmp_path / "vectors.csv"
+    path.write_text("%s,,50,%s\n" % (fields["key"], fields["digest"]))
+    with pytest.raises(ValueError):
+        read_vectors(str(path))
+
+
 def test_sample_sentence_is_two_blocks():
     m = Message(SAMPLE_SENTENCE.encode("ascii"))
     assert m.nbits == 1040

@@ -56,6 +56,24 @@ def test_key_from_hex():
         key_from_hex("zz" * 16)
 
 
+# 32 characters with at least one whitespace character among hex digits;
+# bytes.fromhex skips whitespace, so a loose parser returns a short key
+_WHITESPACE_HEX = st.lists(
+    st.sampled_from("0123456789abcdefABCDEF \t\n\r\x0b\x0c"),
+    min_size=32, max_size=32,
+).map("".join).filter(lambda s: not s.isalnum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_WHITESPACE_HEX)
+@example(text=" " * 32)
+@example(text="00 01 02 03 04 05 06 07 08 09 0a")
+def test_key_from_hex_refuses_whitespace(text):
+    assert len(text) == 32
+    with pytest.raises(ValueError):
+        key_from_hex(text)
+
+
 def test_flip_key_bit():
     key = bytes(16)
     assert flip_key_bit(key, 0)[0] == 0x80
