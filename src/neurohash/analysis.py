@@ -28,6 +28,7 @@ import random
 import threading
 from dataclasses import dataclass, fields
 
+from .chaosmap import check_count
 from .hashing import (
     BLOCK_BITS,
     Message,
@@ -218,12 +219,9 @@ def birthday_experiment(
     `width` digest bits, and counts colliding unordered pairs against
     the birthday expectation trials*(trials-1)/2 / 2^width.
     """
-    if type(width) is not int or type(trials) is not int:
-        raise TypeError("truncation width and trials must be ints")
-    if not 8 <= width <= 32:
+    if check_count(width, 8, "truncation width") > 32:
         raise ValueError("truncation width must be in [8, 32]")
-    if trials < 2:
-        raise ValueError("trials must be >= 2")
+    check_count(trials, 2, "trials")
     key = check_key(key)
     check_iterations(t)
     rng = random.Random(seed)

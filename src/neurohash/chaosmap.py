@@ -21,6 +21,10 @@ side by side in one loop and emits their sum mod 1 at every step, which
 a single-orbit kernel cannot do without a list per orbit and a pass to
 add them (its docstring has the measurement).
 
+check_count is the one rule for every count (iteration count t, orbit
+length, trials, truncation width, nbits): an int, not a bool, and no
+less than the count's minimum.
+
 Where the clamp to [0, 1] can fire. The kernels keep only the clamp
 that can change a result, which is why they check their domain, x in
 [0, 1] and Q_MIN <= q <= Q_MAX, on entry:
@@ -40,6 +44,7 @@ import random
 __all__ = [
     "Q_MIN",
     "Q_MAX",
+    "check_count",
     "map_step",
     "map_iter",
     "map_layer",
@@ -51,6 +56,16 @@ __all__ = [
 # Valid control-parameter range: strictly inside (0, 0.5).
 Q_MIN = 2.0 ** -20
 Q_MAX = 0.5 - 2.0 ** -20
+
+
+def check_count(value, least: int, what: str) -> int:
+    """Validate a count: an int (not a bool) that is at least `least`."""
+    if type(value) is not int:
+        raise TypeError(
+            "%s must be an int, not %s" % (what, type(value).__name__))
+    if value < least:
+        raise ValueError("%s must be >= %d" % (what, least))
+    return value
 
 
 def map_step(x: float, q: float) -> float:
@@ -86,14 +101,9 @@ def map_layer(xs, q: float, t: int) -> tuple:
     """
     if not Q_MIN <= q <= Q_MAX:
         raise ValueError("map parameter must be in [Q_MIN, Q_MAX]")
-    if type(t) is not int:
-        raise TypeError(
-            "iteration count must be an int, not %s" % type(t).__name__)
-    if t < 0:
-        raise ValueError("iteration count must be >= 0")
+    steps = range(check_count(t, 0, "iteration count"))
     half = 0.5 - q
     top = 1.0 - q
-    steps = range(t)
     out = []
     for x in xs:
         if not 0.0 <= x <= 1.0:
@@ -125,7 +135,7 @@ def orbit_sums(xa: float, qa: float, xb: float, qb: float, t: int,
     mod 1. For a sum s in [0, 2], s % 1.0 is the exact fraction
     s - floor(s), 2.0 and 1.0 giving 0.0. Every point is bit-equal to
     restarting map_iter at its depth (the composition law). count must
-    be >= 1.
+    be an int >= 1.
 
     The key schedule's 151 sub-keys run through this walk, which writes
     the map's loop a second time on purpose, both orbits' branches side
@@ -138,8 +148,7 @@ def orbit_sums(xa: float, qa: float, xb: float, qb: float, t: int,
     loop shared with map_iter through an "emit after step t" test made
     map_iter(x, q, 50) 23-34% slower.
     """
-    if count < 1:
-        raise ValueError("orbit length must be >= 1")
+    check_count(count, 1, "orbit length")
     xa = map_iter(xa, qa, t)
     xb = map_iter(xb, qb, t)
     half_a = 0.5 - qa
@@ -195,8 +204,7 @@ def divergence_probe(delta: float, q: float, t: int, trials: int, seed: int) -> 
     """
     if not 0.0 <= delta < 1.0:
         raise ValueError("delta must be in [0, 1)")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_count(trials, 1, "trials")
     rng = random.Random(seed)
     diverged = 0
     for _ in range(trials):

@@ -20,14 +20,10 @@ from .analysis import (
 )
 from .goldens import write_vectors
 from .hashing import Message, format_digest, hash_message
-from .keyschedule import check_key, key_from_hex
+from .keyschedule import check_iterations, check_key, key_from_hex
 from .opcount import count_operations
 
 _PROG = "neurohash"
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,11 +82,10 @@ def _resolve_key(args) -> bytes:
 
 
 def _resolve_t(args) -> int:
-    if args.t < 1:
-        raise _UsageError("--t must be >= 1")
-    if args.t < 50 and not args.unsafe_small_t:
-        raise _UsageError("--t below 50 requires --unsafe-small-t")
-    return args.t
+    t = check_iterations(args.t)
+    if t < 50 and not args.unsafe_small_t:
+        raise ValueError("--t below 50 requires --unsafe-small-t")
+    return t
 
 
 def _read_message(path: str) -> Message:
@@ -177,7 +172,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (_UsageError, ValueError) as exc:
+    except ValueError as exc:
         print("%s: error: %s" % (_PROG, exc), file=sys.stderr)
         return 2
     except OSError as exc:

@@ -10,7 +10,7 @@ import random
 import struct
 
 from .hashing import Message, format_digest, hash_message, parse_digest
-from .keyschedule import key_from_hex
+from .keyschedule import _HEX_DIGITS, check_iterations, key_from_hex
 
 __all__ = [
     "SAMPLE_SENTENCE",
@@ -77,10 +77,15 @@ def read_vectors(path):
             if not line:
                 continue
             key_hex, message_hex, t, digest_hex = line.split(",")
+            # stricter than bytes.fromhex (skips spaces) and int() ("+5_0")
+            if len(message_hex) % 2 or not _HEX_DIGITS.issuperset(message_hex):
+                raise ValueError("message field must be hex digits, two per byte")
+            if not (t.isascii() and t.isdigit()):
+                raise ValueError("t field must be ASCII decimal digits")
             records.append((
                 key_from_hex(key_hex),
                 bytes.fromhex(message_hex),
-                int(t),
+                check_iterations(int(t)),
                 parse_digest(digest_hex),
             ))
     return records

@@ -11,6 +11,7 @@ digest, i.e. key XOR (XOR of all per-block digests).
 
 import struct
 
+from .chaosmap import check_count
 from .keyschedule import check_key, expand_key, key_from_hex, quantize_word
 from .network import (
     BLOCK_WORDS,
@@ -54,7 +55,7 @@ class Message:
         data = bytes(data)
         if nbits is None:
             nbits = 8 * len(data)
-        if not 0 <= nbits <= 8 * len(data):
+        elif check_count(nbits, 0, "nbits") > 8 * len(data):
             raise ValueError("nbits out of range for the given bytes")
         slack = 8 * len(data) - nbits
         if slack:
@@ -74,6 +75,7 @@ class Message:
     @classmethod
     def from_int(cls, value: int, nbits: int):
         """Bit string from the low nbits of value, MSB first."""
+        check_count(nbits, 0, "nbits")
         if value < 0 or value >> nbits:
             raise ValueError("value does not fit in nbits")
         nbytes = (nbits + 7) // 8

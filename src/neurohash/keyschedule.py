@@ -4,18 +4,19 @@ The one reader of a key: key_from_hex parses 32 hex digits, check_key
 holds the 16-byte length, and orbit_starts is the one decode of the
 four big-endian 32-bit words K0..K3: K0/K2 seed two map orbits, K1/K3
 set their parameters. The orbits are advanced t steps before emission;
-sub-key j is mod1(X0(j) + X1(j)) where X(j) sits j steps further along
-its orbit (chaosmap.orbit_sums walks both). The 151 emitted values
-fill, in order: 32 input weights, 8 input biases, 1 input parameter, 64
-hidden weights, 8 hidden biases, 1 hidden parameter, 32 output weights,
-4 output biases, 1 output parameter.
+subkey_stream emits SUBKEY_COUNT = 151 sub-keys, sub-key j being
+mod1(X0(j) + X1(j)) where X(j) sits j steps further along its orbit
+(chaosmap.orbit_sums walks both). They fill, in order: 32 input
+weights, 8 input biases, 1 input parameter, 64 hidden weights, 8
+hidden biases, 1 hidden parameter, 32 output weights, 4 output biases,
+1 output parameter.
 """
 
 import functools
 import struct
 from dataclasses import dataclass
 
-from .chaosmap import Q_MAX, Q_MIN, orbit_sums
+from .chaosmap import Q_MAX, Q_MIN, check_count, orbit_sums
 
 __all__ = [
     "KEY_BYTES",
@@ -73,12 +74,7 @@ def check_key(key: bytes) -> bytes:
 
 def check_iterations(t) -> int:
     """Validate a network iteration count: an int (not a bool), at least 1."""
-    if type(t) is not int:
-        raise TypeError(
-            "iteration count must be an int, not %s" % type(t).__name__)
-    if t < 1:
-        raise ValueError("iteration count must be >= 1")
-    return t
+    return check_count(t, 1, "iteration count")
 
 
 def flip_key_bit(key: bytes, index: int) -> bytes:
@@ -125,18 +121,16 @@ def orbit_starts(words) -> tuple:
             clamp_seed(quantize_word(k2)), derive_param(quantize_word(k3)))
 
 
-def subkey_stream(key: bytes, count: int, t: int) -> list:
-    """Emit `count` sub-keys from the two key-seeded orbits.
+def subkey_stream(key: bytes, t: int) -> list:
+    """Emit the SUBKEY_COUNT sub-keys from the two key-seeded orbits.
 
     orbit_sums walks both orbits once, side by side, which is bit-equal
     to restarting map_iter at depth t + j for every j (the composition
     law) at a fraction of the work.
     """
-    key = check_key(key)
-    if count < 1:
-        raise ValueError("sub-key count must be >= 1")
+    words = struct.unpack(">4I", check_key(key))
     check_iterations(t)
-    return orbit_sums(*orbit_starts(struct.unpack(">4I", key)), t, count)
+    return orbit_sums(*orbit_starts(words), t, SUBKEY_COUNT)
 
 
 def assign_subkeys(stream) -> SubKeys:
@@ -164,7 +158,7 @@ def assign_subkeys(stream) -> SubKeys:
 # typed: True == 1, and a bool t must miss the cache to reach the t check
 @functools.lru_cache(maxsize=256, typed=True)
 def _expand_key_cached(key: bytes, t: int) -> SubKeys:
-    return assign_subkeys(subkey_stream(key, SUBKEY_COUNT, t))
+    return assign_subkeys(subkey_stream(key, t))
 
 
 def expand_key(key: bytes, t: int) -> SubKeys:

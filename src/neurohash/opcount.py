@@ -17,8 +17,8 @@ is read through keyschedule.orbit_starts, on tracked key words.
 import struct
 from dataclasses import dataclass
 
-from .chaosmap import map_step, mod1
-from .keyschedule import SUBKEY_COUNT, assign_subkeys, check_iterations
+from .chaosmap import check_count, map_step, mod1
+from .keyschedule import SUBKEY_COUNT, assign_subkeys
 from .keyschedule import check_key, expand_key, orbit_starts, quantize_word
 from .network import _dense_preactivation, _input_preactivation, check_block
 from .network import extract_digest, hash_block
@@ -194,10 +194,7 @@ def count_operations(t: int, key: bytes = DEFAULT_COUNT_KEY,
     t = 0 is accepted so the layer weight-matrix counts can be checked
     in isolation; production callers pass the same t they hash with.
     """
-    if type(t) is not int:
-        check_iterations(t)  # raises its TypeError
-    if t < 0:
-        raise ValueError("iteration count must be >= 0")
+    check_count(t, 0, "iteration count")
     key = check_key(key)
     block = check_block(block)
     run = _Run()

@@ -143,6 +143,18 @@ def test_opcount_matches_library(capsys):
     assert int(out["critical_path_add_sub"]) == rep.critical_path_add_sub
 
 
+def test_opcount_out_writes_csv(tmp_path, capsys):
+    dst = tmp_path / "op.csv"
+    assert run(["opcount", "--key-hex", KEY_HEX, "--out", str(dst)]) == 0
+    assert capsys.readouterr().out == (
+        "mul_div 1181\nadd_sub 2257\n"
+        "critical_path_mul_div 254\ncritical_path_add_sub 238\n")
+    # the csv module ends each row with \r\n
+    assert dst.read_bytes() == (
+        b"mul_div,add_sub,critical_path_mul_div,critical_path_add_sub\r\n"
+        b"1181,2257,254,238\r\n")
+
+
 def test_goldens_regenerates_frozen_file(tmp_path, capsys):
     dst = tmp_path / "golden_vectors.csv"
     assert run(["goldens", "--out", str(dst)]) == 0

@@ -291,6 +291,24 @@ def test_read_vectors_refuses_whitespace(tmp_path, field):
         read_vectors(str(path))
 
 
+@pytest.mark.parametrize("message_hex, t", [
+    ("61 62 ", "+5_0"),     # read as b"ab" at t = 50 by bytes.fromhex and int()
+    ("", "+50"),
+    ("", "5_0"),
+    ("", " 50"),
+    ("", "\uff15\uff10"),  # full-width "50"
+    ("", "0"),              # no hash runs at t = 0
+    ("61 62", "50"),
+    ("616", "50"),
+])
+def test_read_vectors_refuses_loose_message_and_t(tmp_path, message_hex, t):
+    path = tmp_path / "vectors.csv"
+    path.write_text("%s,%s,%s,%s\n" % ("0" * 32, message_hex, t, "0" * 32),
+                    encoding="utf-8")
+    with pytest.raises(ValueError):
+        read_vectors(str(path))
+
+
 def test_sample_sentence_is_two_blocks():
     m = Message(SAMPLE_SENTENCE.encode("ascii"))
     assert m.nbits == 1040
