@@ -22,8 +22,10 @@ a single-orbit kernel cannot do without a list per orbit and a pass to
 add them (its docstring has the measurement).
 
 check_count is the one rule for every count (iteration count t, orbit
-length, trials, truncation width, nbits): an int, not a bool, and no
-less than the count's minimum.
+length, trials, truncation width, nbits, a from_int value): an int, not
+a bool, and no less than the count's minimum. check_index is the one
+rule for every key bit, message bit or network input index: the same
+type test, then 0 <= index < size, or IndexError.
 
 Where the clamp to [0, 1] can fire. The kernels keep only the clamp
 that can change a result, which is why they check their domain, x in
@@ -45,6 +47,7 @@ __all__ = [
     "Q_MIN",
     "Q_MAX",
     "check_count",
+    "check_index",
     "map_step",
     "map_iter",
     "map_layer",
@@ -66,6 +69,16 @@ def check_count(value, least: int, what: str) -> int:
     if value < least:
         raise ValueError("%s must be >= %d" % (what, least))
     return value
+
+
+def check_index(index, size: int, what: str) -> int:
+    """Validate an index: an int (not a bool) with 0 <= index < size."""
+    if type(index) is not int:
+        raise TypeError(
+            "%s must be an int, not %s" % (what, type(index).__name__))
+    if not 0 <= index < size:
+        raise IndexError("%s out of range" % what)
+    return index
 
 
 def map_step(x: float, q: float) -> float:

@@ -62,8 +62,8 @@ def format_vectors(vectors) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_vectors(path, vectors=None) -> int:
-    vectors = default_vectors() if vectors is None else vectors
+def write_vectors(path) -> int:
+    vectors = default_vectors()
     with open(path, "w", newline="") as handle:
         handle.write(format_vectors(vectors))
     return len(vectors)

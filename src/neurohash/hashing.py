@@ -11,7 +11,7 @@ digest, i.e. key XOR (XOR of all per-block digests).
 
 import struct
 
-from .chaosmap import check_count
+from .chaosmap import check_count, check_index
 from .keyschedule import check_key, expand_key, key_from_hex, quantize_word
 from .network import (
     BLOCK_WORDS,
@@ -76,7 +76,7 @@ class Message:
     def from_int(cls, value: int, nbits: int):
         """Bit string from the low nbits of value, MSB first."""
         check_count(nbits, 0, "nbits")
-        if value < 0 or value >> nbits:
+        if check_count(value, 0, "value") >> nbits:
             raise ValueError("value does not fit in nbits")
         nbytes = (nbits + 7) // 8
         data = (value << (8 * nbytes - nbits)).to_bytes(nbytes, "big")
@@ -86,13 +86,11 @@ class Message:
         return int.from_bytes(self.data, "big") >> (8 * len(self.data) - self.nbits)
 
     def bit(self, index: int) -> int:
-        if not 0 <= index < self.nbits:
-            raise IndexError("bit index out of range")
+        check_index(index, self.nbits, "bit index")
         return (self.data[index // 8] >> (7 - index % 8)) & 1
 
     def flip(self, index: int) -> "Message":
-        if not 0 <= index < self.nbits:
-            raise IndexError("bit index out of range")
+        check_index(index, self.nbits, "bit index")
         out = bytearray(self.data)
         out[index // 8] ^= 0x80 >> (index % 8)
         return Message(bytes(out), self.nbits)
@@ -202,8 +200,7 @@ def first_block_flips(message: Message, key: bytes, t: int):
     def digest(i) -> tuple:
         signals = c
         if i is not None:
-            if not 0 <= i < limit:
-                raise IndexError("bit index out of range")
+            check_index(i, limit, "bit index")
             w = i // 32
             flipped = p.copy()
             flipped[w] = quantize_word(first[w] ^ (0x80000000 >> (i % 32)))

@@ -16,7 +16,7 @@ import functools
 import struct
 from dataclasses import dataclass
 
-from .chaosmap import Q_MAX, Q_MIN, check_count, orbit_sums
+from .chaosmap import Q_MAX, Q_MIN, check_count, check_index, orbit_sums
 
 __all__ = [
     "KEY_BYTES",
@@ -79,8 +79,7 @@ def check_iterations(t) -> int:
 
 def flip_key_bit(key: bytes, index: int) -> bytes:
     """Flip bit `index` of the key, MSB of byte 0 being bit 0."""
-    if not 0 <= index < 8 * KEY_BYTES:
-        raise ValueError("key bit index out of range")
+    check_index(index, 8 * KEY_BYTES, "key bit index")
     out = bytearray(check_key(key))
     out[index // 8] ^= 0x80 >> (index % 8)
     return bytes(out)

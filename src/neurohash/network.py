@@ -22,12 +22,11 @@ against hash_block on every call.
 
 from math import floor
 
-from .chaosmap import map_layer
+from .chaosmap import check_index, map_layer
 from .keyschedule import SubKeys, quantize_word
 
 __all__ = [
     "BLOCK_WORDS",
-    "DIGEST_WORDS",
     "input_layer",
     "update_input_layer",
     "hidden_layer",
@@ -38,7 +37,6 @@ __all__ = [
 ]
 
 BLOCK_WORDS = 32
-DIGEST_WORDS = 4
 
 
 def check_block(words) -> tuple:
@@ -92,9 +90,7 @@ def update_input_layer(c, p, w0, b0, q0: float, t: int, index: int) -> tuple:
     Only neuron index // 4 reads that input: it alone is evaluated again,
     by input_layer over its own four inputs, weights and bias.
     """
-    if not 0 <= index < BLOCK_WORDS:
-        raise IndexError("input index out of range")
-    j = index // 4
+    j = check_index(index, BLOCK_WORDS, "input index") // 4
     i = 4 * j
     signal = input_layer(p[i:i + 4], w0[i:i + 4], b0[j:j + 1], q0, t)
     return c[:j] + signal + c[j + 1:]

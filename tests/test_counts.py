@@ -1,10 +1,16 @@
-"""Every count in the package follows chaosmap.check_count's rule.
+"""Every count and every index in the package follows one rule.
 
 A count (iteration count t, orbit length, trials, truncation width,
-nbits) must be an int, and a bool is not one: anything else raises
-TypeError naming the count and the type. A count below its minimum
-raises ValueError "<count> must be >= <minimum>". Both are raised
-before any work starts.
+nbits, the value of Message.from_int) goes through
+chaosmap.check_count: it must be an int, and a bool is not one, so
+anything else raises TypeError naming the count and the type. A count
+below its minimum raises ValueError "<count> must be >= <minimum>".
+Both are raised before any work starts.
+
+A bit or input index (a key bit, a message bit, a first-block bit of
+the message sweep, a network input) goes through chaosmap.check_index:
+the same TypeError, and IndexError "<index> out of range" outside
+0 <= index < size.
 """
 
 import re
@@ -15,8 +21,14 @@ from hypothesis import strategies as st
 
 from neurohash.analysis import birthday_experiment
 from neurohash.chaosmap import divergence_probe, map_iter, map_layer, orbit_sums
-from neurohash.hashing import Message, hash_message
-from neurohash.keyschedule import check_iterations, expand_key, subkey_stream
+from neurohash.hashing import Message, first_block_flips, hash_message
+from neurohash.keyschedule import (
+    check_iterations,
+    expand_key,
+    flip_key_bit,
+    subkey_stream,
+)
+from neurohash.network import input_layer, update_input_layer
 from neurohash.opcount import count_operations
 
 KEY = bytes(range(16))
@@ -42,6 +54,7 @@ COUNTS = {
         lambda n: birthday_experiment(8, n, KEY, 1, 0), "trials", 2),
     "Message": (lambda n: Message(b"\x80", n), "nbits", 0),
     "Message.from_int": (lambda n: Message.from_int(5, n), "nbits", 0),
+    "Message.from_int value": (lambda n: Message.from_int(n, 64), "value", 0),
 }
 
 NON_INTS = st.one_of(st.booleans(), st.floats(), st.text(max_size=4),
@@ -61,6 +74,7 @@ NON_INTS = st.one_of(st.booleans(), st.floats(), st.text(max_size=4),
 @example(entry="count_operations", non_int=None, shortfall=1)
 @example(entry="birthday_experiment width", non_int=16.0, shortfall=8)
 @example(entry="birthday_experiment trials", non_int="20", shortfall=2)
+@example(entry="Message.from_int value", non_int=True, shortfall=1)
 def test_every_count_follows_one_rule(entry, non_int, shortfall):
     # Message(data, None) is the default length, 8 bits per byte
     assume(entry != "Message" or non_int is not None)
@@ -71,3 +85,42 @@ def test_every_count_follows_one_rule(entry, non_int, shortfall):
     with pytest.raises(ValueError,
                        match=re.escape("%s must be >= %d" % (what, least))):
         call(least - shortfall)
+
+
+SUBKEYS = expand_key(KEY, 1)
+INPUTS = [0.5] * 32
+SIGNALS = input_layer(INPUTS, SUBKEYS.w0, SUBKEYS.b0, SUBKEYS.q0, 1)
+
+# entry point -> (call with the index, name of the index, its size)
+INDICES = {
+    "flip_key_bit": (lambda i: flip_key_bit(KEY, i), "key bit index", 128),
+    "Message.bit": (lambda i: Message(b"ab").bit(i), "bit index", 16),
+    "Message.flip": (lambda i: Message(b"ab").flip(i), "bit index", 16),
+    "first_block_flips": (first_block_flips(Message(b"ab"), KEY, 1),
+                          "bit index", 16),
+    "update_input_layer": (
+        lambda i: update_input_layer(SIGNALS, INPUTS, SUBKEYS.w0, SUBKEYS.b0,
+                                     SUBKEYS.q0, 1, i),
+        "input index", 32),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry=st.sampled_from(sorted(INDICES)),
+       non_int=st.one_of(st.booleans(), st.floats(), st.text(max_size=4)),
+       excess=st.one_of(st.integers(0, 3), st.integers(0, 2 ** 70)))
+# the first three were accepted as index 1 before the rule was shared;
+# the last two leaked "indices must be integers or slices, not float"
+@example(entry="flip_key_bit", non_int=True, excess=0)
+@example(entry="Message.flip", non_int=True, excess=0)
+@example(entry="update_input_layer", non_int=True, excess=0)
+@example(entry="Message.bit", non_int=1.0, excess=0)
+@example(entry="first_block_flips", non_int=2.0, excess=0)
+def test_every_bit_index_follows_one_rule(entry, non_int, excess):
+    call, what, size = INDICES[entry]
+    with pytest.raises(TypeError, match=re.escape(
+            "%s must be an int, not %s" % (what, type(non_int).__name__))):
+        call(non_int)
+    for index in (-1 - excess, size + excess):
+        with pytest.raises(IndexError, match=re.escape("%s out of range" % what)):
+            call(index)

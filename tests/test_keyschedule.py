@@ -79,7 +79,7 @@ def test_flip_key_bit():
     assert flip_key_bit(key, 0)[0] == 0x80
     assert flip_key_bit(key, 127)[15] == 0x01
     assert flip_key_bit(flip_key_bit(key, 77), 77) == key
-    with pytest.raises(ValueError):
+    with pytest.raises(IndexError):
         flip_key_bit(key, 128)
 
 
