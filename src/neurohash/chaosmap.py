@@ -40,7 +40,6 @@ that can change a result, which is why they check their domain, x in
   (1 - top) / q can exceed 1 by an ulp.
 """
 
-import math
 import random
 
 __all__ = [
@@ -205,7 +204,7 @@ def mod1(a: float) -> float:
     Exact in binary64: subtracting the integer part of a float only
     shifts significance downward, so no rounding occurs.
     """
-    return a - math.floor(a)
+    return a % 1.0
 
 
 def divergence_probe(delta: float, q: float, t: int, trials: int, seed: int) -> float:

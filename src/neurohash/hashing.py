@@ -214,7 +214,7 @@ def first_block_flips(message: Message, key: bytes, t: int):
 
 def format_digest(digest) -> str:
     """32 uppercase hex digits, word 0 first, big-endian within words."""
-    return "".join("%08X" % w for w in digest)
+    return digest_to_bytes(digest).hex().upper()
 
 
 def parse_digest(text: str) -> tuple:

@@ -4,7 +4,7 @@ The input layer condenses 32 quantized words into 8 signals (4 inputs
 per neuron, t map iterations), the hidden layer mixes 8 into 8 with a
 single map application, and the output layer compresses 8 into 4 with t
 iterations again. Weighted sums accumulate in ascending index order,
-the bias is added last, and one mod1 (written out as s - floor(s))
+the bias is added last, and one mod1 (written out as s % 1.0)
 brings the pre-activation back into the map's domain. The sums start
 from the first product rather than from 0.0; every term is
 non-negative, and 0.0 + a == a for those, so the result is the same.
@@ -15,12 +15,10 @@ each neuron's map to completion, and it is the layer's only check of q
 and t. Input neuron j reads only inputs 4j..4j+3, so when one input of
 a block changes, update_input_layer evaluates that neuron again and
 keeps the other seven signals, and finish_block takes the new signals
-through the rest of the network. opcount runs the layers in lockstep,
-the schedule its critical-path counts model, and checks its digest
-against hash_block on every call.
+through the rest of the network. opcount walks each neuron's map one
+map_step at a time and checks its digest against hash_block on every
+call.
 """
-
-from math import floor
 
 from .chaosmap import check_index, map_layer
 from .keyschedule import SubKeys, quantize_word
@@ -44,14 +42,16 @@ def check_block(words) -> tuple:
     if len(words) != BLOCK_WORDS:
         raise ValueError("block must be exactly %d words" % BLOCK_WORDS)
     for w in words:
-        if not isinstance(w, int) or not 0 <= w <= 0xFFFFFFFF:
+        # an int, not a bool, by __class__: type() in hash_block tests t
+        if w.__class__ is not int or not 0 <= w <= 0xFFFFFFFF:
             raise ValueError("block words must be 32-bit integers")
     return words
 
 
 def _activate(pre, q: float, t: int) -> tuple:
     signals = map_layer(pre, q, t)
-    # map_layer has refused a t that is not an int or is negative
+    # map_layer, which must accept t = 0, has refused a non-int or
+    # negative t; check_iterations would test t's type again per layer
     if t < 1:
         raise ValueError("iteration count must be >= 1")
     return signals
@@ -64,7 +64,7 @@ def _input_preactivation(p, w0, b0) -> list:
         i = 4 * j
         s = (w0[i] * p[i] + w0[i + 1] * p[i + 1] + w0[i + 2] * p[i + 2]
              + w0[i + 3] * p[i + 3] + bias)
-        pre.append(s - floor(s))
+        pre.append(s % 1.0)
     return pre
 
 
@@ -75,7 +75,7 @@ def _dense_preactivation(x, w, b) -> list:
     for (w0, w1, w2, w3, w4, w5, w6, w7), bias in zip(w, b):
         s = (w0 * x0 + w1 * x1 + w2 * x2 + w3 * x3
              + w4 * x4 + w5 * x5 + w6 * x6 + w7 * x7 + bias)
-        pre.append(s - floor(s))
+        pre.append(s % 1.0)
     return pre
 
 

@@ -4,14 +4,14 @@ count_operations runs the production stage functions on tracked floats,
 which hold the identical binary64 values plus the (mul/div, add/sub)
 counts of their deepest dependency chain. Every multiplication/division
 and addition/subtraction whose result is used is counted once, in the
-pipeline stage that computed it. Comparisons (branch selection,
-clamping) and floor are not arithmetic and are not counted. The key
-orbits advance one map step at a time and each layer applies the map
-in lockstep, so the critical path reported, the deepest chain reaching
+pipeline stage that computed it; comparisons are free, mod 1 is one
+subtraction. Each key orbit and each neuron walks its own map_step
+calls. A chain depends only on the data flow, not on the order the
+steps run in, so the critical path reported, the deepest chain reaching
 any digest word, models all neurons of a layer and both key-generator
-orbits running concurrently. The instrumented digest is checked
-against hash_block on every run so the accounting cannot drift. The key
-is read through keyschedule.orbit_starts, on tracked key words.
+orbits running concurrently. The instrumented digest is checked against
+hash_block on every run so the accounting cannot drift. The key is read
+through keyschedule.orbit_starts, on tracked key words.
 """
 
 import struct
@@ -123,8 +123,9 @@ class _Tracked(float):
     def __gt__(self, other):
         return self.run.tested(self, float.__gt__(self, other))
 
-    def __floor__(self):
-        return _Tracked(float.__floor__(self), self.run, self.m, self.a)
+    # s % 1.0 is charged as the s - floor(s) it equals: one subtraction
+    def __mod__(self, other):
+        return self.joined("sub", float.__mod__(self, other), other)
 
     def __int__(self):
         # only extract_digest converts to int, the scaled digest words
@@ -173,18 +174,13 @@ class _Run:
         y, = self.kept(map_step(x, q))
         return y
 
-    def lockstep(self, pre, q: _Tracked, t: int) -> list:
-        for _ in range(t):
-            pre = [self.step(x, q) for x in pre]
-        return pre
-
-    def orbit(self, x: _Tracked, q: _Tracked, t: int) -> list:
-        # orbit_sums works 0.5 - q and 1 - q out once, but the model
-        # charges them on every step that uses them
+    def orbit(self, x: _Tracked, q: _Tracked, n: int) -> list:
+        # x and the n points after it; the kernels work 0.5 - q and
+        # 1 - q out once, the model charges them on every step
         points = [x]
-        for _ in range(t + SUBKEY_COUNT - 1):
+        for _ in range(n):
             points.append(self.step(points[-1], q))
-        return points[t:]
+        return points
 
 
 def count_operations(t: int, key: bytes = DEFAULT_COUNT_KEY,
@@ -202,8 +198,9 @@ def count_operations(t: int, key: bytes = DEFAULT_COUNT_KEY,
     run.stage("key_schedule")
     xa, qa, xb, qb = run.kept(*orbit_starts(
         _Tracked(k, run) for k in struct.unpack(">4I", key)))
-    stream = [mod1(a + b)
-              for a, b in zip(run.orbit(xa, qa, t), run.orbit(xb, qb, t))]
+    n = t + SUBKEY_COUNT - 1
+    stream = [mod1(a + b) for a, b in
+              zip(run.orbit(xa, qa, n)[t:], run.orbit(xb, qb, n)[t:])]
     keys = assign_subkeys(stream)
     # charged now: at t = 0 the map never uses q0 or q2
     q0, q1, q2 = (q.use() for q in run.kept(keys.q0, keys.q1, keys.q2))
@@ -212,13 +209,16 @@ def count_operations(t: int, key: bytes = DEFAULT_COUNT_KEY,
     p = [quantize_word(_Tracked(w, run)) for w in block]
 
     run.stage("input_layer")
-    c = run.lockstep(_input_preactivation(p, keys.w0, keys.b0), q0, t)
+    pre = _input_preactivation(p, keys.w0, keys.b0)
+    c = [run.orbit(x, q0, t)[-1] for x in pre]
 
     run.stage("hidden_layer")
-    d = run.lockstep(_dense_preactivation(c, keys.w1, keys.b1), q1, 1)
+    pre = _dense_preactivation(c, keys.w1, keys.b1)
+    d = [run.orbit(x, q1, 1)[-1] for x in pre]
 
     run.stage("output_layer")
-    h = run.lockstep(_dense_preactivation(d, keys.w2, keys.b2), q2, t)
+    pre = _dense_preactivation(d, keys.w2, keys.b2)
+    h = [run.orbit(x, q2, t)[-1] for x in pre]
 
     run.stage("digest_extract")
     digest = extract_digest(h)

@@ -9,8 +9,8 @@ q = 0.25 collapses every orbit (see that test's docstring).
 Criterion 4 checks the two concurrent evaluation paths against the
 sequential one: the experiments' forked fan-out on 1000 random
 (message, key) pairs, with workers forked even on one CPU, and the
-lockstep layer schedule of count_operations on the first block of the
-first 100 of them.
+neurons of count_operations, each stepped through its own map_step
+calls, on the first block of the first 100 of them.
 """
 
 import math
@@ -97,8 +97,9 @@ def test_criterion_4_parallel_fidelity(monkeypatch):
     monkeypatch.setattr(analysis, "_cpu_count", lambda: 3)
     fanned_out = analysis._hash_all(pairs, 50)
     looped = [hash_message(message, key, 50) for message, key in pairs]
-    # neuron concurrency: count_operations runs every layer in lockstep
-    # and raises if its digest differs from hash_block's
+    # neuron concurrency: count_operations steps each neuron through its
+    # own map_step calls, hash_block runs a layer as one map_layer call,
+    # and count_operations raises if the digests differ
     for message, key in pairs[:100]:
         count_operations(50, key, pad(message)[0])
     ok = len(forked) == 2 and fanned_out == looped

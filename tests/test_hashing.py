@@ -2,6 +2,7 @@ import copy
 import os
 import pickle
 import random
+import struct
 
 import pytest
 from hypothesis import example, given, settings
@@ -164,6 +165,8 @@ def test_unpad_rejects_words_outside_32_bits():
         unpad(((1 << 32,) + (0,) * 31,))
     with pytest.raises(ValueError):
         unpad(((0,) * 31,))
+    with pytest.raises(ValueError, match="32-bit integers"):
+        unpad([(True,) + (0,) * 31])
 
 
 def test_unpad_rejects_all_zero():
@@ -249,6 +252,10 @@ def test_format_digest():
     words = (0xDF461FA7, 0x6AC4D533, 0x0DF97BD5, 0x8FC96DAF)
     assert format_digest(words) == "DF461FA76AC4D5330DF97BD58FC96DAF"
     assert format_digest((0, 0, 0, 0)) == "0" * 32
+    # not 4 words of 32 bits, which would format to text parse_digest refuses
+    for digest in ((1 << 32, 0, 0, 0), (-1, 0, 0, 0), (1, 2, 3)):
+        with pytest.raises(struct.error):
+            format_digest(digest)
 
 
 def test_parse_format_round_trip():

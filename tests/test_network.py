@@ -205,8 +205,8 @@ def test_hash_block_matches_oracle():
 @example(key=bytes(range(16)), block=list(range(32)), t=1)
 def test_hash_block_lockstep_matches_scalar_and_oracle(key, block, t):
     # t = 1 gives every layer the hidden layer's single map step;
-    # count_operations runs the layers in lockstep and raises if its
-    # digest differs from hash_block's
+    # count_operations steps each neuron through its own map_step calls
+    # and raises if its digest differs from hash_block's
     assert hash_block(block, expand_key(key, t), t) == \
         block_hash_ref(block, key, t)
     count_operations(t, key, block)
@@ -222,6 +222,9 @@ def test_hash_block_validation():
         hash_block([1.5] + [0] * 31, keys, 50)
     with pytest.raises(ValueError):
         hash_block(["1"] + [0] * 31, keys, 50)
+    for word in (True, False):
+        with pytest.raises(ValueError, match="32-bit integers"):
+            hash_block((word,) + (0,) * 31, keys, 50)
     with pytest.raises(ValueError):
         hash_block(tuple(range(32)), keys, 0)
     for t in (50.0, True):
