@@ -4,10 +4,10 @@ The sensitivity metric is the hamming distance ratio between two
 digests: popcount of their XOR divided by 128. Sweeps flip one input
 bit at a time (message bits of the first block, or key bits), rehash,
 and record the ratio per flip. The birthday experiment hashes many
-distinct random one-block messages, truncates the digests to a small
-width, and compares observed colliding pairs with the birthday-bound
-expectation. All randomized experiments take an explicit seed and
-record it in their report.
+distinct random 1024-bit messages, two blocks each once padded,
+truncates the digests to a small width, and compares observed
+colliding pairs with the birthday-bound expectation. All randomized
+experiments take an explicit seed and record it in their report.
 
 The sweeps and the birthday experiment hash thousands of independent
 messages. A message-bit flip does not rehash its whole message: the
@@ -213,11 +213,12 @@ def key_sensitivity_sweep(message: Message, key: bytes, t: int) -> HdrReport:
 def birthday_experiment(
     width: int, trials: int, key: bytes, t: int, seed: int
 ) -> BirthdayReport:
-    """Count truncated-digest collisions among random one-block messages.
+    """Count truncated-digest collisions among random 1024-bit messages.
 
-    Hashes `trials` distinct random 1024-bit messages, keeps the top
-    `width` digest bits, and counts colliding unordered pairs against
-    the birthday expectation trials*(trials-1)/2 / 2^width.
+    Hashes `trials` distinct random 1024-bit messages, two blocks each
+    once padded, keeps the top `width` digest bits, and counts colliding
+    unordered pairs against the birthday expectation
+    trials*(trials-1)/2 / 2^width.
     """
     if check_count(width, 8, "truncation width") > 32:
         raise ValueError("truncation width must be in [8, 32]")

@@ -10,6 +10,7 @@ digest, i.e. key XOR (XOR of all per-block digests).
 """
 
 import struct
+from dataclasses import dataclass
 
 from .chaosmap import check_count, check_index
 from .keyschedule import check_key, expand_key, key_from_hex, quantize_word
@@ -42,35 +43,31 @@ BLOCK_BITS = 32 * BLOCK_WORDS
 _BLOCK_FORMAT = ">%dI" % BLOCK_WORDS
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class Message:
     """An immutable bit string; byte input expands MSB-first.
 
-    `nbits` may be shorter than 8 * len(data); bits past nbits are
-    cleared so equal bit strings compare equal.
+    `data` must be bytes-like, and `nbits` may be shorter than
+    8 * len(data). Only the (nbits + 7) // 8 bytes that hold the string
+    are kept, with the bits past nbits cleared, so equal bit strings
+    compare and hash equal.
     """
 
-    __slots__ = ("data", "nbits")
+    data: bytes
+    nbits: int
 
     def __init__(self, data: bytes = b"", nbits=None):
-        data = bytes(data)
+        data = bytes(memoryview(data))
         if nbits is None:
             nbits = 8 * len(data)
         elif check_count(nbits, 0, "nbits") > 8 * len(data):
             raise ValueError("nbits out of range for the given bytes")
-        slack = 8 * len(data) - nbits
+        data = data[:(nbits + 7) // 8]
+        slack = -nbits % 8
         if slack:
-            value = int.from_bytes(data, "big") >> slack << slack
-            data = value.to_bytes(len(data), "big")
+            data = data[:-1] + bytes((data[-1] >> slack << slack,))
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "nbits", nbits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Message is immutable")
-
-    def __reduce__(self):
-        # rebuild through __init__: the default slot restore would go
-        # through the blocking __setattr__
-        return (Message, (self.data, self.nbits))
 
     @classmethod
     def from_int(cls, value: int, nbits: int):
@@ -97,14 +94,6 @@ class Message:
 
     def __len__(self) -> int:
         return self.nbits
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Message):
-            return NotImplemented
-        return self.nbits == other.nbits and self.data == other.data
-
-    def __hash__(self) -> int:
-        return hash((self.nbits, self.data))
 
     def __repr__(self) -> str:
         return "Message(%s, nbits=%d)" % (self.data.hex() or "''", self.nbits)

@@ -6,11 +6,12 @@ Criterion 7 is split: 7a checks the map core; 7b checks that a 2^-32
 perturbation decorrelates within t = 50 steps at the parameters the
 hash derives from the sample key, and that the dyadic parameter
 q = 0.25 collapses every orbit (see that test's docstring).
-Criterion 4 checks the two concurrent evaluation paths against the
-sequential one: the experiments' forked fan-out on 1000 random
-(message, key) pairs, with workers forked even on one CPU, and the
-neurons of count_operations, each stepped through its own map_step
-calls, on the first block of the first 100 of them.
+Criterion 4 checks two evaluation paths against the sequential one:
+the one concurrent path, the experiments' forked fan-out, on 1000
+random (message, key) pairs, with workers forked even on one CPU; and
+count_operations, a per-lane instrumented walk that steps each neuron
+through its own map_step calls, on the first block of the first 100
+of them.
 """
 
 import math
@@ -97,7 +98,7 @@ def test_criterion_4_parallel_fidelity(monkeypatch):
     monkeypatch.setattr(analysis, "_cpu_count", lambda: 3)
     fanned_out = analysis._hash_all(pairs, 50)
     looped = [hash_message(message, key, 50) for message, key in pairs]
-    # neuron concurrency: count_operations steps each neuron through its
+    # per-lane walk: count_operations steps each neuron through its
     # own map_step calls, hash_block runs a layer as one map_layer call,
     # and count_operations raises if the digests differ
     for message, key in pairs[:100]:

@@ -50,6 +50,9 @@ def test_message_basics():
         m.bit(4)
     with pytest.raises(ValueError):
         Message(b"\x00", 9)
+    for data in (5, True, [1, 2]):
+        with pytest.raises(TypeError, match="a bytes-like object is required"):
+            Message(data)
 
 
 def test_message_pickle_and_copy_round_trip():
@@ -57,8 +60,34 @@ def test_message_pickle_and_copy_round_trip():
         for twin in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
             assert twin == m
             assert (twin.data, twin.nbits) == (m.data, m.nbits)
-            with pytest.raises(AttributeError, match="immutable"):
+            with pytest.raises(AttributeError, match="cannot assign"):
                 twin.nbits = 0
+
+
+@st.composite
+def _bit_string(draw):
+    data = draw(st.binary(max_size=40))
+    return data, draw(st.integers(0, 8 * len(data)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(string=_bit_string(), suffix=st.binary(min_size=1, max_size=8))
+@example(string=(b"\xff", 4), suffix=b"\x00")
+@example(string=(b"abc", 0), suffix=b"d")
+def test_message_is_held_in_one_canonical_form(string, suffix):
+    data, nbits = string
+    m, longer = Message(data, nbits), Message(data + suffix, nbits)
+    assert longer == m and hash(longer) == hash(m)
+    assert len(m.data) == (nbits + 7) // 8
+    slack = 8 * len(m.data) - nbits
+    assert int.from_bytes(m.data, "big") & ((1 << slack) - 1) == 0
+    assert [m.bit(i) for i in range(nbits)] == [
+        (data[i // 8] >> (7 - i % 8)) & 1 for i in range(nbits)]
+    if nbits % 8 == 0:
+        assert m == Message(data[:nbits // 8])   # Message(b"abc", 0) == Message(b"")
+    assert pad(longer) == pad(m)
+    for twin in (pickle.loads(pickle.dumps(longer)), copy.copy(longer), copy.deepcopy(longer)):
+        assert type(twin) is Message and twin == m
 
 
 def test_non_message_input_is_a_type_error():
@@ -71,7 +100,8 @@ def test_non_message_input_is_a_type_error():
 
 
 def test_float_iteration_count_rejected_on_a_key_cache_hit():
-    # expand_key's cache treats 50.0 like 50; the network still refuses it
+    # expand_key's cache is typed, so 50.0 misses the entry of 50 and
+    # subkey_stream's check_iterations refuses it
     m, key = Message(b"abc"), bytes(16)
     hash_message(m, key, 50)
     with pytest.raises(TypeError, match="iteration count must be an int"):
