@@ -5,6 +5,10 @@ A three-layer network of piecewise-linear chaotic map neurons hashes
 are padded, split, and chained through running-key XOR. Includes an
 analysis harness for avalanche sweeps, birthday-collision experiments,
 and arithmetic operation accounting.
+
+neurohash.kernel names the block chain that hashes: "c" for the compiled
+chain (ckernel), or "python: <reason>" when the Python stage functions
+run it. Reading it builds or loads the compiled chain if no hash has yet.
 """
 
 from .analysis import (
@@ -49,6 +53,14 @@ from .network import (
 from .opcount import OpCountReport, StageOps, count_operations
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name):
+    if name == "kernel":
+        from .ckernel import status
+        return status()
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
 
 __all__ = [
     "BirthdayReport",

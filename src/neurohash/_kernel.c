@@ -1,0 +1,261 @@
+/* The neurohash block chain in C, bit-equal to the Python stage functions.
+ *
+ * chain(padded, key, t) hashes every 128-byte block of a padded message
+ * as hashing._chain does: the running key is expanded into its 151
+ * sub-keys (keyschedule.subkey_stream, assign_subkeys), the block runs
+ * through the input, hidden and output layers (network.hash_block), and
+ * the block digest is XORed into the running key. It returns
+ * (digest, per_block), as hashing.hash_message_trace does.
+ *
+ * Every floating-point operation is the one the Python code performs, in
+ * the same order: sums accumulate in ascending index order from the
+ * first product with the bias added last, x % 1.0 is Python's float
+ * remainder, and each map step tests and divides as chaosmap.map_layer
+ * does. The digests match only if the compiler keeps that order and
+ * rounds every operation to binary64: build with -ffp-contract=off, and
+ * never with -ffast-math or -mfma (ckernel.FLAGS). The check below
+ * refuses targets that evaluate doubles in a wider format.
+ *
+ * The map's domain checks are left out. The chain cannot leave the
+ * domain: every parameter comes out of derive_param's clamp, every seed
+ * out of clamp_seed's, and every map input out of % 1.0 or a map step.
+ */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+
+#include <float.h>
+#include <limits.h>
+#include <math.h>
+#include <stdint.h>
+
+#if !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0
+#error "double arithmetic must be evaluated in binary64"
+#endif
+
+#define Q_MIN (1.0 / 1048576.0)           /* 2^-20 */
+#define Q_MAX (0.5 - 1.0 / 1048576.0)
+#define SEED_MIN (1.0 / 4294967296.0)     /* 2^-32 */
+#define SEED_MAX (1.0 - 1.0 / 4294967296.0)
+#define SUBKEY_COUNT 151
+#define BLOCK_BYTES 128
+#define KEY_BYTES 16
+
+/* Python's x % 1.0 */
+static double
+mod1(double x)
+{
+    double m = fmod(x, 1.0);
+    if (m != 0.0) {
+        if (m < 0.0)
+            m += 1.0;
+    }
+    else {
+        m = 0.0;
+    }
+    return m;
+}
+
+static double
+quantize_word(uint32_t word)
+{
+    return word / 4294967296.0;
+}
+
+static double
+derive_param(double u)
+{
+    double q = u / 2.0;
+    if (q < Q_MIN)
+        return Q_MIN;
+    if (q > Q_MAX)
+        return Q_MAX;
+    return q;
+}
+
+static double
+clamp_seed(double x)
+{
+    if (x < SEED_MIN)
+        return SEED_MIN;
+    if (x > SEED_MAX)
+        return SEED_MAX;
+    return x;
+}
+
+/* One map step; half = 0.5 - q and top = 1.0 - q, as map_layer has them. */
+static double
+map_step(double x, double q, double half, double top)
+{
+    if (x < 0.5) {
+        if (x < q)
+            x = x / q;
+        else
+            x = (x - q) / half;
+    }
+    else {
+        if (x < top)
+            x = (top - x) / half;
+        else
+            x = (1.0 - x) / q;
+        if (x > 1.0)
+            x = 1.0;
+    }
+    return x;
+}
+
+static double
+map_iter(double x, double q, long t)
+{
+    double half = 0.5 - q;
+    double top = 1.0 - q;
+    for (long i = 0; i < t; i++)
+        x = map_step(x, q, half, top);
+    return x;
+}
+
+static uint32_t
+load_word(const unsigned char *p)
+{
+    return (uint32_t)p[0] << 24 | (uint32_t)p[1] << 16
+           | (uint32_t)p[2] << 8 | (uint32_t)p[3];
+}
+
+/* keyschedule.subkey_stream: both orbits walked side by side (orbit_sums) */
+static void
+subkey_stream(const uint32_t k[4], long t, double s[SUBKEY_COUNT])
+{
+    double xa = clamp_seed(quantize_word(k[0]));
+    double qa = derive_param(quantize_word(k[1]));
+    double xb = clamp_seed(quantize_word(k[2]));
+    double qb = derive_param(quantize_word(k[3]));
+    double half_a = 0.5 - qa, top_a = 1.0 - qa;
+    double half_b = 0.5 - qb, top_b = 1.0 - qb;
+
+    xa = map_iter(xa, qa, t);
+    xb = map_iter(xb, qb, t);
+    s[0] = mod1(xa + xb);
+    for (int j = 1; j < SUBKEY_COUNT; j++) {
+        xa = map_step(xa, qa, half_a, top_a);
+        xb = map_step(xb, qb, half_b, top_b);
+        s[j] = mod1(xa + xb);
+    }
+}
+
+/* One layer of neurons: neuron j weighs `fan_in` inputs with the weights
+ * from w + j * fan_in, adds its bias, and runs the map t times. */
+static void
+layer(const double *x, int fan_in, const double *w, const double *b,
+      int neurons, double q, long t, double *out)
+{
+    for (int j = 0; j < neurons; j++) {
+        const double *row = w + j * fan_in;
+        double s = row[0] * x[0];
+        for (int i = 1; i < fan_in; i++)
+            s = s + row[i] * x[i];
+        s = s + b[j];
+        out[j] = map_iter(mod1(s), q, t);
+    }
+}
+
+/* network.hash_block under the sub-keys s, as sliced by assign_subkeys */
+static void
+hash_block(const unsigned char *block, const double s[SUBKEY_COUNT], long t,
+           uint32_t digest[4])
+{
+    double p[32], c[8], d[8], h[4];
+    double q0 = derive_param(s[40]);
+
+    for (int i = 0; i < 32; i++)
+        p[i] = quantize_word(load_word(block + 4 * i));
+    /* input neuron j reads p[4j .. 4j+3] with weights s[4j .. 4j+3] */
+    for (int j = 0; j < 8; j++)
+        layer(p + 4 * j, 4, s + 4 * j, s + 32 + j, 1, q0, t, c + j);
+    layer(c, 8, s + 41, s + 105, 8, derive_param(s[113]), 1, d);
+    layer(d, 8, s + 114, s + 146, 4, derive_param(s[150]), t, h);
+    for (int j = 0; j < 4; j++) {
+        double w = h[j] * 4294967296.0;
+        digest[j] = w < 4294967296.0 ? (uint32_t)w : 0xFFFFFFFFu;
+    }
+}
+
+static PyObject *
+digest_tuple(const uint32_t d[4])
+{
+    return Py_BuildValue("(kkkk)", (unsigned long)d[0], (unsigned long)d[1],
+                         (unsigned long)d[2], (unsigned long)d[3]);
+}
+
+/* (digest, per_block) of `blocks` padded blocks from the running key */
+static PyObject *
+chain_blocks(const unsigned char *raw, Py_ssize_t blocks,
+             const unsigned char *key, long t)
+{
+    uint32_t running[4], digest[4];
+    double s[SUBKEY_COUNT];
+    PyObject *per_block, *final, *result;
+
+    for (int i = 0; i < 4; i++)
+        running[i] = load_word(key + 4 * i);
+    per_block = PyTuple_New(blocks);
+    if (per_block == NULL)
+        return NULL;
+    for (Py_ssize_t n = 0; n < blocks; n++) {
+        subkey_stream(running, t, s);
+        hash_block(raw + n * BLOCK_BYTES, s, t, digest);
+        PyObject *item = digest_tuple(digest);
+        if (item == NULL) {
+            Py_DECREF(per_block);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(per_block, n, item);
+        for (int i = 0; i < 4; i++)
+            running[i] ^= digest[i];
+    }
+    final = digest_tuple(running);
+    result = final == NULL ? NULL : PyTuple_Pack(2, final, per_block);
+    Py_XDECREF(final);
+    Py_DECREF(per_block);
+    return result;
+}
+
+static PyObject *
+chain(PyObject *module, PyObject *args)
+{
+    Py_buffer padded, key;
+    long t;
+    PyObject *result = NULL;
+
+    if (!PyArg_ParseTuple(args, "y*y*l:chain", &padded, &key, &t))
+        return NULL;
+    if (padded.len == 0 || padded.len % BLOCK_BYTES != 0
+            || key.len != KEY_BYTES || t < 1)
+        PyErr_SetString(PyExc_ValueError,
+                        "expected padded blocks, a 16-byte key and t >= 1");
+    else
+        result = chain_blocks(padded.buf, padded.len / BLOCK_BYTES, key.buf, t);
+    PyBuffer_Release(&padded);
+    PyBuffer_Release(&key);
+    return result;
+}
+
+static PyMethodDef kernel_methods[] = {
+    {"chain", chain, METH_VARARGS,
+     "chain(padded, key, t) -> (digest, per_block digests)"},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef kernel_module = {
+    PyModuleDef_HEAD_INIT, "_kernel",
+    "The neurohash block chain, bit-equal to hashing._chain.", -1,
+    kernel_methods,
+};
+
+PyMODINIT_FUNC
+PyInit__kernel(void)
+{
+    PyObject *module = PyModule_Create(&kernel_module);
+    if (module != NULL && PyModule_AddIntConstant(module, "T_MAX", LONG_MAX) < 0)
+        Py_CLEAR(module);
+    return module;
+}

@@ -10,16 +10,13 @@ colliding pairs with the birthday-bound expectation. All randomized
 experiments take an explicit seed and record it in their report.
 
 The sweeps and the birthday experiment hash thousands of independent
-messages. A message-bit flip does not rehash its whole message: the
-flipped bit reaches one word of the first block, which one input neuron
-reads, so the sweep computes the unflipped message's pad, key expansion
-and first-block input signals once, and each flip re-evaluates that one
-neuron and then the rest of the chain (hashing.first_block_flips).
+messages, each flipped message or key rehashed whole by hash_message.
 The jobs are spread over every CPU in the process's affinity mask: this
 process runs the first contiguous chunk while forked workers run the
 rest, and the digests are joined in order, so the reports are
-bit-identical to a single loop of hash_message. Inputs are checked and
-seeded messages generated here, before any worker starts.
+bit-identical to a single loop of hash_message. Inputs are checked,
+seeded messages generated and the compiled chain loaded (or built)
+here, before any worker starts.
 """
 
 import csv
@@ -28,14 +25,9 @@ import random
 import threading
 from dataclasses import dataclass, fields
 
+from . import ckernel
 from .chaosmap import check_count
-from .hashing import (
-    BLOCK_BITS,
-    Message,
-    check_message,
-    first_block_flips,
-    hash_message,
-)
+from .hashing import BLOCK_BITS, Message, check_message, hash_message
 from .keyschedule import KEY_BYTES, check_iterations, check_key, flip_key_bit
 
 __all__ = [
@@ -168,6 +160,7 @@ def _hash_all(jobs, t: int) -> list:
     `hash_message` is looked up when each job runs, so a wrapper
     installed on this module applies here too.
     """
+    ckernel.load()    # built here, or else by every forked worker
     return _fan_out(lambda job: hash_message(job[0], job[1], t), jobs)
 
 
@@ -187,8 +180,6 @@ def message_sensitivity_sweep(message: Message, key: bytes, t: int) -> HdrReport
     """Hdr of each single-bit flip among the first block's message bits.
 
     Covers min(1024, message length) bit positions, each exactly once.
-    The work shared by every flip is done once, before the fan-out; each
-    flip then evaluates one input neuron and the rest of the chain.
     """
     check_message(message)
     if message.nbits == 0:
@@ -196,8 +187,8 @@ def message_sensitivity_sweep(message: Message, key: bytes, t: int) -> HdrReport
     key = check_key(key)
     check_iterations(t)
     indices = range(min(BLOCK_BITS, message.nbits))
-    digest = first_block_flips(message, key, t)
-    return _report(indices, _fan_out(digest, [None, *indices]))
+    jobs = [(message, key)] + [(message.flip(i), key) for i in indices]
+    return _report(indices, _hash_all(jobs, t))
 
 
 def key_sensitivity_sweep(message: Message, key: bytes, t: int) -> HdrReport:

@@ -1,0 +1,129 @@
+"""The compiled block chain: built on first use, trusted after a self-check.
+
+_kernel.c hashes every block of a padded message as hashing._chain does,
+keeping the Python stage functions' evaluation order, so its digests are
+bit-equal to theirs as long as the compiler neither fuses a multiply and
+an add into one rounding nor reorders floating-point operations. FLAGS
+therefore asks for -ffp-contract=off (clang's default, "on", fuses within
+an expression) and holds no -ffast-math or -mfma.
+
+The first load() in a process finds the extension where CPython keeps
+_kernel.c's byte code (the __pycache__ directory beside it, or its
+mirror under sys.pycache_prefix), named after a CRC-32 of the source
+and FLAGS. If it is missing, one compiler call builds it under a
+temporary name and os.replace moves it into place, so concurrent builds
+never see a partial file. The module is used only after it reproduces
+SELF_CHECK, golden records at t = 50, where a contracted build goes
+wrong (at t = 1 it can still agree). In every other case load() returns
+None, the Python stage functions stay in charge, and status() names
+the reason. hashing also keeps Python for a t beyond C's long, T_MAX.
+"""
+
+import functools
+import os
+import sys
+import threading
+import zlib
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import cache_from_source, module_from_spec, spec_from_file_location
+
+__all__ = ["FLAGS", "SELF_CHECK", "load", "status"]
+
+FLAGS = ("-O2", "-ffp-contract=off")
+_COMPILER = "cc"
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
+# functools.cache may run _load in two threads at once; they build in turn
+_BUILD_LOCK = threading.Lock()
+
+# (key hex, message hex, digest hex) at t = 50: records 2 and 12 of
+# tests/data/golden_vectors.csv
+SELF_CHECK = (
+    ("30313233343536373839616263646566", "616263",
+     "EB28C4FB8C232B3002AC6CCDC290A9C9"),
+    ("43797b6cece1bfbfbc10a18bea2f1efa",
+     "f00af34528b9abcef932cb8398c342fb815356deb95c7d212a56002701b763dadd24798b",
+     "9ADDC70710B8E3FACE353DCA5CD21A56"),
+)
+
+
+def load():
+    """The checked kernel module, or None while Python stays in charge."""
+    return _load()[0]
+
+
+def status() -> str:
+    """"c", or "python: <reason>" when load() returns None."""
+    return _load()[1]
+
+
+@functools.cache
+def _load():
+    try:
+        with open(_SOURCE, "rb") as handle:
+            source = handle.read()
+    except OSError as exc:
+        return None, "python: cannot read the kernel source: %s" % exc
+    tag = zlib.crc32(source + " ".join(FLAGS).encode())
+    cache = os.path.dirname(cache_from_source(_SOURCE))
+    path = os.path.join(cache, "_kernel.%08x%s" % (tag, EXTENSION_SUFFIXES[0]))
+    with _BUILD_LOCK:
+        failure = None if os.path.exists(path) else _build(path)
+    if failure:
+        return None, "python: " + failure
+    try:
+        spec = spec_from_file_location("neurohash._kernel", path)
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError as exc:
+        return None, "python: cannot load %s: %s" % (path, exc)
+    if not _reproduces_self_check(module):
+        return None, "python: %s fails its self-check" % path
+    return module, "c"
+
+
+def _build(path: str):
+    """Compile _kernel.c to `path`; None, or why it could not."""
+    temporary = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(temporary, "wb"):
+            pass
+    except OSError as exc:
+        return "cache not writable: %s" % exc
+    try:
+        # looked up first: without a compiler, every process comes here
+        import shutil
+
+        compiler = shutil.which(_COMPILER)
+        if compiler is None:
+            return "no C compiler (%s) on PATH" % _COMPILER
+        import subprocess
+        import sysconfig
+
+        paths = sysconfig.get_paths()
+        link = (["-bundle", "-undefined", "dynamic_lookup"]
+                if sys.platform == "darwin" else ["-shared", "-fPIC"])
+        command = [compiler, *FLAGS, *link, "-I", paths["include"],
+                   "-I", paths["platinclude"], _SOURCE, "-o", temporary]
+        try:
+            result = subprocess.run(command, capture_output=True, text=True,
+                                    errors="replace")
+        except OSError as exc:
+            return "build failed: %s" % exc
+        if result.returncode != 0:
+            lines = result.stderr.strip().splitlines() or ["no message"]
+            return "build failed (exit %d): %s" % (result.returncode, lines[0])
+        os.replace(temporary, path)
+        return None
+    finally:
+        if os.path.exists(temporary):
+            os.remove(temporary)
+
+
+def _reproduces_self_check(module) -> bool:
+    from .hashing import Message, _pad_bytes, parse_digest
+
+    return all(
+        module.chain(_pad_bytes(Message(bytes.fromhex(message))),
+                     bytes.fromhex(key), 50)[0] == parse_digest(digest)
+        for key, message, digest in SELF_CHECK)

@@ -7,21 +7,20 @@ original is recoverable. Blocks are hashed in a chain: each block is
 hashed under the running 128-bit key, and the running key is then
 XORed with the block digest. The final running key is the message
 digest, i.e. key XOR (XOR of all per-block digests).
+
+hash_message_trace checks its inputs, pads, and hands the padded bytes
+to the compiled chain (ckernel) when it has been built and has passed
+its self-check; otherwise _chain runs the Python stage functions, which
+stay the reference. Both give the same digests.
 """
 
 import struct
 from dataclasses import dataclass
 
+from . import ckernel
 from .chaosmap import check_count, check_index
-from .keyschedule import check_key, expand_key, key_from_hex, quantize_word
-from .network import (
-    BLOCK_WORDS,
-    check_block,
-    finish_block,
-    hash_block,
-    input_layer,
-    update_input_layer,
-)
+from .keyschedule import check_iterations, check_key, expand_key, key_from_hex
+from .network import BLOCK_WORDS, check_block, hash_block
 
 __all__ = [
     "BLOCK_BITS",
@@ -32,7 +31,6 @@ __all__ = [
     "chain_step",
     "hash_message",
     "hash_message_trace",
-    "first_block_flips",
     "format_digest",
     "parse_digest",
     "digest_to_bytes",
@@ -106,16 +104,23 @@ def check_message(message) -> Message:
 
 
 def pad(message: Message) -> tuple:
-    """Append '1' then minimal '0's to a 1024-bit multiple; split to blocks.
+    """Append '1' then minimal '0's to a 1024-bit multiple; split to blocks."""
+    return _blocks(_pad_bytes(message))
 
-    One shift of the whole message and one unpack per block, so the cost
-    is linear in the message length.
+
+def _pad_bytes(message: Message) -> bytes:
+    """The padded message as bytes, a whole number of blocks.
+
+    One shift of the whole message, so the cost is linear in its length.
     """
     check_message(message)
     nbits = message.nbits
     total = ((nbits + 1) + BLOCK_BITS - 1) // BLOCK_BITS * BLOCK_BITS
     value = ((message.to_int() << 1) | 1) << (total - nbits - 1)
-    raw = value.to_bytes(total // 8, "big")
+    return value.to_bytes(total // 8, "big")
+
+
+def _blocks(raw: bytes) -> tuple:
     return tuple(struct.unpack_from(_BLOCK_FORMAT, raw, off)
                  for off in range(0, len(raw), BLOCK_BITS // 8))
 
@@ -162,43 +167,14 @@ def hash_message(message: Message, key: bytes, t: int) -> tuple:
 
 def hash_message_trace(message: Message, key: bytes, t: int):
     """The message digest and every per-block digest, in chain order."""
-    running, per_block = _chain(check_key(key), pad(message), t)
-    return bytes_to_digest(running), per_block
-
-
-def first_block_flips(message: Message, key: bytes, t: int):
-    """A function of a first-block bit: the digest with that bit flipped.
-
-    The function, digest(i), equals hash_message(message.flip(i), key, t)
-    for each bit 0 <= i < min(1024, message length), and digest(None)
-    equals hash_message(message, key, t). Bit i lies in word i // 32 of
-    the first padded block, so digest(i) quantizes that one word,
-    evaluates the one input neuron that reads it, finishes the block and
-    chains the remaining blocks as hash_message does. Everything else
-    (the pad, the key expansion, the quantized block and its input-layer
-    signals) is computed here, once.
-    """
-    check_message(message)
     key = check_key(key)
-    first, *rest = pad(message)
-    keys = expand_key(key, t)
-    p = list(map(quantize_word, first))
-    c = input_layer(p, keys.w0, keys.b0, keys.q0, t)
-    limit = min(BLOCK_BITS, message.nbits)
-
-    def digest(i) -> tuple:
-        signals = c
-        if i is not None:
-            check_index(i, limit, "bit index")
-            w = i // 32
-            flipped = p.copy()
-            flipped[w] = quantize_word(first[w] ^ (0x80000000 >> (i % 32)))
-            signals = update_input_layer(c, flipped, keys.w0, keys.b0, keys.q0, t, w)
-        first_digest = finish_block(signals, keys, t)
-        running, _ = _chain(_next_key(key, first_digest), rest, t)
-        return bytes_to_digest(running)
-
-    return digest
+    raw = _pad_bytes(message)
+    check_iterations(t)
+    kernel = ckernel.load()
+    if kernel is not None and t <= kernel.T_MAX:
+        return kernel.chain(raw, key, t)
+    running, per_block = _chain(key, _blocks(raw), t)
+    return bytes_to_digest(running), per_block
 
 
 def format_digest(digest) -> str:

@@ -12,21 +12,18 @@ Digest words are the top 32 bits of each output signal.
 
 Within a layer the neurons are independent. One map_layer call runs
 each neuron's map to completion, and it is the layer's only check of q
-and t. Input neuron j reads only inputs 4j..4j+3, so when one input of
-a block changes, update_input_layer evaluates that neuron again and
-keeps the other seven signals, and finish_block takes the new signals
-through the rest of the network. opcount walks each neuron's map one
-map_step at a time and checks its digest against hash_block on every
-call.
+and t. opcount walks each neuron's map one map_step at a time and
+checks its digest against hash_block on every call. These functions
+are the reference for the compiled chain (ckernel), which hashing runs
+in their place once it has passed its self-check.
 """
 
-from .chaosmap import check_index, map_layer
+from .chaosmap import map_layer
 from .keyschedule import SubKeys, quantize_word
 
 __all__ = [
     "BLOCK_WORDS",
     "input_layer",
-    "update_input_layer",
     "hidden_layer",
     "output_layer",
     "extract_digest",
@@ -82,18 +79,6 @@ def _dense_preactivation(x, w, b) -> list:
 def input_layer(p, w0, b0, q0: float, t: int) -> tuple:
     """Condense 32 quantized inputs into 8 signals (t iterations each)."""
     return _activate(_input_preactivation(p, w0, b0), q0, t)
-
-
-def update_input_layer(c, p, w0, b0, q0: float, t: int, index: int) -> tuple:
-    """Input signals after input `index` of p changed; c are those before.
-
-    Only neuron index // 4 reads that input: it alone is evaluated again,
-    by input_layer over its own four inputs, weights and bias.
-    """
-    j = check_index(index, BLOCK_WORDS, "input index") // 4
-    i = 4 * j
-    signal = input_layer(p[i:i + 4], w0[i:i + 4], b0[j:j + 1], q0, t)
-    return c[:j] + signal + c[j + 1:]
 
 
 def hidden_layer(c, w1, b1, q1: float) -> tuple:

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import neurohash
-from neurohash import analysis, network
+from neurohash import analysis
 from neurohash.analysis import (
     BirthdayReport,
     HdrReport,
@@ -26,8 +26,7 @@ from neurohash.analysis import (
     message_sensitivity_sweep,
 )
 from neurohash.goldens import SAMPLE_KEY, SAMPLE_SENTENCE
-from neurohash.hashing import BLOCK_BITS, Message, hash_message, pad, parse_digest
-from neurohash.keyschedule import expand_key
+from neurohash.hashing import BLOCK_BITS, Message, hash_message, parse_digest
 from oracles import hash_message_ref
 
 SEED = 66017
@@ -345,19 +344,15 @@ def test_bad_input_raises_before_any_fork(monkeypatch, forks, call, error):
 
 
 def _failing_on(bad, error):
-    """first_block_flips whose per-flip work raises `error` on flip `bad`."""
-    real = analysis.first_block_flips
+    """hash_message that raises `error` on the message with bit `bad` flipped."""
+    target = _small_message().flip(bad)
 
-    @functools.wraps(real)
-    def factory(message, key, t):
-        digest = real(message, key, t)
-
-        def failing(i):
-            if i == bad:
-                raise error
-            return digest(i)
-        return failing
-    return factory
+    @functools.wraps(hash_message)
+    def failing(message, key, t):
+        if message == target:
+            raise error
+        return hash_message(message, key, t)
+    return failing
 
 
 class _Unpicklable(Exception):
@@ -374,7 +369,7 @@ def test_failure_reaps_every_worker(monkeypatch, forks, flip, error, raised):
     # 121 jobs (the baseline, then flips 0..119) in chunks of 40, 40 and 41:
     # flip 3 is job 4, hashed here; flip 100 is job 101, in the last worker
     monkeypatch.setattr(analysis, "_cpu_count", lambda: 3)
-    monkeypatch.setattr(analysis, "first_block_flips", _failing_on(flip, error))
+    monkeypatch.setattr(analysis, "hash_message", _failing_on(flip, error))
     m = _small_message()
     threads = threading.active_count()
     with pytest.raises(raised):
@@ -399,18 +394,16 @@ def test_sweeps_under_a_wrapped_hash_message(monkeypatch):
     assert key_sensitivity_sweep(m, KEY, 1) == _expected_key_sweep(m, KEY, 1)
     assert (birthday_experiment(8, 50, KEY, 1, seed=4)
             == _expected_birthday(8, 50, KEY, 1, 4))
-    # chunk 0 of the key sweep and of birthday; the message sweep's jobs
-    # run first_block_flips' per-flip function, not hash_message
-    assert len(calls) == 129 // 2 + 50 // 2
+    # chunk 0 of the message sweep, of the key sweep and of birthday
+    assert len(calls) == 121 // 2 + 129 // 2 + 50 // 2
 
 
-# --- the message sweep's per-flip work ---------------------------------------
+# --- frozen sweep reports ----------------------------------------------------
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
-# emit_csv text of both sweeps, frozen from the per-flip rehash
-# (hash_message(message.flip(i), key, t) for every flip) before the sweep
-# began to re-evaluate one input neuron per flip
+# emit_csv text of both sweeps, frozen from the per-flip rehash of the
+# Python stage functions (hash_message(message.flip(i), key, t) per flip)
 FROZEN_SWEEP_SHA256 = {
     "one block, 237 bits, t=2": (
         "3b5f84d30b933218c3b7a21c8fa0740ab42dc9f8704cbd6ec917af91a04b105a",
@@ -503,35 +496,3 @@ def test_message_sweep_matches_oracle(nbits, seed, key, t, picks):
         bits[i] ^= 1
         assert report.per_flip[i] == (i, hdr(baseline, hash_message_ref(bits, key, t)))
         bits[i] ^= 1
-
-
-@pytest.mark.parametrize("message", [
-    Message(b"work count", 77),                      # one block, 77 flips
-    Message(SAMPLE_SENTENCE.encode("ascii")),        # two blocks, 1024 flips
-])
-def test_each_flip_evaluates_one_input_neuron(monkeypatch, message):
-    # counts the neurons (lanes) of every map_layer call the network
-    # makes, by q; with one CPU they all happen in this process
-    monkeypatch.setattr(analysis, "_cpu_count", lambda: 1)
-    t = 2
-    keys = expand_key(KEY, t)
-    assert len({keys.q0, keys.q1, keys.q2}) == 3
-    calls = []
-    real = network.map_layer
-
-    def counting(xs, q, t):
-        calls.extend([q] * len(xs))
-        return real(xs, q, t)
-
-    monkeypatch.setattr(network, "map_layer", counting)
-    report = message_sensitivity_sweep(message, KEY, t)
-    flips = len(report.per_flip)
-    blocks = len(pad(message))
-    # the first block's input layer once, shared by every job; one input
-    # neuron per flip; hidden (8) and output (4) per job; and every later
-    # block in full (8 + 8 + 4) per job. A full rehash per flip would
-    # make calls.count(keys.q0) 8 * (1 + flips).
-    assert calls.count(keys.q0) == 8 + flips
-    assert calls.count(keys.q1) == 8 * (1 + flips)
-    assert calls.count(keys.q2) == 4 * (1 + flips)
-    assert len(calls) == 8 + flips + (1 + flips) * (12 + 20 * (blocks - 1))

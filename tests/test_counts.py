@@ -7,10 +7,9 @@ anything else raises TypeError naming the count and the type. A count
 below its minimum raises ValueError "<count> must be >= <minimum>".
 Both are raised before any work starts.
 
-A bit or input index (a key bit, a message bit, a first-block bit of
-the message sweep, a network input) goes through chaosmap.check_index:
-the same TypeError, and IndexError "<index> out of range" outside
-0 <= index < size.
+A bit index (a key bit or a message bit) goes through
+chaosmap.check_index: the same TypeError, and IndexError
+"<index> out of range" outside 0 <= index < size.
 """
 
 import re
@@ -21,14 +20,13 @@ from hypothesis import strategies as st
 
 from neurohash.analysis import birthday_experiment
 from neurohash.chaosmap import divergence_probe, map_iter, map_layer, orbit_sums
-from neurohash.hashing import Message, first_block_flips, hash_message
+from neurohash.hashing import Message, hash_message
 from neurohash.keyschedule import (
     check_iterations,
     expand_key,
     flip_key_bit,
     subkey_stream,
 )
-from neurohash.network import input_layer, update_input_layer
 from neurohash.opcount import count_operations
 
 KEY = bytes(range(16))
@@ -87,21 +85,11 @@ def test_every_count_follows_one_rule(entry, non_int, shortfall):
         call(least - shortfall)
 
 
-SUBKEYS = expand_key(KEY, 1)
-INPUTS = [0.5] * 32
-SIGNALS = input_layer(INPUTS, SUBKEYS.w0, SUBKEYS.b0, SUBKEYS.q0, 1)
-
 # entry point -> (call with the index, name of the index, its size)
 INDICES = {
     "flip_key_bit": (lambda i: flip_key_bit(KEY, i), "key bit index", 128),
     "Message.bit": (lambda i: Message(b"ab").bit(i), "bit index", 16),
     "Message.flip": (lambda i: Message(b"ab").flip(i), "bit index", 16),
-    "first_block_flips": (first_block_flips(Message(b"ab"), KEY, 1),
-                          "bit index", 16),
-    "update_input_layer": (
-        lambda i: update_input_layer(SIGNALS, INPUTS, SUBKEYS.w0, SUBKEYS.b0,
-                                     SUBKEYS.q0, 1, i),
-        "input index", 32),
 }
 
 
@@ -109,13 +97,11 @@ INDICES = {
 @given(entry=st.sampled_from(sorted(INDICES)),
        non_int=st.one_of(st.booleans(), st.floats(), st.text(max_size=4)),
        excess=st.one_of(st.integers(0, 3), st.integers(0, 2 ** 70)))
-# the first three were accepted as index 1 before the rule was shared;
-# the last two leaked "indices must be integers or slices, not float"
+# the first two were accepted as index 1 before the rule was shared;
+# the last leaked "indices must be integers or slices, not float"
 @example(entry="flip_key_bit", non_int=True, excess=0)
 @example(entry="Message.flip", non_int=True, excess=0)
-@example(entry="update_input_layer", non_int=True, excess=0)
 @example(entry="Message.bit", non_int=1.0, excess=0)
-@example(entry="first_block_flips", non_int=2.0, excess=0)
 def test_every_bit_index_follows_one_rule(entry, non_int, excess):
     call, what, size = INDICES[entry]
     with pytest.raises(TypeError, match=re.escape(

@@ -21,7 +21,6 @@ from neurohash.hashing import (
     bytes_to_digest,
     chain_step,
     digest_to_bytes,
-    first_block_flips,
     format_digest,
     hash_message,
     hash_message_trace,
@@ -241,33 +240,6 @@ def test_three_block_chain_identity():
         acc = tuple(a ^ b for a, b in zip(acc, digest))
     assert final == acc
     assert final == hash_message(m, key, 50)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(nbits=st.integers(1, 3100), seed=st.integers(0, 2**32 - 1),
-       key=st.binary(min_size=16, max_size=16), t=st.integers(1, 60),
-       picks=st.lists(st.integers(0, 1023), min_size=1, max_size=4))
-@example(nbits=1, seed=0, key=bytes(16), t=1, picks=[0])
-@example(nbits=1025, seed=1, key=SAMPLE_KEY, t=50, picks=[0, 127, 128, 1023])
-def test_first_block_flips_equals_hash_message_of_the_flip(nbits, seed, key, t, picks):
-    m = Message.from_int(random.Random(seed).getrandbits(nbits), nbits)
-    digest = first_block_flips(m, key, t)
-    assert digest(None) == hash_message(m, key, t)
-    for i in {pick % min(1024, nbits) for pick in picks}:
-        assert digest(i) == hash_message(m.flip(i), key, t)
-
-
-def test_first_block_flips_rejects_bits_outside_the_first_block():
-    key = bytes(16)
-    short = first_block_flips(Message(b"\xa5", 5), key, 1)
-    long = first_block_flips(Message(bytes(200)), key, 1)
-    for digest, bad in ((short, -1), (short, 5), (long, 1024)):
-        with pytest.raises(IndexError):
-            digest(bad)
-    with pytest.raises(TypeError):
-        first_block_flips(b"abc", key, 1)
-    with pytest.raises(ValueError):
-        first_block_flips(Message(b"abc"), bytes(15), 1)
 
 
 def test_hash_message_deterministic_and_keyed():

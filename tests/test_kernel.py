@@ -1,0 +1,359 @@
+"""The compiled chain (ckernel): bit-equal to the Python path, and guarded.
+
+Wherever a C compiler is on PATH the suite must run the compiled chain;
+the differential property then holds it to the Python stage functions
+and to the independent oracle. The build tests each run a copy of the
+package under tmp_path in a fresh interpreter, so its cache starts cold.
+"""
+
+import os
+import platform
+import re
+import shutil
+import struct
+import subprocess
+import sys
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import neurohash
+from neurohash import ckernel, hashing
+from neurohash.goldens import read_vectors
+from neurohash.hashing import (
+    Message,
+    bytes_to_digest,
+    format_digest,
+    hash_message_trace,
+    pad,
+)
+from oracles import bytes_to_bits, hash_message_ref
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def _key(*words) -> bytes:
+    return struct.pack(">4I", *words)
+
+
+# K0 = K2 = 0x80000000: both seeds are 0.5, which the map sends to 1.0
+# and then to the fixed point 0.0, so every sub-key is 0.0, every block
+# digest 0 and every message digest the key itself, whatever K1 and K3
+DOUBLY_DEAD = _key(0x80000000, 0x2468ACE0, 0x80000000, 0x13579BDF)
+# t = 1, one block: output neuron 0's pre-activation lands just above 0.5,
+# where the map returns its largest value below 1.0, and digest word 0
+# saturates at 0xFFFFFFFF (found by bisecting input word 1)
+SATURATED = (
+    bytes.fromhex("10af3177d161e79587a766ec30e40374"),
+    Message(bytes.fromhex(
+        "5c90a958a3f45b8f3f98e277cb5c74272e05319ab2f14c94c7a2ea203e7d1bfb"
+        "14f4733f930d6eaf4cdd2055867347217ebff206e00902c757ee05cdbabced20"
+        "72e6cc3a49b64a089be4bcfcfaecbd3812bd4ace1e398f10830e07bc6b0a18e8"
+        "2a3af4d4c1d3fcff5790f82e26e87555eeeacbe27d2caf826bf46c69")),
+    1,
+)
+
+# K0/K2 seed the orbits: 0x80000000 kills one, 0, 1 and 0xFFFFFFFF are
+# one clamp class. K1/K3 set q: 0x80000000 is the dyadic q = 0.25, and
+# [0, 8192] and [2^32 - 8192, 2^32 - 1] clamp to Q_MIN and Q_MAX
+SEED_WORDS = st.one_of(st.sampled_from([0, 1, 0x80000000, 0xFFFFFFFF]),
+                       st.integers(0, 2 ** 32 - 1))
+PARAM_WORDS = st.one_of(
+    st.sampled_from([0, 8192, 0x80000000, 2 ** 32 - 8192, 0xFFFFFFFF]),
+    st.integers(0, 2 ** 32 - 1))
+KEYS = st.one_of(
+    st.binary(min_size=16, max_size=16),
+    st.tuples(SEED_WORDS, PARAM_WORDS, SEED_WORDS, PARAM_WORDS).map(
+        lambda words: _key(*words)))
+
+
+@st.composite
+def _messages(draw):
+    """0 to 3071 bits (one to three padded blocks) of zeros, ones or noise."""
+    nbits = draw(st.integers(0, 3 * 1024 - 1))
+    fill = draw(st.sampled_from(["zeros", "ones", "noise"]))
+    value = {"zeros": 0, "ones": (1 << nbits) - 1}.get(fill)
+    if value is None:
+        value = draw(st.integers(0, (1 << nbits) - 1))
+    return Message.from_int(value, nbits)
+
+
+def _python_trace(message, key, t):
+    running, per_block = hashing._chain(key, pad(message), t)
+    return bytes_to_digest(running), per_block
+
+
+def test_the_suite_runs_the_kernel_wherever_a_compiler_is(monkeypatch):
+    if shutil.which("cc") is None:
+        assert neurohash.kernel.startswith("python: ")
+        return
+    assert neurohash.kernel == "c"
+
+    def python_chain(*args):
+        raise AssertionError("the Python chain ran with the kernel loaded")
+
+    monkeypatch.setattr(hashing, "_chain", python_chain)
+    key, message, t = SATURATED
+    digest, per_block = hash_message_trace(message, key, t)
+    assert per_block[0][0] == 0xFFFFFFFF
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(message=_messages(), key=KEYS, t=st.integers(1, 60))
+@example(message=Message(b""), key=DOUBLY_DEAD, t=1)
+@example(message=Message(b"\xff" * 383), key=DOUBLY_DEAD, t=50)
+@example(message=Message(bytes(200)), key=_key(0, 0x80000000, 1, 0x80000000), t=50)
+@example(message=Message(b"\xff" * 128), key=_key(0x80000000, 0, 0xFFFFFFFF, 2 ** 32 - 8192), t=1)
+@example(message=Message(bytes(127)), key=_key(1, 8192, 0, 0xFFFFFFFF), t=2)
+@example(message=SATURATED[1], key=SATURATED[0], t=SATURATED[2])
+def test_kernel_equals_python_chain_and_oracle(message, key, t):
+    expected = _python_trace(message, key, t)
+    assert hash_message_trace(message, key, t) == expected
+    kernel = ckernel.load()
+    if kernel is not None:
+        assert kernel.chain(hashing._pad_bytes(message), key, t) == expected
+    bits = bytes_to_bits(message.data)[:message.nbits]
+    assert hash_message_ref(bits, key, t) == expected[0]
+
+
+def test_special_keys_and_words_show_their_property():
+    # the explicit examples above cover what they claim to cover
+    for message in (Message(b""), Message(b"\xff" * 383)):
+        for t in (1, 50):
+            digest, per_block = hash_message_trace(message, DOUBLY_DEAD, t)
+            assert digest == bytes_to_digest(DOUBLY_DEAD)
+            assert set(per_block) == {(0, 0, 0, 0)}
+    key, message, t = SATURATED
+    _, (first,) = hash_message_trace(message, key, t)
+    assert first[0] == 0xFFFFFFFF
+    assert pad(message)[0][31] == 0x80000000      # 31 message words
+
+
+def test_self_check_records_are_golden_vectors_at_t_50():
+    # at t = 1 a contracted build can still agree with the goldens
+    golden = {(key.hex(), data.hex(), t, format_digest(digest)) for key, data, t, digest
+              in read_vectors(os.path.join(DATA, "golden_vectors.csv"))}
+    for key, message, digest in ckernel.SELF_CHECK:
+        assert (key, message, 50, digest) in golden
+
+
+def test_a_t_beyond_c_long_stays_on_the_python_path(monkeypatch):
+    # such a t never finishes: the Python chain is replaced by a stub
+    calls = []
+
+    def python_chain(running, blocks, t):
+        calls.append(t)
+        return running, ()
+
+    monkeypatch.setattr(hashing, "_chain", python_chain)
+    t = 2 ** 63
+    key = bytes(range(16))
+    assert hash_message_trace(Message(b"abc"), key, t) == (bytes_to_digest(key), ())
+    assert calls == [t]
+
+
+# --- the build, the cache and the guard, in a copy of the package ------------
+
+
+def _copy_package(tmp_path, flags=None):
+    """A copy of src/neurohash with no cache; FLAGS replaced when given."""
+    src = tmp_path / "src"
+    shutil.copytree(os.path.dirname(neurohash.__file__), src / "neurohash",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    if flags is not None:
+        path = src / "neurohash" / "ckernel.py"
+        text, count = re.subn(r"^FLAGS = .*$", "FLAGS = %r" % (tuple(flags),),
+                              path.read_text(), flags=re.M)
+        assert count == 1
+        path.write_text(text)
+    return src
+
+
+def _run(src, code, *, no_compiler=False, prefix=None) -> str:
+    """Stdout of `code` in a fresh interpreter importing the copy at `src`.
+
+    Its cache is the copy's __pycache__, or under `prefix` when given.
+    """
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    if prefix is not None:
+        env["PYTHONPYCACHEPREFIX"] = str(prefix)
+    if no_compiler:
+        empty = src.parent / "empty-path"
+        empty.mkdir(exist_ok=True)
+        env["PATH"] = str(empty)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=120, env=env, cwd=str(src.parent))
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def _cached(src) -> list:
+    """Names of the kernel files in the copy's cache."""
+    return sorted(p.name for p in (src / "neurohash" / "__pycache__").glob("_kernel.*"))
+
+
+# the kernel's status, then the golden vectors and both sample sweeps as
+# "ok" or the reason they differ from the frozen files
+OUTPUTS = """
+import io, os
+import neurohash
+from neurohash.analysis import emit_csv, key_sensitivity_sweep, message_sensitivity_sweep
+from neurohash.goldens import SAMPLE_KEY, SAMPLE_SENTENCE, verify_vectors
+print(neurohash.kernel)
+total, failures = verify_vectors(os.path.join(%r, "golden_vectors.csv"))
+print("goldens", total, failures)
+message = neurohash.Message(SAMPLE_SENTENCE.encode("ascii"))
+for name, sweep in (("message", message_sensitivity_sweep), ("key", key_sensitivity_sweep)):
+    text = io.StringIO(newline="")
+    emit_csv(sweep(message, SAMPLE_KEY, 50), text)
+    with open(os.path.join(%r, "sample_sensitivity", name + "_sensitivity.csv"), newline="") as f:
+        print(name, "ok" if f.read() == text.getvalue() else "differs")
+""" % (DATA, DATA)
+SAME_OUTPUTS = ["goldens 20 []", "message ok", "key ok"]
+
+
+def _fusing_flags():
+    """Flags that make the compiler fuse multiply-adds on this machine."""
+    machine = platform.machine().lower()
+    if machine in ("arm64", "aarch64"):
+        return ["-O2", "-ffp-contract=fast"]
+    if machine in ("x86_64", "amd64") and sys.platform.startswith("linux"):
+        with open("/proc/cpuinfo") as handle:
+            if re.search(r"^flags\s*:.*\bfma\b", handle.read(), re.M):
+                return ["-O2", "-mfma", "-ffp-contract=fast"]
+    return None
+
+
+def test_a_contracted_build_fails_the_self_check(tmp_path):
+    flags = _fusing_flags()
+    if flags is None or shutil.which("cc") is None:
+        pytest.skip("no fused multiply-add build on this machine")
+    src = _copy_package(tmp_path, flags)
+    status, *outputs = _run(src, OUTPUTS).splitlines()
+    assert re.fullmatch(r"python: .*_kernel\.[0-9a-f]{8}\..* fails its self-check",
+                        status), status
+    assert outputs == SAME_OUTPUTS
+    assert len(_cached(src)) == 1                 # built, then refused
+
+
+def test_no_compiler_falls_back_to_identical_digests(tmp_path):
+    src = _copy_package(tmp_path)
+    status, *outputs = _run(src, OUTPUTS, no_compiler=True).splitlines()
+    assert status == "python: no C compiler (cc) on PATH"
+    assert outputs == SAME_OUTPUTS
+    assert _cached(src) == []
+
+
+def test_an_unwritable_cache_falls_back(tmp_path):
+    src = _copy_package(tmp_path)
+    (src / "neurohash" / "__pycache__").write_text("a file, not a directory")
+    code = "import neurohash; print(neurohash.kernel)"
+    assert _run(src, code).startswith("python: cache not writable: ")
+
+
+def test_a_second_process_loads_the_cache_without_compiling(tmp_path):
+    if shutil.which("cc") is None:
+        pytest.skip("nothing to cache without a C compiler")
+    src = _copy_package(tmp_path)
+    code = "import neurohash; print(neurohash.kernel)"
+    assert _run(src, code) == "c\n"
+    (name,) = _cached(src)
+    assert re.fullmatch(r"_kernel\.[0-9a-f]{8}\..+", name)
+    assert _run(src, code, no_compiler=True) == "c\n"
+    assert _cached(src) == [name]
+
+
+def test_the_cache_follows_the_pycache_prefix(tmp_path):
+    if shutil.which("cc") is None:
+        pytest.skip("nothing to cache without a C compiler")
+    src = _copy_package(tmp_path)
+    prefix = tmp_path / "prefix"
+    assert _run(src, "import neurohash; print(neurohash.kernel)", prefix=prefix) == "c\n"
+    (built,) = prefix.rglob("_kernel.*")
+    assert built.parent == prefix / (src / "neurohash").relative_to(src.anchor)
+    assert _cached(src) == []
+
+
+def test_forked_workers_never_compile(tmp_path):
+    # every call of _build appends its process id to a file
+    src = _copy_package(tmp_path)
+    code = """
+import os
+from neurohash import analysis, ckernel
+from neurohash.hashing import Message
+real = ckernel._build
+
+def build(path):
+    with open("builds", "a") as handle:
+        handle.write("%d\\n" % os.getpid())
+    return real(path)
+
+ckernel._build = build
+analysis._cpu_count = lambda: 2
+report = analysis.key_sensitivity_sweep(Message(b"fork"), bytes(16), 1)
+print(len(report.per_flip), os.getpid())
+"""
+    count, pid = _run(src, code).split()
+    assert count == "128"
+    assert (tmp_path / "builds").read_text().split() == [pid]
+
+
+def test_threads_making_the_first_hash_build_once(tmp_path):
+    # more threads than cores all make the process's first hash at once
+    src = _copy_package(tmp_path)
+    code = """
+import threading
+from neurohash import ckernel, hashing
+builds = []
+real = ckernel._build
+ckernel._build = lambda path: builds.append(path) or real(path)
+barrier = threading.Barrier(6)
+digests = []
+
+def first_hash():
+    barrier.wait(timeout=60)
+    digests.append(hashing.hash_message(hashing.Message(b"abc"), b"0123456789abcdef", 50))
+
+threads = [threading.Thread(target=first_hash) for _ in range(6)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60)
+print(not any(thread.is_alive() for thread in threads))
+print(sorted(set(map(hashing.format_digest, digests))), len(digests))
+print(len(builds), ckernel.status())
+"""
+    done, digests, builds = _run(src, code).splitlines()
+    assert done == "True"
+    assert digests == "['EB28C4FB8C232B3002AC6CCDC290A9C9'] 6"
+    if shutil.which("cc") is not None:
+        assert builds == "1 c"
+
+
+HEAVY = ["multiprocessing", "concurrent.futures", "pickle", "signal", "numpy"]
+# what the cached path and the path without a compiler must not import:
+# the compiler call's subprocess and sysconfig (about 58 ms a process
+# with no compiler before the lookup came first), and hashlib, which
+# alone costs about 4 ms of start-up
+BUILD_ONLY = ["subprocess", "sysconfig", "hashlib"]
+
+
+def test_import_stays_light_on_a_cold_and_a_warm_cache(tmp_path):
+    src = _copy_package(tmp_path)
+    code = """
+import sys
+before = set(sys.modules)
+import neurohash
+print([name for name in %r if name in sys.modules])
+neurohash.hash_message(neurohash.Message(b"abc"), bytes(16), 50)
+print(neurohash.kernel, [name for name in %r if name in set(sys.modules) - before])
+""" % (HEAVY, BUILD_ONLY)
+    cold = _run(src, code).splitlines()
+    warm = _run(src, code).splitlines()
+    bare = _run(src, code, no_compiler=True, prefix=tmp_path / "cold").splitlines()
+    assert cold[0] == warm[0] == bare[0] == "[]"
+    assert bare[1] == "python: no C compiler (cc) on PATH []"
+    if shutil.which("cc") is not None:
+        assert warm[1] == "c []"

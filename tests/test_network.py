@@ -15,7 +15,6 @@ from neurohash.network import (
     hidden_layer,
     input_layer,
     output_layer,
-    update_input_layer,
 )
 from neurohash.opcount import count_operations
 from neurohash.chaosmap import map_iter, map_step, mod1
@@ -112,32 +111,6 @@ def test_layers_match_straight_line_oracle():
         assert list(d) == hidden_layer_ref(c, w1, b1, q)
         h = output_layer(d, w2, b2, q, 50)
         assert list(h) == output_layer_ref(d, w2, b2, q, 50)
-
-
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), index=st.integers(0, 31),
-       t=st.integers(1, 60))
-@example(seed=0, index=0, t=1)
-@example(seed=1, index=31, t=50)
-def test_update_input_layer_equals_whole_layer(seed, index, t):
-    rng = random.Random(seed)
-    p = list(_rand_signals(rng, 32))
-    w0, b0, *_ = _rand_subkey_like(rng)
-    q = rng.uniform(0.01, 0.49)
-    c = input_layer(p, w0, b0, q, t)
-    p[index] = rng.random()
-    updated = update_input_layer(c, p, w0, b0, q, t, index)
-    assert updated == input_layer(p, w0, b0, q, t)
-    assert updated[:index // 4] + updated[index // 4 + 1:] == \
-        c[:index // 4] + c[index // 4 + 1:]
-
-
-def test_update_input_layer_rejects_an_index_outside_the_block():
-    p = [0.5] * 32
-    c = input_layer(p, (0.1,) * 32, (0.2,) * 8, 0.3, 2)
-    for index in (-1, 32):
-        with pytest.raises(IndexError):
-            update_input_layer(c, p, (0.1,) * 32, (0.2,) * 8, 0.3, 2, index)
 
 
 def test_finish_block_is_hash_block_after_the_input_layer():
