@@ -5,16 +5,18 @@
  * sub-keys (keyschedule.subkey_stream, assign_subkeys), the block runs
  * through the input, hidden and output layers (network.hash_block), and
  * the block digest is XORed into the running key. It returns
- * (digest, per_block), as hashing.hash_message_trace does.
+ * (digest, per_block), as hashing.hash_message_trace does. The block loop
+ * runs with the GIL released, into a C buffer, so threads hash in
+ * parallel; the Python tuples are built once the GIL is taken back.
  *
  * Every floating-point operation is the one the Python code performs, in
  * the same order: sums accumulate in ascending index order from the
- * first product with the bias added last, x % 1.0 is Python's float
- * remainder, and each map step tests and divides as chaosmap.map_layer
- * does. The digests match only if the compiler keeps that order and
- * rounds every operation to binary64: build with -ffp-contract=off, and
- * never with -ffast-math or -mfma (ckernel.FLAGS). The check below
- * refuses targets that evaluate doubles in a wider format.
+ * first product with the bias added last, mod1 is Python's x % 1.0, and
+ * each map step tests and divides as chaosmap.map_layer does. The digests
+ * match only if the compiler keeps that order and rounds every operation
+ * to binary64: build with -ffp-contract=off, and never with -ffast-math or
+ * -mfma (ckernel.FLAGS). The check below refuses targets that evaluate
+ * doubles in a wider format.
  *
  * The map's domain checks are left out. The chain cannot leave the
  * domain: every parameter comes out of derive_param's clamp, every seed
@@ -26,7 +28,6 @@
 
 #include <float.h>
 #include <limits.h>
-#include <math.h>
 #include <stdint.h>
 
 #if !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0
@@ -41,19 +42,15 @@
 #define BLOCK_BYTES 128
 #define KEY_BYTES 16
 
-/* Python's x % 1.0 */
+/* Python's x % 1.0 for 0 <= x < 2^63, which every sum here is (at most 9
+ * non-negative terms, none above 1). The cast truncates to floor(x),
+ * an integer no larger than x and so a double too, and x minus it is x's
+ * fractional bits, which a double holds exactly: no rounding occurs, and
+ * an integer x gives +0.0, as Python does. */
 static double
 mod1(double x)
 {
-    double m = fmod(x, 1.0);
-    if (m != 0.0) {
-        if (m < 0.0)
-            m += 1.0;
-    }
-    else {
-        m = 0.0;
-    }
-    return m;
+    return x - (double)(int64_t)x;
 }
 
 static double
@@ -186,36 +183,54 @@ digest_tuple(const uint32_t d[4])
                          (unsigned long)d[2], (unsigned long)d[3]);
 }
 
+/* Every block digest of `blocks` padded blocks from the running key, then
+ * the final running key: 4 * (blocks + 1) words. Touches no Python object. */
+static void
+chain_words(const unsigned char *raw, Py_ssize_t blocks,
+            const unsigned char *key, long t, uint32_t *words)
+{
+    uint32_t *running = words + 4 * blocks;
+    double s[SUBKEY_COUNT];
+
+    for (int i = 0; i < 4; i++)
+        running[i] = load_word(key + 4 * i);
+    for (Py_ssize_t n = 0; n < blocks; n++) {
+        uint32_t *digest = words + 4 * n;
+        subkey_stream(running, t, s);
+        hash_block(raw + n * BLOCK_BYTES, s, t, digest);
+        for (int i = 0; i < 4; i++)
+            running[i] ^= digest[i];
+    }
+}
+
 /* (digest, per_block) of `blocks` padded blocks from the running key */
 static PyObject *
 chain_blocks(const unsigned char *raw, Py_ssize_t blocks,
              const unsigned char *key, long t)
 {
-    uint32_t running[4], digest[4];
-    double s[SUBKEY_COUNT];
-    PyObject *per_block, *final, *result;
+    uint32_t *words = PyMem_New(uint32_t, 4 * (blocks + 1));
+    PyObject *per_block, *final, *result = NULL;
 
-    for (int i = 0; i < 4; i++)
-        running[i] = load_word(key + 4 * i);
+    if (words == NULL)
+        return PyErr_NoMemory();
+    Py_BEGIN_ALLOW_THREADS
+    chain_words(raw, blocks, key, t, words);
+    Py_END_ALLOW_THREADS
     per_block = PyTuple_New(blocks);
-    if (per_block == NULL)
-        return NULL;
-    for (Py_ssize_t n = 0; n < blocks; n++) {
-        subkey_stream(running, t, s);
-        hash_block(raw + n * BLOCK_BYTES, s, t, digest);
-        PyObject *item = digest_tuple(digest);
-        if (item == NULL) {
-            Py_DECREF(per_block);
-            return NULL;
-        }
-        PyTuple_SET_ITEM(per_block, n, item);
-        for (int i = 0; i < 4; i++)
-            running[i] ^= digest[i];
+    for (Py_ssize_t n = 0; per_block != NULL && n < blocks; n++) {
+        PyObject *item = digest_tuple(words + 4 * n);
+        if (item == NULL)
+            Py_CLEAR(per_block);
+        else
+            PyTuple_SET_ITEM(per_block, n, item);
     }
-    final = digest_tuple(running);
-    result = final == NULL ? NULL : PyTuple_Pack(2, final, per_block);
-    Py_XDECREF(final);
-    Py_DECREF(per_block);
+    if (per_block != NULL) {
+        final = digest_tuple(words + 4 * blocks);
+        result = final == NULL ? NULL : PyTuple_Pack(2, final, per_block);
+        Py_XDECREF(final);
+        Py_DECREF(per_block);
+    }
+    PyMem_Free(words);
     return result;
 }
 

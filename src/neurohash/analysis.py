@@ -11,12 +11,10 @@ experiments take an explicit seed and record it in their report.
 
 The sweeps and the birthday experiment hash thousands of independent
 messages, each flipped message or key rehashed whole by hash_message.
-The jobs are spread over every CPU in the process's affinity mask: this
-process runs the first contiguous chunk while forked workers run the
-rest, and the digests are joined in order, so the reports are
-bit-identical to a single loop of hash_message. Inputs are checked,
-seeded messages generated and the compiled chain loaded (or built)
-here, before any worker starts.
+_hash_all spreads them over every CPU in the process's affinity mask on
+threads, which run in parallel because the compiled chain releases the
+GIL, and joins the digests in order, so the reports are bit-identical
+to a single loop of hash_message.
 """
 
 import csv
@@ -76,92 +74,49 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _fork_worker(work, jobs):
-    """Fork a process that runs `work` on `jobs`; returns (pid, pipe read end).
-
-    The child pickles (True, results), or (False, exception), into the
-    pipe and leaves through os._exit, so it never returns to the caller
-    and never flushes the parent's buffered output. `work` reaches the
-    child through the fork, not through the pipe, so it may be a closure.
-    """
-    import pickle
-
-    reader, writer = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(writer)
-        return pid, reader
-    status = 1
-    try:
-        os.close(reader)
-        try:
-            outcome = (True, [work(job) for job in jobs])
-        except BaseException as error:  # raised again by _join_worker
-            outcome = (False, error)
-        with open(writer, "wb") as handle:
-            pickle.dump(outcome, handle)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _join_worker(pid: int, reader: int) -> list:
-    """The results of a _fork_worker child; re-raises what it raised."""
-    import pickle
-
-    with open(reader, "rb") as handle:
-        data = handle.read()
-    _, status = os.waitpid(pid, 0)
-    try:
-        ok, value = pickle.loads(data)
-    except (EOFError, pickle.UnpicklingError):
-        raise RuntimeError(
-            "hash worker %d failed with wait status %d" % (pid, status)) from None
-    if not ok:
-        raise value
-    return value
-
-
-def _fan_out(work, jobs) -> list:
-    """work(job) for each job, in order, over every CPU this process may use.
-
-    The jobs split into one contiguous chunk per CPU. Forked workers run
-    chunks 1..n-1 while this process runs chunk 0, and the results join
-    in job order. Workers are always reaped before this returns or raises.
-    No process is started with one CPU or one job, without os.fork, or
-    while other threads run: a forked child gets only the calling thread,
-    so a lock another thread holds would stay locked in it forever.
-    """
-    n = min(_cpu_count(), len(jobs))
-    if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [work(job) for job in jobs]
-    import signal
-
-    bounds = [len(jobs) * i // n for i in range(n + 1)]
-    workers = []
-    try:
-        for lo, hi in zip(bounds[1:], bounds[2:]):
-            workers.append(_fork_worker(work, jobs[lo:hi]))
-        results = [work(job) for job in jobs[:bounds[1]]]
-        while workers:
-            results.extend(_join_worker(*workers.pop(0)))
-    finally:
-        # left over only when something raised: stop and reap them
-        for pid, reader in workers:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(reader)
-    return results
-
-
 def _hash_all(jobs, t: int) -> list:
-    """Digest of each (message, key) job, in order, through _fan_out.
+    """Digest of each (message, key) job, in order, over every CPU.
 
-    `hash_message` is looked up when each job runs, so a wrapper
-    installed on this module applies here too.
+    The jobs split into one contiguous chunk per CPU this process may
+    use. Helper threads run chunks 1..n-1 while the calling thread runs
+    chunk 0, and the digests join in job order. Every helper is joined
+    before this returns or raises; the first failing chunk, in job
+    order, raises its exception. No thread is started with one CPU, one
+    job or the Python fallback. `hash_message` is looked up when each
+    job runs, so a wrapper installed on this module applies here too.
     """
-    ckernel.load()    # built here, or else by every forked worker
-    return _fan_out(lambda job: hash_message(job[0], job[1], t), jobs)
+    def work(chunk):
+        return [hash_message(message, key, t) for message, key in chunk]
+
+    # the Python fallback holds the GIL: threads would only contend for it
+    n = min(_cpu_count(), len(jobs)) if ckernel.load() is not None else 1
+    if n < 2:
+        return work(jobs)
+    bounds = [len(jobs) * i // n for i in range(n + 1)]
+    outcomes = [None] * n   # chunk i's digests, or the exception it raised
+
+    def run(i):
+        try:
+            outcomes[i] = work(jobs[bounds[i]:bounds[i + 1]])
+        except BaseException as error:  # raised again below, in job order
+            outcomes[i] = error
+
+    helpers = []
+    try:
+        for i in range(1, n):
+            helper = threading.Thread(target=run, args=(i,))
+            helper.start()
+            helpers.append(helper)
+        outcomes[0] = work(jobs[:bounds[1]])
+    finally:
+        for helper in helpers:
+            helper.join()
+    digests = []
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+        digests.extend(outcome)
+    return digests
 
 
 def _report(indices, digests) -> HdrReport:

@@ -27,7 +27,6 @@ __all__ = [
     "hidden_layer",
     "output_layer",
     "extract_digest",
-    "finish_block",
     "hash_block",
 ]
 
@@ -102,15 +101,11 @@ def extract_digest(h) -> tuple:
     return tuple(words)
 
 
-def finish_block(c, keys: SubKeys, t: int) -> tuple:
-    """A block's 4-word digest from its input-layer signals c."""
-    d = hidden_layer(c, keys.w1, keys.b1, keys.q1)
-    h = output_layer(d, keys.w2, keys.b2, keys.q2, t)
-    return extract_digest(h)
-
-
 def hash_block(block, keys: SubKeys, t: int) -> tuple:
     """Hash one 32-word block under an expanded key; 4-word digest."""
     block = check_block(block)
     p = list(map(quantize_word, block))
-    return finish_block(input_layer(p, keys.w0, keys.b0, keys.q0, t), keys, t)
+    c = input_layer(p, keys.w0, keys.b0, keys.q0, t)
+    d = hidden_layer(c, keys.w1, keys.b1, keys.q1)
+    h = output_layer(d, keys.w2, keys.b2, keys.q2, t)
+    return extract_digest(h)

@@ -7,8 +7,9 @@ perturbation decorrelates within t = 50 steps at the parameters the
 hash derives from the sample key, and that the dyadic parameter
 q = 0.25 collapses every orbit (see that test's docstring).
 Criterion 4 checks two evaluation paths against the sequential one:
-the one concurrent path, the experiments' forked fan-out, on 1000
-random (message, key) pairs, with workers forked even on one CPU; and
+the one concurrent path, the experiments' fan-out over helper threads,
+on 1000 random (message, key) pairs, with two helpers started even on
+one CPU (none on the Python fallback, which hashes in one loop); and
 count_operations, a per-lane instrumented walk that steps each neuron
 through its own map_step calls, on the first block of the first 100
 of them.
@@ -18,7 +19,9 @@ import math
 import os
 import random
 import struct
+import threading
 
+import neurohash
 from neurohash import analysis
 from neurohash.analysis import (
     birthday_experiment,
@@ -83,18 +86,16 @@ def test_criterion_4_parallel_fidelity(monkeypatch):
             rng.getrandbits(nbits) if nbits else 0, nbits
         )
         pairs.append((message, key))
-    # sweep concurrency: with three CPUs reported, two forked workers hash
+    # sweep concurrency: with three CPUs reported, two helper threads hash
     # chunks 1 and 2 whatever the real affinity mask holds
-    forked = []
-    real_fork = os.fork
+    started = []
+    real_start = threading.Thread.start
 
-    def fork():
-        pid = real_fork()
-        if pid:
-            forked.append(pid)
-        return pid
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
 
-    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(threading.Thread, "start", start)
     monkeypatch.setattr(analysis, "_cpu_count", lambda: 3)
     fanned_out = analysis._hash_all(pairs, 50)
     looped = [hash_message(message, key, 50) for message, key in pairs]
@@ -103,8 +104,9 @@ def test_criterion_4_parallel_fidelity(monkeypatch):
     # and count_operations raises if the digests differ
     for message, key in pairs[:100]:
         count_operations(50, key, pad(message)[0])
-    ok = len(forked) == 2 and fanned_out == looped
-    assert _verdict(4, "parallel fidelity", ok), len(forked)
+    helpers = 2 if neurohash.kernel == "c" else 0
+    ok = len(started) == helpers and fanned_out == looped
+    assert _verdict(4, "parallel fidelity", ok), len(started)
 
 
 def test_criterion_5_operation_counts():

@@ -2,7 +2,6 @@ import csv
 import functools
 import hashlib
 import io
-import multiprocessing
 import os
 import random
 import subprocess
@@ -15,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import neurohash
-from neurohash import analysis
+from neurohash import analysis, ckernel
 from neurohash.analysis import (
     BirthdayReport,
     HdrReport,
@@ -111,8 +110,8 @@ def _run_fresh(code: str) -> str:
 
 
 def test_import_loads_no_heavy_modules():
-    # the fan-out imports pickle and signal only once it forks; importing
-    # the package must not pay for them, for process pools or for numpy
+    # importing the package must not pay for pickling, signals, process
+    # pools or numpy
     heavy = ["multiprocessing", "concurrent.futures", "pickle", "signal", "numpy"]
     code = """
 import sys
@@ -207,7 +206,11 @@ def test_emit_csv_unwritable_destination(tmp_path):
         emit_csv(rep, str(tmp_path / "missing_dir" / "x.csv"))
 
 
-# --- fan-out over worker processes ------------------------------------------
+# --- fan-out over helper threads -------------------------------------------
+
+# the fan-out runs only on the compiled chain; the Python fallback hashes
+# in one loop and starts no thread
+FANS_OUT = neurohash.kernel == "c"
 
 
 def _expected_sweep(message, key, t, flipped):
@@ -248,30 +251,21 @@ def _expected_birthday(width, trials, key, t, seed):
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """Count the processes the fan-out forks (counted in the parent)."""
+def helpers(monkeypatch):
+    """Count the threads started while the test runs (the fan-out's helpers)."""
     started = []
-    real_fork = os.fork
+    real_start = threading.Thread.start
 
-    def fork():
-        pid = real_fork()
-        if pid:
-            started.append(pid)
-        return pid
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
 
-    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(threading.Thread, "start", start)
     return started
 
 
-def _assert_nothing_left(threads_before):
-    assert multiprocessing.active_children() == []
-    with pytest.raises(ChildProcessError):     # no child, running or zombie
-        os.waitpid(-1, os.WNOHANG)
-    assert threading.active_count() == threads_before
-
-
 @pytest.mark.parametrize("cpus", [2, 3])
-def test_fan_out_reports_equal_in_process_loop(monkeypatch, forks, cpus):
+def test_fan_out_reports_equal_in_process_loop(monkeypatch, helpers, cpus):
     monkeypatch.setattr(analysis, "_cpu_count", lambda: cpus)
     threads = threading.active_count()
     m = _small_message()                  # 121 jobs: uneven for 2 and 3 CPUs
@@ -279,33 +273,42 @@ def test_fan_out_reports_equal_in_process_loop(monkeypatch, forks, cpus):
     assert key_sensitivity_sweep(m, KEY, 1) == _expected_key_sweep(m, KEY, 1)
     assert (birthday_experiment(8, 50, KEY, 1, seed=4)
             == _expected_birthday(8, 50, KEY, 1, 4))
-    assert len(forks) == 3 * (cpus - 1)
-    _assert_nothing_left(threads)
+    assert len(helpers) == 3 * (cpus - 1) * FANS_OUT
+    assert threading.active_count() == threads
 
 
-def test_fan_out_fewer_jobs_than_cpus(monkeypatch, forks):
+def test_fan_out_fewer_jobs_than_cpus(monkeypatch, helpers):
     monkeypatch.setattr(analysis, "_cpu_count", lambda: 8)
     m = Message(b"\xc0", 2)                # baseline plus 2 flips: 3 jobs
     assert message_sensitivity_sweep(m, KEY, 1) == _expected_message_sweep(m, KEY, 1)
-    assert len(forks) == 2
+    assert len(helpers) == 2 * FANS_OUT
 
 
-def test_fan_out_single_job_starts_no_process(monkeypatch, forks):
+def test_fan_out_single_job_starts_no_process(monkeypatch, helpers):
     monkeypatch.setattr(analysis, "_cpu_count", lambda: 3)
     m = _small_message()
     assert analysis._hash_all([(m, KEY)], 1) == [hash_message(m, KEY, 1)]
-    assert forks == []
+    assert helpers == []
 
 
-def test_one_cpu_starts_no_process(monkeypatch, forks):
+def test_one_cpu_starts_no_process(monkeypatch, helpers):
     monkeypatch.setattr(analysis, "_cpu_count", lambda: 1)
     m = _small_message()
     assert message_sensitivity_sweep(m, KEY, 1) == _expected_message_sweep(m, KEY, 1)
     assert birthday_experiment(8, 20, KEY, 1, seed=2) == _expected_birthday(8, 20, KEY, 1, 2)
-    assert forks == []
+    assert helpers == []
 
 
-def test_no_process_while_other_threads_run(monkeypatch, forks):
+def test_the_python_fallback_starts_no_thread(monkeypatch, helpers):
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 3)
+    m = _small_message()
+    expected = _expected_key_sweep(m, KEY, 1)
+    monkeypatch.setattr(ckernel, "load", lambda: None)
+    assert key_sensitivity_sweep(m, KEY, 1) == expected
+    assert helpers == []
+
+
+def test_fans_out_while_another_thread_runs(monkeypatch, helpers):
     monkeypatch.setattr(analysis, "_cpu_count", lambda: 2)
     release = threading.Event()
     other = threading.Thread(target=release.wait)
@@ -317,7 +320,7 @@ def test_no_process_while_other_threads_run(monkeypatch, forks):
         release.set()
         other.join(timeout=10)
     assert not other.is_alive()
-    assert forks == []
+    assert helpers[0] is other and len(helpers) == 1 + FANS_OUT
 
 
 @pytest.mark.parametrize("call, error", [
@@ -336,46 +339,57 @@ def test_no_process_while_other_threads_run(monkeypatch, forks):
     (lambda: birthday_experiment(8, 20.5, KEY, 1, seed=0), TypeError),
     (lambda: birthday_experiment(8, True, KEY, 1, seed=0), TypeError),
 ])
-def test_bad_input_raises_before_any_fork(monkeypatch, forks, call, error):
+def test_bad_input_raises_before_any_fork(monkeypatch, helpers, call, error):
     monkeypatch.setattr(analysis, "_cpu_count", lambda: 2)
     with pytest.raises(error):
         call()
-    assert forks == []
+    assert helpers == []
 
 
-def _failing_on(bad, error):
-    """hash_message that raises `error` on the message with bit `bad` flipped."""
-    target = _small_message().flip(bad)
+def _failing_on(errors):
+    """hash_message that raises errors[i] on the message with bit i flipped."""
+    targets = {_small_message().flip(bad): error for bad, error in errors.items()}
 
     @functools.wraps(hash_message)
     def failing(message, key, t):
-        if message == target:
-            raise error
+        if message in targets:
+            raise targets[message]
         return hash_message(message, key, t)
     return failing
 
 
-class _Unpicklable(Exception):
-    def __reduce__(self):
-        raise TypeError("cannot pickle this error")
+# 121 jobs (the baseline, then flips 0..119) in chunks of 40, 40 and 41 on
+# 3 CPUs: flip 3 is job 4, in chunk 0 (the calling thread's), flip 50 is
+# job 51, in chunk 1, and flip 100 is job 101, in the last chunk
 
 
 @pytest.mark.parametrize("flip, error, raised", [
-    (100, ValueError("failed in a worker"), ValueError),   # a worker's chunk
-    (3, ValueError("failed in the parent"), ValueError),   # the parent's chunk
-    (100, _Unpicklable(), RuntimeError),                   # lost on the way back
+    (100, ValueError("failed in a helper"), ValueError),           # last chunk
+    (3, ValueError("failed in the calling thread"), ValueError),   # chunk 0
+    (100, SystemExit("exit in a helper"), SystemExit),  # a thread drops it
 ])
-def test_failure_reaps_every_worker(monkeypatch, forks, flip, error, raised):
-    # 121 jobs (the baseline, then flips 0..119) in chunks of 40, 40 and 41:
-    # flip 3 is job 4, hashed here; flip 100 is job 101, in the last worker
+def test_failure_reaps_every_worker(monkeypatch, helpers, flip, error, raised):
     monkeypatch.setattr(analysis, "_cpu_count", lambda: 3)
-    monkeypatch.setattr(analysis, "hash_message", _failing_on(flip, error))
-    m = _small_message()
+    monkeypatch.setattr(analysis, "hash_message", _failing_on({flip: error}))
     threads = threading.active_count()
-    with pytest.raises(raised):
-        message_sensitivity_sweep(m, KEY, 1)
-    assert len(forks) == 2
-    _assert_nothing_left(threads)
+    with pytest.raises(raised) as info:
+        message_sensitivity_sweep(_small_message(), KEY, 1)
+    assert info.value is error
+    assert len(helpers) == 2 * FANS_OUT
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("flips, first", [
+    ((3, 50, 100), 3),          # every chunk fails: chunk 0's error
+    ((50, 100), 50),            # both helpers fail: chunk 1's error
+])
+def test_the_first_failing_chunk_raises(monkeypatch, flips, first):
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 3)
+    errors = {flip: ValueError(flip) for flip in flips}
+    monkeypatch.setattr(analysis, "hash_message", _failing_on(errors))
+    with pytest.raises(ValueError) as info:
+        message_sensitivity_sweep(_small_message(), KEY, 1)
+    assert info.value is errors[first]
 
 
 def test_sweeps_under_a_wrapped_hash_message(monkeypatch):
@@ -385,7 +399,7 @@ def test_sweeps_under_a_wrapped_hash_message(monkeypatch):
 
     @functools.wraps(hash_message)
     def wrapper(*args, **kwargs):
-        calls.append(1)                   # in the parent's memory only
+        calls.append(1)
         return hash_message(*args, **kwargs)
 
     monkeypatch.setattr(analysis, "hash_message", wrapper)
@@ -394,8 +408,9 @@ def test_sweeps_under_a_wrapped_hash_message(monkeypatch):
     assert key_sensitivity_sweep(m, KEY, 1) == _expected_key_sweep(m, KEY, 1)
     assert (birthday_experiment(8, 50, KEY, 1, seed=4)
             == _expected_birthday(8, 50, KEY, 1, 4))
-    # chunk 0 of the message sweep, of the key sweep and of birthday
-    assert len(calls) == 121 // 2 + 129 // 2 + 50 // 2
+    # every job of the message sweep, of the key sweep and of birthday,
+    # whichever thread hashed it
+    assert len(calls) == 121 + 129 + 50
 
 
 # --- frozen sweep reports ----------------------------------------------------

@@ -13,6 +13,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -276,28 +277,35 @@ def test_the_cache_follows_the_pycache_prefix(tmp_path):
     assert _cached(src) == []
 
 
-def test_forked_workers_never_compile(tmp_path):
-    # every call of _build appends its process id to a file
-    src = _copy_package(tmp_path)
-    code = """
-import os
-from neurohash import analysis, ckernel
-from neurohash.hashing import Message
-real = ckernel._build
+def test_the_kernel_releases_the_gil():
+    # the calling thread counts loop turns while a helper spends about
+    # 0.3 s inside the kernel (hundreds of thousands of turns). A kernel
+    # that held the GIL would let it count only in the switch intervals
+    # around the call, whatever its length: a few thousand turns at most
+    if neurohash.kernel != "c":
+        pytest.skip("no compiled kernel: " + neurohash.kernel)
+    chain = ckernel.load().chain
+    raw = hashing._pad_bytes(Message(bytes(range(256)) * 8192))   # 2 MiB
+    turns = [0]
+    turns_inside = []
 
-def build(path):
-    with open("builds", "a") as handle:
-        handle.write("%d\\n" % os.getpid())
-    return real(path)
+    def hash_in_helper():
+        before = turns[0]
+        chain(raw, bytes(16), 50)
+        turns_inside.append(turns[0] - before)
 
-ckernel._build = build
-analysis._cpu_count = lambda: 2
-report = analysis.key_sensitivity_sweep(Message(b"fork"), bytes(16), 1)
-print(len(report.per_flip), os.getpid())
-"""
-    count, pid = _run(src, code).split()
-    assert count == "128"
-    assert (tmp_path / "builds").read_text().split() == [pid]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        helper = threading.Thread(target=hash_in_helper)
+        helper.start()
+        while helper.is_alive():
+            turns[0] += 1
+        helper.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not helper.is_alive()
+    assert turns_inside[0] > 100000, turns_inside
 
 
 def test_threads_making_the_first_hash_build_once(tmp_path):

@@ -10,7 +10,6 @@ from neurohash.hashing import format_digest
 from neurohash.keyschedule import expand_key
 from neurohash.network import (
     extract_digest,
-    finish_block,
     hash_block,
     hidden_layer,
     input_layer,
@@ -111,14 +110,6 @@ def test_layers_match_straight_line_oracle():
         assert list(d) == hidden_layer_ref(c, w1, b1, q)
         h = output_layer(d, w2, b2, q, 50)
         assert list(h) == output_layer_ref(d, w2, b2, q, 50)
-
-
-def test_finish_block_is_hash_block_after_the_input_layer():
-    rng = random.Random(SEED + 9)
-    keys = expand_key(rng.randbytes(16), 50)
-    block = [rng.getrandbits(32) for _ in range(32)]
-    c = input_layer([w / 2**32 for w in block], keys.w0, keys.b0, keys.q0, 50)
-    assert finish_block(c, keys, 50) == hash_block(block, keys, 50)
 
 
 def test_layer_signal_closure():
