@@ -4,10 +4,12 @@
  * as hashing._chain does: the running key is expanded into its 151
  * sub-keys (keyschedule.subkey_stream, assign_subkeys), the block runs
  * through the input, hidden and output layers (network.hash_block), and
- * the block digest is XORed into the running key. It returns
- * (digest, per_block), as hashing.hash_message_trace does. The block loop
- * runs with the GIL released, into a C buffer, so threads hash in
- * parallel; the Python tuples are built once the GIL is taken back.
+ * the block digest is XORed into the running key. It returns one bytes
+ * object, as hashing._chain does: each block digest as four big-endian
+ * 32-bit words, then the final running key, 16 * (blocks + 1) bytes.
+ * The block loop fills that new object with the GIL released, which is
+ * safe because nothing else holds a reference to it yet, so threads hash
+ * in parallel.
  *
  * Every floating-point operation is the one the Python code performs, in
  * the same order: sums accumulate in ascending index order from the
@@ -118,6 +120,15 @@ load_word(const unsigned char *p)
            | (uint32_t)p[2] << 8 | (uint32_t)p[3];
 }
 
+static void
+store_word(unsigned char *p, uint32_t word)
+{
+    p[0] = (unsigned char)(word >> 24);
+    p[1] = (unsigned char)(word >> 16);
+    p[2] = (unsigned char)(word >> 8);
+    p[3] = (unsigned char)word;
+}
+
 /* keyschedule.subkey_stream: both orbits walked side by side (orbit_sums) */
 static void
 subkey_stream(const uint32_t k[4], long t, double s[SUBKEY_COUNT])
@@ -176,62 +187,28 @@ hash_block(const unsigned char *block, const double s[SUBKEY_COUNT], long t,
     }
 }
 
-static PyObject *
-digest_tuple(const uint32_t d[4])
-{
-    return Py_BuildValue("(kkkk)", (unsigned long)d[0], (unsigned long)d[1],
-                         (unsigned long)d[2], (unsigned long)d[3]);
-}
-
 /* Every block digest of `blocks` padded blocks from the running key, then
- * the final running key: 4 * (blocks + 1) words. Touches no Python object. */
+ * the final running key, into out: 16 * (blocks + 1) big-endian bytes.
+ * Touches no Python object. */
 static void
 chain_words(const unsigned char *raw, Py_ssize_t blocks,
-            const unsigned char *key, long t, uint32_t *words)
+            const unsigned char *key, long t, unsigned char *out)
 {
-    uint32_t *running = words + 4 * blocks;
+    uint32_t running[4], digest[4];
     double s[SUBKEY_COUNT];
 
     for (int i = 0; i < 4; i++)
         running[i] = load_word(key + 4 * i);
     for (Py_ssize_t n = 0; n < blocks; n++) {
-        uint32_t *digest = words + 4 * n;
         subkey_stream(running, t, s);
         hash_block(raw + n * BLOCK_BYTES, s, t, digest);
-        for (int i = 0; i < 4; i++)
+        for (int i = 0; i < 4; i++) {
+            store_word(out + KEY_BYTES * n + 4 * i, digest[i]);
             running[i] ^= digest[i];
+        }
     }
-}
-
-/* (digest, per_block) of `blocks` padded blocks from the running key */
-static PyObject *
-chain_blocks(const unsigned char *raw, Py_ssize_t blocks,
-             const unsigned char *key, long t)
-{
-    uint32_t *words = PyMem_New(uint32_t, 4 * (blocks + 1));
-    PyObject *per_block, *final, *result = NULL;
-
-    if (words == NULL)
-        return PyErr_NoMemory();
-    Py_BEGIN_ALLOW_THREADS
-    chain_words(raw, blocks, key, t, words);
-    Py_END_ALLOW_THREADS
-    per_block = PyTuple_New(blocks);
-    for (Py_ssize_t n = 0; per_block != NULL && n < blocks; n++) {
-        PyObject *item = digest_tuple(words + 4 * n);
-        if (item == NULL)
-            Py_CLEAR(per_block);
-        else
-            PyTuple_SET_ITEM(per_block, n, item);
-    }
-    if (per_block != NULL) {
-        final = digest_tuple(words + 4 * blocks);
-        result = final == NULL ? NULL : PyTuple_Pack(2, final, per_block);
-        Py_XDECREF(final);
-        Py_DECREF(per_block);
-    }
-    PyMem_Free(words);
-    return result;
+    for (int i = 0; i < 4; i++)
+        store_word(out + KEY_BYTES * blocks + 4 * i, running[i]);
 }
 
 static PyObject *
@@ -247,8 +224,16 @@ chain(PyObject *module, PyObject *args)
             || key.len != KEY_BYTES || t < 1)
         PyErr_SetString(PyExc_ValueError,
                         "expected padded blocks, a 16-byte key and t >= 1");
-    else
-        result = chain_blocks(padded.buf, padded.len / BLOCK_BYTES, key.buf, t);
+    else {
+        Py_ssize_t blocks = padded.len / BLOCK_BYTES;
+        result = PyBytes_FromStringAndSize(NULL, KEY_BYTES * (blocks + 1));
+        if (result != NULL) {
+            unsigned char *out = (unsigned char *)PyBytes_AS_STRING(result);
+            Py_BEGIN_ALLOW_THREADS
+            chain_words(padded.buf, blocks, key.buf, t, out);
+            Py_END_ALLOW_THREADS
+        }
+    }
     PyBuffer_Release(&padded);
     PyBuffer_Release(&key);
     return result;
@@ -256,7 +241,7 @@ chain(PyObject *module, PyObject *args)
 
 static PyMethodDef kernel_methods[] = {
     {"chain", chain, METH_VARARGS,
-     "chain(padded, key, t) -> (digest, per_block digests)"},
+     "chain(padded, key, t) -> every block digest, then the final key"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -8,10 +8,12 @@ hashed under the running 128-bit key, and the running key is then
 XORed with the block digest. The final running key is the message
 digest, i.e. key XOR (XOR of all per-block digests).
 
-hash_message_trace checks its inputs, pads, and hands the padded bytes
-to the compiled chain (ckernel) when it has been built and has passed
-its self-check; otherwise _chain runs the Python stage functions, which
-stay the reference. Both give the same digests.
+hash_message and hash_message_trace check their inputs, pad, and hand
+the padded bytes to the compiled chain (ckernel) when it has been built
+and has passed its self-check; otherwise _chain runs the Python stage
+functions, which stay the reference. The two chains share one contract:
+chain(padded, key, t) returns each block digest as four big-endian
+32-bit words, then the final running key, 16 * (blocks + 1) bytes.
 """
 
 import struct
@@ -151,30 +153,35 @@ def _next_key(prev_key: bytes, digest) -> bytes:
     return value.to_bytes(16, "big")
 
 
-def _chain(running: bytes, blocks, t: int):
-    """Chain blocks from a running key; returns (final key, per-block digests)."""
-    per_block = []
-    for block in blocks:
-        digest, running = chain_step(running, block, t)
-        per_block.append(digest)
-    return running, tuple(per_block)
+def _chain(raw: bytes, key: bytes, t: int) -> bytes:
+    """The Python chain: every block digest, then the final running key."""
+    out = []
+    for block in _blocks(raw):
+        digest, key = chain_step(key, block, t)
+        out.append(digest_to_bytes(digest))
+    out.append(key)
+    return b"".join(out)
 
 
-def hash_message(message: Message, key: bytes, t: int) -> tuple:
-    """Digest of an arbitrary-length message under a 128-bit key."""
-    return hash_message_trace(message, key, t)[0]
-
-
-def hash_message_trace(message: Message, key: bytes, t: int):
-    """The message digest and every per-block digest, in chain order."""
+def _hash(message: Message, key: bytes, t: int) -> bytes:
+    """The chain's bytes for a checked, padded message."""
     key = check_key(key)
     raw = _pad_bytes(message)
     check_iterations(t)
     kernel = ckernel.load()
-    if kernel is not None and t <= kernel.T_MAX:
-        return kernel.chain(raw, key, t)
-    running, per_block = _chain(key, _blocks(raw), t)
-    return bytes_to_digest(running), per_block
+    chain = kernel.chain if kernel is not None and t <= kernel.T_MAX else _chain
+    return chain(raw, key, t)
+
+
+def hash_message(message: Message, key: bytes, t: int) -> tuple:
+    """Digest of an arbitrary-length message under a 128-bit key."""
+    return bytes_to_digest(_hash(message, key, t)[-16:])
+
+
+def hash_message_trace(message: Message, key: bytes, t: int):
+    """The message digest and every per-block digest, in chain order."""
+    out = _hash(message, key, t)
+    return bytes_to_digest(out[-16:]), tuple(struct.iter_unpack(">4I", out[:-16]))
 
 
 def format_digest(digest) -> str:

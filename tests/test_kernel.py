@@ -25,6 +25,7 @@ from neurohash.goldens import read_vectors
 from neurohash.hashing import (
     Message,
     bytes_to_digest,
+    digest_to_bytes,
     format_digest,
     hash_message_trace,
     pad,
@@ -80,11 +81,6 @@ def _messages(draw):
     return Message.from_int(value, nbits)
 
 
-def _python_trace(message, key, t):
-    running, per_block = hashing._chain(key, pad(message), t)
-    return bytes_to_digest(running), per_block
-
-
 def test_the_suite_runs_the_kernel_wherever_a_compiler_is(monkeypatch):
     if shutil.which("cc") is None:
         assert neurohash.kernel.startswith("python: ")
@@ -109,13 +105,16 @@ def test_the_suite_runs_the_kernel_wherever_a_compiler_is(monkeypatch):
 @example(message=Message(bytes(127)), key=_key(1, 8192, 0, 0xFFFFFFFF), t=2)
 @example(message=SATURATED[1], key=SATURATED[0], t=SATURATED[2])
 def test_kernel_equals_python_chain_and_oracle(message, key, t):
-    expected = _python_trace(message, key, t)
-    assert hash_message_trace(message, key, t) == expected
+    raw = hashing._pad_bytes(message)
+    expected = hashing._chain(raw, key, t)
+    assert len(expected) == 16 * (len(raw) // 128 + 1)
     kernel = ckernel.load()
     if kernel is not None:
-        assert kernel.chain(hashing._pad_bytes(message), key, t) == expected
+        assert kernel.chain(raw, key, t) == expected
+    digest, per_block = hash_message_trace(message, key, t)
+    assert b"".join(map(digest_to_bytes, per_block + (digest,))) == expected
     bits = bytes_to_bits(message.data)[:message.nbits]
-    assert hash_message_ref(bits, key, t) == expected[0]
+    assert hash_message_ref(bits, key, t) == digest
 
 
 def test_special_keys_and_words_show_their_property():
@@ -131,6 +130,26 @@ def test_special_keys_and_words_show_their_property():
     assert pad(message)[0][31] == 0x80000000      # 31 message words
 
 
+@pytest.mark.parametrize("padded, key, t, error", [
+    pytest.param(b"", bytes(16), 1, ValueError, id="no-block"),
+    pytest.param(bytes(127), bytes(16), 1, ValueError, id="127-bytes"),
+    pytest.param(bytes(129), bytes(16), 1, ValueError, id="129-bytes"),
+    pytest.param(bytes(128), bytes(15), 1, ValueError, id="15-byte-key"),
+    pytest.param(bytes(128), bytes(17), 1, ValueError, id="17-byte-key"),
+    pytest.param(bytes(128), bytes(16), 0, ValueError, id="t-0"),
+    pytest.param(bytes(128), bytes(16), -1, ValueError, id="t-minus-1"),
+    pytest.param("x" * 128, bytes(16), 1, TypeError, id="str-blocks"),
+    pytest.param(bytes(128), "x" * 16, 1, TypeError, id="str-key"),
+    pytest.param(bytes(128), bytes(16), 2 ** 63, OverflowError, id="t-2**63"),
+])
+def test_the_kernel_refuses_malformed_arguments(padded, key, t, error):
+    # the guard that keeps the block loop inside its buffers
+    if neurohash.kernel != "c":
+        pytest.skip("no compiled kernel: " + neurohash.kernel)
+    with pytest.raises(error):
+        ckernel.load().chain(padded, key, t)
+
+
 def test_self_check_records_are_golden_vectors_at_t_50():
     # at t = 1 a contracted build can still agree with the goldens
     golden = {(key.hex(), data.hex(), t, format_digest(digest)) for key, data, t, digest
@@ -143,9 +162,9 @@ def test_a_t_beyond_c_long_stays_on_the_python_path(monkeypatch):
     # such a t never finishes: the Python chain is replaced by a stub
     calls = []
 
-    def python_chain(running, blocks, t):
+    def python_chain(raw, key, t):
         calls.append(t)
-        return running, ()
+        return key
 
     monkeypatch.setattr(hashing, "_chain", python_chain)
     t = 2 ** 63
