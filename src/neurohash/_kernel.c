@@ -11,14 +11,25 @@
  * safe because nothing else holds a reference to it yet, so threads hash
  * in parallel.
  *
- * Every floating-point operation is the one the Python code performs, in
- * the same order: sums accumulate in ascending index order from the
- * first product with the bias added last, mod1 is Python's x % 1.0, and
- * each map step tests and divides as chaosmap.map_layer does. The digests
- * match only if the compiler keeps that order and rounds every operation
- * to binary64: build with -ffp-contract=off, and never with -ffast-math or
- * -mfma (ckernel.FLAGS). The check below refuses targets that evaluate
- * doubles in a wider format.
+ * Every floating-point result is the one the Python code computes: sums
+ * accumulate in ascending index order from the first product with the
+ * bias added last, and mod1 is Python's x % 1.0. The map runs on two
+ * lanes at a time (map_step): the two key orbits form one pair, and a
+ * layer's neurons form pairs that advance together, one step each per
+ * turn of the t loop. A lane step has no data-dependent branch for the
+ * processor to mispredict: comparison masks pick the numerator and the
+ * divisor of the branch chaosmap.map_layer takes, and one division
+ * follows. The unpicked differences are computed and discarded, so each
+ * lane performs map_layer's binary64 operations on the same operands and
+ * rounds to the same result. The upper clamp is applied to both halves
+ * of the map; in the lower half the quotient never exceeds 1.0
+ * (chaosmap's docstring proves it), so there it changes nothing. The
+ * digests match only if the compiler rounds every operation to binary64
+ * on its own: build with -ffp-contract=off, and never with -ffast-math
+ * or -mfma (ckernel.FLAGS). The check below refuses targets that
+ * evaluate doubles in a wider format. The lanes are a GCC vector
+ * extension, which gcc and clang compile to SSE2 on x86-64 and to NEON
+ * on arm64.
  *
  * The map's domain checks are left out. The chain cannot leave the
  * domain: every parameter comes out of derive_param's clamp, every seed
@@ -82,35 +93,55 @@ clamp_seed(double x)
     return x;
 }
 
-/* One map step; half = 0.5 - q and top = 1.0 - q, as map_layer has them. */
-static double
-map_step(double x, double q, double half, double top)
+/* Two doubles, one map lane each, and the lane mask a comparison of
+ * two of them gives: all ones where it holds, all zeros where not. */
+typedef double lanes __attribute__((vector_size(16)));
+typedef __typeof__((lanes){0.0, 0.0} < (lanes){0.0, 0.0}) mask;
+
+/* yes in the lanes where m holds, no in the others */
+static lanes
+pick(mask m, lanes yes, lanes no)
 {
-    if (x < 0.5) {
-        if (x < q)
-            x = x / q;
-        else
-            x = (x - q) / half;
-    }
-    else {
-        if (x < top)
-            x = (top - x) / half;
-        else
-            x = (1.0 - x) / q;
-        if (x > 1.0)
-            x = 1.0;
-    }
-    return x;
+    return (lanes)((m & (mask)yes) | (~m & (mask)no));
 }
 
-static double
-map_iter(double x, double q, long t)
+/* One map step in each lane; half = 0.5 - q and top = 1.0 - q, as
+ * map_layer has them. The masks pick the numerator of the lane's branch
+ * (x, x - q, top - x or 1 - x) and its divisor: half where q <= x < top
+ * (x < top holds wherever x < q does, so that band is below ^ inner),
+ * q elsewhere. The clamp tests the operands, which leaves the compare
+ * off the division's path: num > div exactly when the quotient exceeds
+ * 1.0 before rounding, and since rounding is monotone the rounded
+ * quotient is then >= 1.0, which the clamp makes 1.0; otherwise it is
+ * <= 1.0 and the clamp does nothing. */
+static lanes
+map_step(lanes x, lanes q, lanes half, lanes top)
 {
-    double half = 0.5 - q;
-    double top = 1.0 - q;
+    const lanes one = {1.0, 1.0}, mid = {0.5, 0.5};
+    mask below = x < q, lower = x < mid, inner = x < top;
+    lanes num = pick(lower, pick(below, x, x - q),
+                     pick(inner, top - x, one - x));
+    lanes div = pick(below ^ inner, half, q);
+    return pick(num > div, one, num / div);
+}
+
+/* The map applied t times to each of the 2 * pairs values at x, in
+ * place: every turn of the t loop steps every pair. */
+static void
+map_pairs(double *x, int pairs, double q, long t)
+{
+    const lanes qs = {q, q}, half = 0.5 - qs, top = 1.0 - qs;
+    lanes v[4];                   /* a layer has at most 8 neurons */
+
+    for (int p = 0; p < pairs; p++)
+        v[p] = (lanes){x[2 * p], x[2 * p + 1]};
     for (long i = 0; i < t; i++)
-        x = map_step(x, q, half, top);
-    return x;
+        for (int p = 0; p < pairs; p++)
+            v[p] = map_step(v[p], qs, half, top);
+    for (int p = 0; p < pairs; p++) {
+        x[2 * p] = v[p][0];
+        x[2 * p + 1] = v[p][1];
+    }
 }
 
 static uint32_t
@@ -129,41 +160,34 @@ store_word(unsigned char *p, uint32_t word)
     p[3] = (unsigned char)word;
 }
 
-/* keyschedule.subkey_stream: both orbits walked side by side (orbit_sums) */
+/* keyschedule.subkey_stream: orbit a in lane 0 and orbit b in lane 1,
+ * walked side by side as orbit_sums walks them */
 static void
 subkey_stream(const uint32_t k[4], long t, double s[SUBKEY_COUNT])
 {
-    double xa = clamp_seed(quantize_word(k[0]));
-    double qa = derive_param(quantize_word(k[1]));
-    double xb = clamp_seed(quantize_word(k[2]));
-    double qb = derive_param(quantize_word(k[3]));
-    double half_a = 0.5 - qa, top_a = 1.0 - qa;
-    double half_b = 0.5 - qb, top_b = 1.0 - qb;
+    lanes x = {clamp_seed(quantize_word(k[0])), clamp_seed(quantize_word(k[2]))};
+    lanes q = {derive_param(quantize_word(k[1])),
+               derive_param(quantize_word(k[3]))};
+    lanes half = 0.5 - q, top = 1.0 - q;
 
-    xa = map_iter(xa, qa, t);
-    xb = map_iter(xb, qb, t);
-    s[0] = mod1(xa + xb);
+    for (long i = 0; i < t; i++)
+        x = map_step(x, q, half, top);
+    s[0] = mod1(x[0] + x[1]);
     for (int j = 1; j < SUBKEY_COUNT; j++) {
-        xa = map_step(xa, qa, half_a, top_a);
-        xb = map_step(xb, qb, half_b, top_b);
-        s[j] = mod1(xa + xb);
+        x = map_step(x, q, half, top);
+        s[j] = mod1(x[0] + x[1]);
     }
 }
 
-/* One layer of neurons: neuron j weighs `fan_in` inputs with the weights
- * from w + j * fan_in, adds its bias, and runs the map t times. */
-static void
-layer(const double *x, int fan_in, const double *w, const double *b,
-      int neurons, double q, long t, double *out)
+/* A neuron's pre-activation: the weighted sum of its fan_in inputs plus
+ * its bias, mod 1 */
+static double
+weigh(const double *x, const double *w, int fan_in, double bias)
 {
-    for (int j = 0; j < neurons; j++) {
-        const double *row = w + j * fan_in;
-        double s = row[0] * x[0];
-        for (int i = 1; i < fan_in; i++)
-            s = s + row[i] * x[i];
-        s = s + b[j];
-        out[j] = map_iter(mod1(s), q, t);
-    }
+    double s = w[0] * x[0];
+    for (int i = 1; i < fan_in; i++)
+        s = s + w[i] * x[i];
+    return mod1(s + bias);
 }
 
 /* network.hash_block under the sub-keys s, as sliced by assign_subkeys */
@@ -172,15 +196,19 @@ hash_block(const unsigned char *block, const double s[SUBKEY_COUNT], long t,
            uint32_t digest[4])
 {
     double p[32], c[8], d[8], h[4];
-    double q0 = derive_param(s[40]);
 
     for (int i = 0; i < 32; i++)
         p[i] = quantize_word(load_word(block + 4 * i));
     /* input neuron j reads p[4j .. 4j+3] with weights s[4j .. 4j+3] */
     for (int j = 0; j < 8; j++)
-        layer(p + 4 * j, 4, s + 4 * j, s + 32 + j, 1, q0, t, c + j);
-    layer(c, 8, s + 41, s + 105, 8, derive_param(s[113]), 1, d);
-    layer(d, 8, s + 114, s + 146, 4, derive_param(s[150]), t, h);
+        c[j] = weigh(p + 4 * j, s + 4 * j, 4, s[32 + j]);
+    map_pairs(c, 4, derive_param(s[40]), t);
+    for (int j = 0; j < 8; j++)
+        d[j] = weigh(c, s + 41 + 8 * j, 8, s[105 + j]);
+    map_pairs(d, 4, derive_param(s[113]), 1);
+    for (int j = 0; j < 4; j++)
+        h[j] = weigh(d, s + 114 + 8 * j, 8, s[146 + j]);
+    map_pairs(h, 2, derive_param(s[150]), t);
     for (int j = 0; j < 4; j++) {
         double w = h[j] * 4294967296.0;
         digest[j] = w < 4294967296.0 ? (uint32_t)w : 0xFFFFFFFFu;

@@ -20,8 +20,9 @@ is orbit_sums, the key schedule's walk: it advances both key orbits
 side by side in one loop and emits their sum mod 1 at every step, which
 a single-orbit kernel cannot do without a list per orbit and a pass to
 add them (its docstring has the measurement). The compiled chain
-(ckernel, _kernel.c) writes the map once more, in C, with the same
-operations in the same order; these kernels stay its reference.
+(ckernel, _kernel.c) writes the map once more, in C, as a branch-free
+step on two lanes that performs the same operations on the same
+operands; these kernels stay its reference.
 
 check_count is the one rule for every count (iteration count t, orbit
 length, trials, truncation width, nbits, a from_int value): an int, not

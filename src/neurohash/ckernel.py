@@ -1,14 +1,20 @@
 """The compiled block chain: built on first use, trusted after a self-check.
 
 _kernel.c hashes every block of a padded message as hashing._chain does
-and returns the same bytes (the contract is in hashing's docstring). It
-keeps the Python stage functions' evaluation order, so its digests are
-bit-equal to theirs as long as the compiler neither fuses a multiply and
-an add into one rounding nor reorders floating-point operations. FLAGS
-therefore asks for -ffp-contract=off (clang's default, "on", fuses within
-an expression) and holds no -ffast-math or -mfma. It hashes with the GIL
-released, so the experiments' helper threads (analysis) hash in
-parallel; the Python fallback holds the GIL.
+and returns the same bytes (the contract is in hashing's docstring). Its
+sums keep the Python stage functions' order. Its map steps two lanes at
+a time without a branch: masks pick each lane's numerator and divisor,
+the ones map_layer's branch would use, and one division follows, so each
+lane rounds the same binary64 operations on the same operands. The upper
+clamp is applied to both halves of the map, which changes nothing in the
+lower half, where the quotient never exceeds 1.0 (chaosmap's docstring).
+Its digests are therefore bit-equal to the Python path's as long as the
+compiler neither fuses a multiply and an add into one rounding nor
+reorders floating-point operations. FLAGS asks for -ffp-contract=off
+(clang's default, "on", fuses within an expression) and holds no
+-ffast-math or -mfma. It hashes with the GIL released, so the
+experiments' helper threads (analysis) hash in parallel; the Python
+fallback holds the GIL.
 
 The first load() in a process finds the extension where CPython keeps
 _kernel.c's byte code (the __pycache__ directory beside it, or its

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import neurohash
 from neurohash import ckernel, hashing
+from neurohash.chaosmap import Q_MAX, Q_MIN, map_iter, map_step
 from neurohash.goldens import read_vectors
 from neurohash.hashing import (
     Message,
@@ -30,6 +31,7 @@ from neurohash.hashing import (
     hash_message_trace,
     pad,
 )
+from neurohash.keyschedule import orbit_starts
 from oracles import bytes_to_bits, hash_message_ref
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -55,6 +57,25 @@ SATURATED = (
         "2a3af4d4c1d3fcff5790f82e26e87555eeeacbe27d2caf826bf46c69")),
     1,
 )
+
+# The compiled map steps orbit a (K0, K1) in lane 0 and orbit b (K2, K3)
+# in lane 1 of one pair. Each key below puts one lane on a branch
+# boundary, or dead or clamped, beside a live lane; at t = 1 the first
+# step's value enters s[0]. They check bit-equality on those edges, not
+# which branch an edge takes: at x == q and x == top the two branches
+# give 0.0 and 1.0, which agree mod 1 and both reach 0.0 a step later.
+
+# K1 = 2 * K0: the first step of orbit a starts at x == q
+ON_Q = _key(0x12345678, 0x2468ACF0, 0x3C6EF372, 0x5A827999)
+# K3 = 2^33 - 2 * K2 (mod 2^32): orbit b starts at x == top = 1 - q
+ON_TOP = _key(0x9E3779B9, 0x7F4A7C15, 0xDEADBEEF, 0x42A48222)
+# K0 = 0x80000000: orbit a goes 0.5, 1.0, then the fixed point 0.0
+A_DEAD = _key(0x80000000, 0x9E3779B9, 0x3C6EF372, 0x5A827999)
+B_DEAD = _key(0x3C6EF372, 0x5A827999, 0x80000000, 0x9E3779B9)
+# K1 = 0 and K3 = 0xFFFFFFFF clamp q to Q_MIN and Q_MAX
+A_AT_Q_MIN = _key(0x3C6EF372, 0, 0x9E3779B9, 0x5A827999)
+B_AT_Q_MAX = _key(0x9E3779B9, 0x5A827999, 0x3C6EF372, 0xFFFFFFFF)
+LANE_KEYS = (ON_Q, ON_TOP, A_DEAD, B_DEAD, A_AT_Q_MIN, B_AT_Q_MAX)
 
 # K0/K2 seed the orbits: 0x80000000 kills one, 0, 1 and 0xFFFFFFFF are
 # one clamp class. K1/K3 set q: 0x80000000 is the dyadic q = 0.25, and
@@ -104,6 +125,13 @@ def test_the_suite_runs_the_kernel_wherever_a_compiler_is(monkeypatch):
 @example(message=Message(b"\xff" * 128), key=_key(0x80000000, 0, 0xFFFFFFFF, 2 ** 32 - 8192), t=1)
 @example(message=Message(bytes(127)), key=_key(1, 8192, 0, 0xFFFFFFFF), t=2)
 @example(message=SATURATED[1], key=SATURATED[0], t=SATURATED[2])
+@example(message=Message(bytes(range(200))), key=ON_Q, t=1)
+@example(message=Message(bytes(range(200))), key=ON_TOP, t=1)
+@example(message=Message(bytes(range(200))), key=A_DEAD, t=1)
+@example(message=Message(bytes(range(200))), key=A_DEAD, t=50)
+@example(message=Message(bytes(range(200))), key=B_DEAD, t=50)
+@example(message=Message(bytes(range(200))), key=A_AT_Q_MIN, t=50)
+@example(message=Message(bytes(range(200))), key=B_AT_Q_MAX, t=50)
 def test_kernel_equals_python_chain_and_oracle(message, key, t):
     raw = hashing._pad_bytes(message)
     expected = hashing._chain(raw, key, t)
@@ -128,6 +156,17 @@ def test_special_keys_and_words_show_their_property():
     _, (first,) = hash_message_trace(message, key, t)
     assert first[0] == 0xFFFFFFFF
     assert pad(message)[0][31] == 0x80000000      # 31 message words
+    starts = {key: orbit_starts(struct.unpack(">4I", key)) for key in LANE_KEYS}
+    xa, qa, _, _ = starts[ON_Q]
+    assert xa == qa and map_step(xa, qa) == 0.0
+    _, _, xb, qb = starts[ON_TOP]
+    assert xb == 1.0 - qb and map_step(xb, qb) == 1.0
+    assert starts[A_DEAD][0] == starts[B_DEAD][2] == 0.5
+    assert starts[A_AT_Q_MIN][1] == Q_MIN and starts[B_AT_Q_MAX][3] == Q_MAX
+    # the other lane stays live: its orbit neither dies nor saturates
+    for key, lane in ((A_DEAD, 1), (B_DEAD, 0), (A_AT_Q_MIN, 1), (B_AT_Q_MAX, 0)):
+        x, q = starts[key][2 * lane:2 * lane + 2]
+        assert 0.0 < map_iter(x, q, 50) < 1.0
 
 
 @pytest.mark.parametrize("padded, key, t, error", [
@@ -298,13 +337,14 @@ def test_the_cache_follows_the_pycache_prefix(tmp_path):
 
 def test_the_kernel_releases_the_gil():
     # the calling thread counts loop turns while a helper spends about
-    # 0.3 s inside the kernel (hundreds of thousands of turns). A kernel
-    # that held the GIL would let it count only in the switch intervals
-    # around the call, whatever its length: a few thousand turns at most
+    # 0.3 s inside the kernel hashing 6 MiB (hundreds of thousands of
+    # turns). A kernel that held the GIL would let it count only in the
+    # switch intervals around the call, whatever its length: a few
+    # thousand turns at most
     if neurohash.kernel != "c":
         pytest.skip("no compiled kernel: " + neurohash.kernel)
     chain = ckernel.load().chain
-    raw = hashing._pad_bytes(Message(bytes(range(256)) * 8192))   # 2 MiB
+    raw = hashing._pad_bytes(Message(bytes(range(256)) * 24576))  # 6 MiB
     turns = [0]
     turns_inside = []
 
