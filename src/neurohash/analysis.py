@@ -10,20 +10,15 @@ colliding pairs with the birthday-bound expectation. All randomized
 experiments take an explicit seed and record it in their report.
 
 The sweeps and the birthday experiment hash thousands of independent
-messages, each flipped message or key rehashed whole by hash_message.
-_hash_all spreads them over every CPU in the process's affinity mask on
-threads, which run in parallel because the compiled chain releases the
-GIL, and joins the digests in order, so the reports are bit-identical
-to a single loop of hash_message.
+messages, each flipped message or key rehashed whole by hash_message,
+in one loop on the calling thread. The paper's parallelism is inside
+each hash: the compiled chain steps a layer's neurons in lockstep.
 """
 
 import csv
-import os
 import random
-import threading
 from dataclasses import dataclass, fields
 
-from . import ckernel
 from .chaosmap import check_count
 from .hashing import BLOCK_BITS, Message, check_message, hash_message
 from .keyschedule import KEY_BYTES, check_iterations, check_key, flip_key_bit
@@ -66,57 +61,13 @@ def hdr(a, b) -> float:
     return distance / 128.0
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on: its affinity mask where there is one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _hash_all(jobs, t: int) -> list:
-    """Digest of each (message, key) job, in order, over every CPU.
+    """Digest of each (message, key) job, in order.
 
-    The jobs split into one contiguous chunk per CPU this process may
-    use. Helper threads run chunks 1..n-1 while the calling thread runs
-    chunk 0, and the digests join in job order. Every helper is joined
-    before this returns or raises; the first failing chunk, in job
-    order, raises its exception. No thread is started with one CPU, one
-    job or the Python fallback. `hash_message` is looked up when each
-    job runs, so a wrapper installed on this module applies here too.
+    `hash_message` is looked up when each job runs, so a wrapper
+    installed on this module applies here too.
     """
-    def work(chunk):
-        return [hash_message(message, key, t) for message, key in chunk]
-
-    # the Python fallback holds the GIL: threads would only contend for it
-    n = min(_cpu_count(), len(jobs)) if ckernel.load() is not None else 1
-    if n < 2:
-        return work(jobs)
-    bounds = [len(jobs) * i // n for i in range(n + 1)]
-    outcomes = [None] * n   # chunk i's digests, or the exception it raised
-
-    def run(i):
-        try:
-            outcomes[i] = work(jobs[bounds[i]:bounds[i + 1]])
-        except BaseException as error:  # raised again below, in job order
-            outcomes[i] = error
-
-    helpers = []
-    try:
-        for i in range(1, n):
-            helper = threading.Thread(target=run, args=(i,))
-            helper.start()
-            helpers.append(helper)
-        outcomes[0] = work(jobs[:bounds[1]])
-    finally:
-        for helper in helpers:
-            helper.join()
-    digests = []
-    for outcome in outcomes:
-        if isinstance(outcome, BaseException):
-            raise outcome
-        digests.extend(outcome)
-    return digests
+    return [hash_message(message, key, t) for message, key in jobs]
 
 
 def _report(indices, digests) -> HdrReport:

@@ -12,9 +12,9 @@ Its digests are therefore bit-equal to the Python path's as long as the
 compiler neither fuses a multiply and an add into one rounding nor
 reorders floating-point operations. FLAGS asks for -ffp-contract=off
 (clang's default, "on", fuses within an expression) and holds no
--ffast-math or -mfma. It hashes with the GIL released, so the
-experiments' helper threads (analysis) hash in parallel; the Python
-fallback holds the GIL.
+-ffast-math or -mfma. It hashes with the GIL released, as hashlib
+does, so a caller's own threads hash in parallel; the Python fallback
+holds the GIL.
 
 The first load() in a process finds the extension where CPython keeps
 _kernel.c's byte code (the __pycache__ directory beside it, or its

@@ -7,14 +7,13 @@ import random
 import subprocess
 import sys
 import threading
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import neurohash
-from neurohash import analysis, ckernel
+from neurohash import analysis
 from neurohash.analysis import (
     BirthdayReport,
     HdrReport,
@@ -122,20 +121,29 @@ print([name for name in %r if name in sys.modules])
 
 
 def test_no_threads_left_running():
-    # a fresh interpreter, so threads started by other tests do not count
+    # a fresh interpreter, so threads started by other tests do not count:
+    # hashing and the experiments run on the calling thread alone
     code = """
 import threading
 from neurohash.analysis import (
     birthday_experiment, key_sensitivity_sweep, message_sensitivity_sweep)
 from neurohash.hashing import Message, hash_message
+started = []
+real_start = threading.Thread.start
+
+def start(thread):
+    started.append(thread)
+    real_start(thread)
+
+threading.Thread.start = start
 key = bytes(range(16))
 hash_message(Message(b"threads?"), key, 1)
 message_sensitivity_sweep(Message(b"ab"), key, 1)
 key_sensitivity_sweep(Message(b"ab"), key, 1)
 birthday_experiment(8, 16, key, 1, seed=0)
-print(threading.active_count())
+print(len(started), threading.active_count())
 """
-    assert _run_fresh(code).strip() == "1"
+    assert _run_fresh(code).split() == ["0", "1"]
 
 
 def test_birthday_expected_formula():
@@ -206,11 +214,7 @@ def test_emit_csv_unwritable_destination(tmp_path):
         emit_csv(rep, str(tmp_path / "missing_dir" / "x.csv"))
 
 
-# --- fan-out over helper threads -------------------------------------------
-
-# the fan-out runs only on the compiled chain; the Python fallback hashes
-# in one loop and starts no thread
-FANS_OUT = neurohash.kernel == "c"
+# --- the experiments against an in-process loop ----------------------------
 
 
 def _expected_sweep(message, key, t, flipped):
@@ -250,79 +254,6 @@ def _expected_birthday(width, trials, key, t, seed):
                           trials * (trials - 1) / 2 / 2.0 ** width, seed)
 
 
-@pytest.fixture
-def helpers(monkeypatch):
-    """Count the threads started while the test runs (the fan-out's helpers)."""
-    started = []
-    real_start = threading.Thread.start
-
-    def start(thread):
-        started.append(thread)
-        real_start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", start)
-    return started
-
-
-@pytest.mark.parametrize("cpus", [2, 3])
-def test_fan_out_reports_equal_in_process_loop(monkeypatch, helpers, cpus):
-    monkeypatch.setattr(analysis, "_cpu_count", lambda: cpus)
-    threads = threading.active_count()
-    m = _small_message()                  # 121 jobs: uneven for 2 and 3 CPUs
-    assert message_sensitivity_sweep(m, KEY, 1) == _expected_message_sweep(m, KEY, 1)
-    assert key_sensitivity_sweep(m, KEY, 1) == _expected_key_sweep(m, KEY, 1)
-    assert (birthday_experiment(8, 50, KEY, 1, seed=4)
-            == _expected_birthday(8, 50, KEY, 1, 4))
-    assert len(helpers) == 3 * (cpus - 1) * FANS_OUT
-    assert threading.active_count() == threads
-
-
-def test_fan_out_fewer_jobs_than_cpus(monkeypatch, helpers):
-    monkeypatch.setattr(analysis, "_cpu_count", lambda: 8)
-    m = Message(b"\xc0", 2)                # baseline plus 2 flips: 3 jobs
-    assert message_sensitivity_sweep(m, KEY, 1) == _expected_message_sweep(m, KEY, 1)
-    assert len(helpers) == 2 * FANS_OUT
-
-
-def test_fan_out_single_job_starts_no_process(monkeypatch, helpers):
-    monkeypatch.setattr(analysis, "_cpu_count", lambda: 3)
-    m = _small_message()
-    assert analysis._hash_all([(m, KEY)], 1) == [hash_message(m, KEY, 1)]
-    assert helpers == []
-
-
-def test_one_cpu_starts_no_process(monkeypatch, helpers):
-    monkeypatch.setattr(analysis, "_cpu_count", lambda: 1)
-    m = _small_message()
-    assert message_sensitivity_sweep(m, KEY, 1) == _expected_message_sweep(m, KEY, 1)
-    assert birthday_experiment(8, 20, KEY, 1, seed=2) == _expected_birthday(8, 20, KEY, 1, 2)
-    assert helpers == []
-
-
-def test_the_python_fallback_starts_no_thread(monkeypatch, helpers):
-    monkeypatch.setattr(analysis, "_cpu_count", lambda: 3)
-    m = _small_message()
-    expected = _expected_key_sweep(m, KEY, 1)
-    monkeypatch.setattr(ckernel, "load", lambda: None)
-    assert key_sensitivity_sweep(m, KEY, 1) == expected
-    assert helpers == []
-
-
-def test_fans_out_while_another_thread_runs(monkeypatch, helpers):
-    monkeypatch.setattr(analysis, "_cpu_count", lambda: 2)
-    release = threading.Event()
-    other = threading.Thread(target=release.wait)
-    other.start()
-    try:
-        m = _small_message()
-        assert key_sensitivity_sweep(m, KEY, 1) == _expected_key_sweep(m, KEY, 1)
-    finally:
-        release.set()
-        other.join(timeout=10)
-    assert not other.is_alive()
-    assert helpers[0] is other and len(helpers) == 1 + FANS_OUT
-
-
 @pytest.mark.parametrize("call, error", [
     (lambda: message_sensitivity_sweep(_small_message(), KEY, 0), ValueError),
     (lambda: message_sensitivity_sweep(_small_message(), KEY, 1.5), TypeError),
@@ -339,11 +270,9 @@ def test_fans_out_while_another_thread_runs(monkeypatch, helpers):
     (lambda: birthday_experiment(8, 20.5, KEY, 1, seed=0), TypeError),
     (lambda: birthday_experiment(8, True, KEY, 1, seed=0), TypeError),
 ])
-def test_bad_input_raises_before_any_fork(monkeypatch, helpers, call, error):
-    monkeypatch.setattr(analysis, "_cpu_count", lambda: 2)
+def test_bad_input_raises_before_any_fork(call, error):
     with pytest.raises(error):
         call()
-    assert helpers == []
 
 
 def _failing_on(errors):
@@ -358,33 +287,30 @@ def _failing_on(errors):
     return failing
 
 
-# 121 jobs (the baseline, then flips 0..119) in chunks of 40, 40 and 41 on
-# 3 CPUs: flip 3 is job 4, in chunk 0 (the calling thread's), flip 50 is
-# job 51, in chunk 1, and flip 100 is job 101, in the last chunk
+# 121 jobs: the baseline, then flips 0..119, so flip i is job i + 1
 
 
 @pytest.mark.parametrize("flip, error, raised", [
-    (100, ValueError("failed in a helper"), ValueError),           # last chunk
-    (3, ValueError("failed in the calling thread"), ValueError),   # chunk 0
-    (100, SystemExit("exit in a helper"), SystemExit),  # a thread drops it
+    (100, ValueError("failed late"), ValueError),      # job 101 of 121
+    (3, ValueError("failed early"), ValueError),       # job 4
+    (100, SystemExit("exit late"), SystemExit),        # not only Exception
 ])
-def test_failure_reaps_every_worker(monkeypatch, helpers, flip, error, raised):
-    monkeypatch.setattr(analysis, "_cpu_count", lambda: 3)
+def test_failure_reaps_every_worker(monkeypatch, flip, error, raised):
+    # the failing job's own exception object is raised, and no thread is
+    # left behind
     monkeypatch.setattr(analysis, "hash_message", _failing_on({flip: error}))
     threads = threading.active_count()
     with pytest.raises(raised) as info:
         message_sensitivity_sweep(_small_message(), KEY, 1)
     assert info.value is error
-    assert len(helpers) == 2 * FANS_OUT
     assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("flips, first", [
-    ((3, 50, 100), 3),          # every chunk fails: chunk 0's error
-    ((50, 100), 50),            # both helpers fail: chunk 1's error
+    ((3, 50, 100), 3),          # three jobs fail: job 4's error
+    ((50, 100), 50),            # two jobs fail: job 51's error
 ])
 def test_the_first_failing_chunk_raises(monkeypatch, flips, first):
-    monkeypatch.setattr(analysis, "_cpu_count", lambda: 3)
     errors = {flip: ValueError(flip) for flip in flips}
     monkeypatch.setattr(analysis, "hash_message", _failing_on(errors))
     with pytest.raises(ValueError) as info:
@@ -392,9 +318,33 @@ def test_the_first_failing_chunk_raises(monkeypatch, flips, first):
     assert info.value is errors[first]
 
 
+@pytest.mark.parametrize("callers", [2, 3])
+def test_fan_out_reports_equal_in_process_loop(callers):
+    # a caller fans the experiments out over its own threads (the compiled
+    # chain releases the GIL): every thread's reports equal an in-process
+    # loop of hash_message
+    m = _small_message()
+    expected = (_expected_message_sweep(m, KEY, 1), _expected_key_sweep(m, KEY, 1),
+                _expected_birthday(8, 50, KEY, 1, 4))
+    reports = [None] * callers
+
+    def run(i):
+        reports[i] = (message_sensitivity_sweep(m, KEY, 1),
+                      key_sensitivity_sweep(m, KEY, 1),
+                      birthday_experiment(8, 50, KEY, 1, seed=4))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(callers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert reports == [expected] * callers
+
+
 def test_sweeps_under_a_wrapped_hash_message(monkeypatch):
-    # the traced benchmark pass swaps hash_message for a wrapper like this
-    monkeypatch.setattr(analysis, "_cpu_count", lambda: 2)
+    # the traced benchmark pass swaps hash_message for a wrapper like this;
+    # each experiment's report equals an in-process loop of hash_message
     calls = []
 
     @functools.wraps(hash_message)
@@ -408,8 +358,7 @@ def test_sweeps_under_a_wrapped_hash_message(monkeypatch):
     assert key_sensitivity_sweep(m, KEY, 1) == _expected_key_sweep(m, KEY, 1)
     assert (birthday_experiment(8, 50, KEY, 1, seed=4)
             == _expected_birthday(8, 50, KEY, 1, 4))
-    # every job of the message sweep, of the key sweep and of birthday,
-    # whichever thread hashed it
+    # every job of the message sweep, of the key sweep and of birthday
     assert len(calls) == 121 + 129 + 50
 
 
@@ -469,23 +418,21 @@ def _random_message(nbits, seed):
 
 @settings(max_examples=4, deadline=None, derandomize=True)
 @given(nbits=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1),
-       key=st.binary(min_size=16, max_size=16), t=st.integers(1, 3),
-       cpus=st.integers(1, 3))
-@example(nbits=1, seed=1, key=KEY, t=1, cpus=1)
-@example(nbits=31, seed=2, key=SAMPLE_KEY, t=2, cpus=2)
-@example(nbits=32, seed=3, key=bytes(16), t=3, cpus=3)
-@example(nbits=127, seed=4, key=KEY, t=1, cpus=2)
-@example(nbits=128, seed=5, key=SAMPLE_KEY, t=2, cpus=3)
-@example(nbits=1023, seed=6, key=bytes(16), t=3, cpus=1)
-@example(nbits=1024, seed=7, key=KEY, t=1, cpus=3)
-@example(nbits=1025, seed=8, key=SAMPLE_KEY, t=2, cpus=1)
-@example(nbits=2048, seed=9, key=b"\xff" * 16, t=3, cpus=2)
-def test_message_sweep_equals_per_flip_rehash(nbits, seed, key, t, cpus):
+       key=st.binary(min_size=16, max_size=16), t=st.integers(1, 3))
+@example(nbits=1, seed=1, key=KEY, t=1)
+@example(nbits=31, seed=2, key=SAMPLE_KEY, t=2)
+@example(nbits=32, seed=3, key=bytes(16), t=3)
+@example(nbits=127, seed=4, key=KEY, t=1)
+@example(nbits=128, seed=5, key=SAMPLE_KEY, t=2)
+@example(nbits=1023, seed=6, key=bytes(16), t=3)
+@example(nbits=1024, seed=7, key=KEY, t=1)
+@example(nbits=1025, seed=8, key=SAMPLE_KEY, t=2)
+@example(nbits=2048, seed=9, key=b"\xff" * 16, t=3)
+def test_message_sweep_equals_per_flip_rehash(nbits, seed, key, t):
     message = _random_message(nbits, seed)
     indices = range(min(BLOCK_BITS, nbits))
     expected = _expected_sweep(message, key, t, [(message.flip(i), key) for i in indices])
-    with mock.patch.object(analysis, "_cpu_count", lambda: cpus):
-        assert message_sensitivity_sweep(message, key, t) == expected
+    assert message_sensitivity_sweep(message, key, t) == expected
 
 
 @settings(max_examples=4, deadline=None, derandomize=True)
