@@ -40,7 +40,6 @@
 #include <Python.h>
 
 #include <float.h>
-#include <limits.h>
 #include <stdint.h>
 
 #if !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0
@@ -128,14 +127,14 @@ map_step(lanes x, lanes q, lanes half, lanes top)
 /* The map applied t times to each of the 2 * pairs values at x, in
  * place: every turn of the t loop steps every pair. */
 static void
-map_pairs(double *x, int pairs, double q, long t)
+map_pairs(double *x, int pairs, double q, long long t)
 {
     const lanes qs = {q, q}, half = 0.5 - qs, top = 1.0 - qs;
     lanes v[4];                   /* a layer has at most 8 neurons */
 
     for (int p = 0; p < pairs; p++)
         v[p] = (lanes){x[2 * p], x[2 * p + 1]};
-    for (long i = 0; i < t; i++)
+    for (long long i = 0; i < t; i++)
         for (int p = 0; p < pairs; p++)
             v[p] = map_step(v[p], qs, half, top);
     for (int p = 0; p < pairs; p++) {
@@ -163,14 +162,14 @@ store_word(unsigned char *p, uint32_t word)
 /* keyschedule.subkey_stream: orbit a in lane 0 and orbit b in lane 1,
  * walked side by side as orbit_sums walks them */
 static void
-subkey_stream(const uint32_t k[4], long t, double s[SUBKEY_COUNT])
+subkey_stream(const uint32_t k[4], long long t, double s[SUBKEY_COUNT])
 {
     lanes x = {clamp_seed(quantize_word(k[0])), clamp_seed(quantize_word(k[2]))};
     lanes q = {derive_param(quantize_word(k[1])),
                derive_param(quantize_word(k[3]))};
     lanes half = 0.5 - q, top = 1.0 - q;
 
-    for (long i = 0; i < t; i++)
+    for (long long i = 0; i < t; i++)
         x = map_step(x, q, half, top);
     s[0] = mod1(x[0] + x[1]);
     for (int j = 1; j < SUBKEY_COUNT; j++) {
@@ -192,8 +191,8 @@ weigh(const double *x, const double *w, int fan_in, double bias)
 
 /* network.hash_block under the sub-keys s, as sliced by assign_subkeys */
 static void
-hash_block(const unsigned char *block, const double s[SUBKEY_COUNT], long t,
-           uint32_t digest[4])
+hash_block(const unsigned char *block, const double s[SUBKEY_COUNT],
+           long long t, uint32_t digest[4])
 {
     double p[32], c[8], d[8], h[4];
 
@@ -220,7 +219,7 @@ hash_block(const unsigned char *block, const double s[SUBKEY_COUNT], long t,
  * Touches no Python object. */
 static void
 chain_words(const unsigned char *raw, Py_ssize_t blocks,
-            const unsigned char *key, long t, unsigned char *out)
+            const unsigned char *key, long long t, unsigned char *out)
 {
     uint32_t running[4], digest[4];
     double s[SUBKEY_COUNT];
@@ -243,10 +242,10 @@ static PyObject *
 chain(PyObject *module, PyObject *args)
 {
     Py_buffer padded, key;
-    long t;
+    long long t;
     PyObject *result = NULL;
 
-    if (!PyArg_ParseTuple(args, "y*y*l:chain", &padded, &key, &t))
+    if (!PyArg_ParseTuple(args, "y*y*L:chain", &padded, &key, &t))
         return NULL;
     if (padded.len == 0 || padded.len % BLOCK_BYTES != 0
             || key.len != KEY_BYTES || t < 1)
@@ -282,8 +281,5 @@ static struct PyModuleDef kernel_module = {
 PyMODINIT_FUNC
 PyInit__kernel(void)
 {
-    PyObject *module = PyModule_Create(&kernel_module);
-    if (module != NULL && PyModule_AddIntConstant(module, "T_MAX", LONG_MAX) < 0)
-        Py_CLEAR(module);
-    return module;
+    return PyModule_Create(&kernel_module);
 }

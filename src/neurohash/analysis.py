@@ -64,8 +64,9 @@ def hdr(a, b) -> float:
 def _hash_all(jobs, t: int) -> list:
     """Digest of each (message, key) job, in order.
 
-    `hash_message` is looked up when each job runs, so a wrapper
-    installed on this module applies here too.
+    `jobs` is consumed in order, one job at a time, so a generator of
+    jobs is never held whole. `hash_message` is looked up when each job
+    runs, so a wrapper installed on this module applies here too.
     """
     return [hash_message(message, key, t) for message, key in jobs]
 
@@ -93,7 +94,8 @@ def message_sensitivity_sweep(message: Message, key: bytes, t: int) -> HdrReport
     key = check_key(key)
     check_iterations(t)
     indices = range(min(BLOCK_BITS, message.nbits))
-    jobs = [(message, key)] + [(message.flip(i), key) for i in indices]
+    jobs = ((message if i is None else message.flip(i), key)
+            for i in (None, *indices))
     return _report(indices, _hash_all(jobs, t))
 
 

@@ -23,9 +23,8 @@ and FLAGS. If it is missing, one compiler call builds it under a
 temporary name and os.replace moves it into place, so concurrent builds
 never see a partial file. The module is used only after it reproduces
 SELF_CHECK, golden records at t = 50, where a contracted build goes
-wrong (at t = 1 it can still agree). In every other case load() returns
-None, the Python stage functions stay in charge, and status() names
-the reason. hashing also keeps Python for a t beyond C's long, T_MAX.
+wrong (at t = 1 it can still agree). Otherwise load() returns None, the
+Python stage functions stay in charge, and status() names the reason.
 """
 
 import functools

@@ -169,7 +169,7 @@ def _hash(message: Message, key: bytes, t: int) -> bytes:
     raw = _pad_bytes(message)
     check_iterations(t)
     kernel = ckernel.load()
-    chain = kernel.chain if kernel is not None and t <= kernel.T_MAX else _chain
+    chain = kernel.chain if kernel is not None else _chain
     return chain(raw, key, t)
 
 

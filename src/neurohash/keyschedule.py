@@ -73,8 +73,11 @@ def check_key(key: bytes) -> bytes:
 
 
 def check_iterations(t) -> int:
-    """Validate a network iteration count: an int (not a bool), at least 1."""
-    return check_count(t, 1, "iteration count")
+    """A hashing iteration count: an int (not a bool), 1 <= t < 2**63."""
+    # the compiled chain counts t in a long long; both chains take this range
+    if check_count(t, 1, "iteration count") >= 2 ** 63:
+        raise ValueError("iteration count must be < 2**63")
+    return t
 
 
 def flip_key_bit(key: bytes, index: int) -> bytes:

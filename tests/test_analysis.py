@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -87,6 +88,23 @@ def test_flip_twice_restores_baseline():
 def test_message_sweep_rejects_empty():
     with pytest.raises(ValueError):
         message_sensitivity_sweep(Message(b""), KEY, 1)
+
+
+def test_message_sweep_holds_few_copies_of_the_message(monkeypatch):
+    # bound, fixed before measuring: a peak below 64 message sizes, where
+    # building all 1024 flipped copies first would need about 1024; the
+    # hash is a stub, so only what the sweep itself holds is counted
+    m = Message(bytes(range(256)) * 64)                 # 16 KiB
+    bound = 64 * len(m.data)
+    monkeypatch.setattr(analysis, "hash_message", lambda *job: (0,) * 4)
+    tracemalloc.start()
+    try:
+        report = message_sensitivity_sweep(m, KEY, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.per_flip) == BLOCK_BITS
+    assert peak < bound
 
 
 def test_key_sweep_shape():
@@ -310,7 +328,7 @@ def test_failure_reaps_every_worker(monkeypatch, flip, error, raised):
     ((3, 50, 100), 3),          # three jobs fail: job 4's error
     ((50, 100), 50),            # two jobs fail: job 51's error
 ])
-def test_the_first_failing_chunk_raises(monkeypatch, flips, first):
+def test_the_first_failing_job_raises(monkeypatch, flips, first):
     errors = {flip: ValueError(flip) for flip in flips}
     monkeypatch.setattr(analysis, "hash_message", _failing_on(errors))
     with pytest.raises(ValueError) as info:
@@ -319,7 +337,7 @@ def test_the_first_failing_chunk_raises(monkeypatch, flips, first):
 
 
 @pytest.mark.parametrize("callers", [2, 3])
-def test_fan_out_reports_equal_in_process_loop(callers):
+def test_concurrent_callers_get_in_process_reports(callers):
     # a caller fans the experiments out over its own threads (the compiled
     # chain releases the GIL): every thread's reports equal an in-process
     # loop of hash_message

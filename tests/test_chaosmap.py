@@ -141,7 +141,7 @@ def _orbit_sums_ref(xa, qa, xb, qb, t, count):
 @example(a=(0.5, CLAMP_AT_HALF), b=(0.5, CLAMP_AT_HALF), t=0, count=3)
 @example(a=(1.0 - CLAMP_AT_TOP, CLAMP_AT_TOP), b=(1.0, Q_MIN), t=0, count=3)
 @example(a=(0.5, 0.25), b=(0.5, 0.25), t=0, count=4)  # sums 1.0, 2.0, 0.0
-def test_map_orbit_points_equal_map_iter(a, b, t, count):
+def test_orbit_sums_equal_map_iter(a, b, t, count):
     (xa, qa), (xb, qb) = a, b
     sums = orbit_sums(xa, qa, xb, qb, t, count)
     assert sums == [mod1(map_iter(xa, qa, t + j) + map_iter(xb, qb, t + j))

@@ -73,6 +73,16 @@ def test_zero_t_rejected(tmp_path, capsys):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+def test_t_of_2_to_the_63_rejected(tmp_path, capsys):
+    # such a hash would never finish: refused at once with exit code 2
+    path = tmp_path / "m"
+    path.write_bytes(b"x")
+    assert run(["hash", str(path), "--key-hex", KEY_HEX,
+                "--t", "9223372036854775808"]) == 2
+    assert capsys.readouterr().err == \
+        "neurohash: error: iteration count must be < 2**63\n"
+
+
 def test_malformed_key(tmp_path, capsys):
     path = tmp_path / "m"
     path.write_bytes(b"x")
@@ -126,6 +136,20 @@ def test_birthday_csv_stdout(capsys):
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     assert rows[0][:3] == ["truncation_width", "trials", "collisions_observed"]
     assert rows[1][0] == "12" and rows[1][1] == "50"
+
+
+def test_birthday_out_writes_the_stdout_csv(tmp_path, capsys):
+    argv = ["birthday", "--key-hex", KEY_HEX, "--t", "1", "--unsafe-small-t",
+            "--width", "12", "--trials", "50", "--seed", "9"]
+    assert run(argv) == 0
+    stdout_csv = capsys.readouterr().out
+    path = tmp_path / "birthday.csv"
+    assert run(argv + ["--out", str(path)]) == 0
+    assert path.read_bytes() == stdout_csv.encode()
+    row = dict(zip(*csv.reader(io.StringIO(stdout_csv))))
+    summary = "observed=%s expected=%.4f seed=9 -> %s\n" % (
+        row["collisions_observed"], float(row["collisions_expected"]), path)
+    assert capsys.readouterr().out == summary
 
 
 def test_birthday_bad_width(capsys):

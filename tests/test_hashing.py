@@ -45,6 +45,10 @@ def test_message_basics():
     assert m.flip(0).flip(0) == m
     assert m.to_int() == 0b1111
     assert Message.from_int(0b1111, 4) == m
+    with pytest.raises(ValueError, match="value does not fit in nbits"):
+        Message.from_int(16, 4)
+    assert repr(m) == "Message(f0, nbits=4)"
+    assert repr(Message(b"")) == "Message('', nbits=0)"
     with pytest.raises(IndexError):
         m.bit(4)
     with pytest.raises(ValueError):
@@ -338,9 +342,15 @@ def test_golden_vectors_regenerate_identically():
     assert format_vectors(default_vectors()) == frozen
 
 
-def test_golden_vectors_read_back():
+def test_golden_vectors_read_back(tmp_path):
     records = read_vectors(GOLDEN_PATH)
     assert len(records) == 20
+    # blank lines, even between records, are skipped
+    path = tmp_path / "vectors.csv"
+    with open(GOLDEN_PATH) as handle:
+        lines = handle.read().splitlines()
+    path.write_text("\n".join(lines[:10] + ["", "  "] + lines[10:]) + "\n\n")
+    assert read_vectors(str(path)) == records
     key, data, t, digest = records[3]
     assert key == SAMPLE_KEY
     assert data == SAMPLE_SENTENCE.encode("ascii")

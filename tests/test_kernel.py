@@ -14,6 +14,7 @@ import struct
 import subprocess
 import sys
 import threading
+import types
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +29,7 @@ from neurohash.hashing import (
     bytes_to_digest,
     digest_to_bytes,
     format_digest,
+    hash_message,
     hash_message_trace,
     pad,
 )
@@ -197,19 +199,28 @@ def test_self_check_records_are_golden_vectors_at_t_50():
         assert (key, message, 50, digest) in golden
 
 
-def test_a_t_beyond_c_long_stays_on_the_python_path(monkeypatch):
-    # such a t never finishes: the Python chain is replaced by a stub
+@pytest.mark.parametrize("loaded", [True, False], ids=["kernel", "fallback"])
+def test_a_t_of_2_to_the_63_is_refused_before_any_chain(monkeypatch, loaded):
+    # neither t would finish: both chains are stubs that record their call,
+    # and whichever loaded takes every t below 2**63
     calls = []
 
-    def python_chain(raw, key, t):
-        calls.append(t)
-        return key
+    def stub(name):
+        def chain(raw, key, t):
+            calls.append((name, t))
+            return key
+        return chain
 
-    monkeypatch.setattr(hashing, "_chain", python_chain)
-    t = 2 ** 63
+    monkeypatch.setattr(hashing, "_chain", stub("python"))
+    kernel = types.SimpleNamespace(chain=stub("c")) if loaded else None
+    monkeypatch.setattr(ckernel, "load", lambda: kernel)
     key = bytes(range(16))
-    assert hash_message_trace(Message(b"abc"), key, t) == (bytes_to_digest(key), ())
-    assert calls == [t]
+    with pytest.raises(ValueError, match=r"^iteration count must be < 2\*\*63"):
+        hash_message(Message(b"abc"), key, 2 ** 63)
+    assert calls == []
+    digest = hash_message(Message(b"abc"), key, 2 ** 63 - 1)
+    assert digest == bytes_to_digest(key)
+    assert calls == [("c" if loaded else "python", 2 ** 63 - 1)]
 
 
 # --- the build, the cache and the guard, in a copy of the package ------------

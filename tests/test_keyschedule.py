@@ -114,8 +114,12 @@ def test_non_integer_iteration_count(t):
 
 def test_iteration_count_range():
     assert check_iterations(1) == 1
+    assert check_iterations(2 ** 63 - 1) == 2 ** 63 - 1
     for t in (0, -1):
         with pytest.raises(ValueError, match="iteration count must be >= 1"):
+            check_iterations(t)
+    for t in (2 ** 63, 10 ** 20):
+        with pytest.raises(ValueError, match=r"iteration count must be < 2\*\*63"):
             check_iterations(t)
 
 

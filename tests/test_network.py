@@ -167,7 +167,7 @@ def test_hash_block_matches_oracle():
     t=st.integers(1, 80),
 )
 @example(key=bytes(range(16)), block=list(range(32)), t=1)
-def test_hash_block_lockstep_matches_scalar_and_oracle(key, block, t):
+def test_hash_block_matches_oracle_and_per_neuron_steps(key, block, t):
     # t = 1 gives every layer the hidden layer's single map step;
     # count_operations steps each neuron through its own map_step calls
     # and raises if its digest differs from hash_block's
