@@ -7,9 +7,15 @@
  * the block digest is XORed into the running key. It returns one bytes
  * object, as hashing._chain does: each block digest as four big-endian
  * 32-bit words, then the final running key, 16 * (blocks + 1) bytes.
- * The block loop fills that new object with the GIL released, which is
- * safe because nothing else holds a reference to it yet, so threads hash
- * in parallel.
+ * chain_many(padded, blocks, keys, t) hashes n messages of `blocks`
+ * padded blocks each, given one after the other, under their n keys,
+ * and returns their n final running keys, 16 * n bytes: message i's are
+ * chain(padded_i, key_i, t)[-16:], as hashing._chain_many has them. It
+ * chains the messages two at a time, their two key schedules walked side
+ * by side as two lane pairs, and a run of equal keys expands its first
+ * block's schedule once. Both fill their new bytes object with the GIL
+ * released, which is safe because nothing else holds a reference to it
+ * yet, so threads hash in parallel.
  *
  * Every floating-point result is the one the Python code computes: sums
  * accumulate in ascending index order from the first product with the
@@ -41,6 +47,7 @@
 
 #include <float.h>
 #include <stdint.h>
+#include <string.h>
 
 #if !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0
 #error "double arithmetic must be evaluated in binary64"
@@ -159,22 +166,39 @@ store_word(unsigned char *p, uint32_t word)
     p[3] = (unsigned char)word;
 }
 
-/* keyschedule.subkey_stream: orbit a in lane 0 and orbit b in lane 1,
- * walked side by side as orbit_sums walks them */
-static void
-subkey_stream(const uint32_t k[4], long long t, double s[SUBKEY_COUNT])
-{
-    lanes x = {clamp_seed(quantize_word(k[0])), clamp_seed(quantize_word(k[2]))};
-    lanes q = {derive_param(quantize_word(k[1])),
-               derive_param(quantize_word(k[3]))};
-    lanes half = 0.5 - q, top = 1.0 - q;
+/* Inlined wherever it is called, so that a constant count of keys or
+ * messages unrolls its loops and the lanes stay in registers: with a
+ * count known only at run time they live on the stack, and every map step
+ * of the key schedule waits for a store and a load. */
+#define UNROLLED static inline __attribute__((always_inline))
 
+/* keyschedule.subkey_stream for each of `keys` (1 or 2) running keys:
+ * key m's orbit a in lane 0 and orbit b in lane 1 of pair m, walked side
+ * by side as orbit_sums walks them, the pairs stepped together as
+ * map_pairs steps a layer's */
+UNROLLED void
+subkey_stream(uint32_t (*k)[4], int keys, long long t,
+              double (*s)[SUBKEY_COUNT])
+{
+    lanes x[2], q[2], half[2], top[2];
+
+    for (int m = 0; m < keys; m++) {
+        x[m] = (lanes){clamp_seed(quantize_word(k[m][0])),
+                       clamp_seed(quantize_word(k[m][2]))};
+        q[m] = (lanes){derive_param(quantize_word(k[m][1])),
+                       derive_param(quantize_word(k[m][3]))};
+        half[m] = 0.5 - q[m];
+        top[m] = 1.0 - q[m];
+    }
     for (long long i = 0; i < t; i++)
-        x = map_step(x, q, half, top);
-    s[0] = mod1(x[0] + x[1]);
-    for (int j = 1; j < SUBKEY_COUNT; j++) {
-        x = map_step(x, q, half, top);
-        s[j] = mod1(x[0] + x[1]);
+        for (int m = 0; m < keys; m++)
+            x[m] = map_step(x[m], q[m], half[m], top[m]);
+    for (int j = 0; j < SUBKEY_COUNT; j++) {
+        if (j > 0)
+            for (int m = 0; m < keys; m++)
+                x[m] = map_step(x[m], q[m], half[m], top[m]);
+        for (int m = 0; m < keys; m++)
+            s[m][j] = mod1(x[m][0] + x[m][1]);
     }
 }
 
@@ -214,28 +238,93 @@ hash_block(const unsigned char *block, const double s[SUBKEY_COUNT],
     }
 }
 
-/* Every block digest of `blocks` padded blocks from the running key, then
- * the final running key, into out: 16 * (blocks + 1) big-endian bytes.
- * Touches no Python object. */
-static void
-chain_words(const unsigned char *raw, Py_ssize_t blocks,
-            const unsigned char *key, long long t, unsigned char *out)
-{
-    uint32_t running[4], digest[4];
+/* The first block's key schedule of the latest key chain_many expanded,
+ * so that a run of equal keys is expanded once per call */
+struct first_schedule {
+    int held;
+    uint32_t key[4];
     double s[SUBKEY_COUNT];
+};
 
-    for (int i = 0; i < 4; i++)
-        running[i] = load_word(key + 4 * i);
+static int
+same_key(const uint32_t a[4], const uint32_t b[4])
+{
+    return a[0] == b[0] && a[1] == b[1] && a[2] == b[2] && a[3] == b[3];
+}
+
+/* The first block's schedules of the `keys` (1 or 2) keys k into s: a key
+ * that `first` holds is copied from it, the others are expanded side by
+ * side (two equal ones once), and the last key's schedule is held next. */
+static void
+first_subkey_stream(uint32_t (*k)[4], int keys, long long t,
+                    double (*s)[SUBKEY_COUNT], struct first_schedule *first)
+{
+    int lo = 0, hi = keys;        /* the keys k[lo .. hi-1] to expand */
+
+    if (first->held && same_key(k[0], first->key)) {
+        memcpy(s[0], first->s, sizeof first->s);
+        lo = 1;
+    }
+    if (keys == 2 && first->held && same_key(k[1], first->key)) {
+        memcpy(s[1], first->s, sizeof first->s);
+        hi = 1;
+    }
+    if (hi - lo == 2 && !same_key(k[0], k[1]))
+        subkey_stream(k, 2, t, s);
+    else if (lo < hi) {
+        subkey_stream(k + lo, 1, t, s + lo);
+        if (hi - lo == 2)         /* two equal keys */
+            memcpy(s[1], s[0], sizeof s[0]);
+    }
+    if (hi == keys && lo < hi) {
+        memcpy(first->key, k[keys - 1], sizeof first->key);
+        memcpy(first->s, s[keys - 1], sizeof first->s);
+        first->held = 1;
+    }
+}
+
+/* The chains of `keys` (1 or 2) messages of `blocks` padded blocks each,
+ * stored one after the other in raw, from their running keys in `running`,
+ * which end as their final keys. The two key schedules of a block are
+ * expanded side by side; the first block's go through `first` when it is
+ * not NULL. When `digests` is not NULL (one message), each block digest
+ * goes there as four big-endian words. Touches no Python object. */
+UNROLLED void
+chain_words(const unsigned char *raw, Py_ssize_t blocks, uint32_t (*running)[4],
+            int keys, long long t, struct first_schedule *first,
+            unsigned char *digests)
+{
+    uint32_t digest[4];
+    double s[2][SUBKEY_COUNT];
+
     for (Py_ssize_t n = 0; n < blocks; n++) {
-        subkey_stream(running, t, s);
-        hash_block(raw + n * BLOCK_BYTES, s, t, digest);
-        for (int i = 0; i < 4; i++) {
-            store_word(out + KEY_BYTES * n + 4 * i, digest[i]);
-            running[i] ^= digest[i];
+        if (n == 0 && first != NULL)
+            first_subkey_stream(running, keys, t, s, first);
+        else
+            subkey_stream(running, keys, t, s);
+        for (int m = 0; m < keys; m++) {
+            hash_block(raw + (m * blocks + n) * BLOCK_BYTES, s[m], t, digest);
+            for (int i = 0; i < 4; i++) {
+                if (digests != NULL)
+                    store_word(digests + KEY_BYTES * n + 4 * i, digest[i]);
+                running[m][i] ^= digest[i];
+            }
         }
     }
+}
+
+static void
+load_key(const unsigned char *p, uint32_t key[4])
+{
     for (int i = 0; i < 4; i++)
-        store_word(out + KEY_BYTES * blocks + 4 * i, running[i]);
+        key[i] = load_word(p + 4 * i);
+}
+
+static void
+store_key(unsigned char *p, const uint32_t key[4])
+{
+    for (int i = 0; i < 4; i++)
+        store_word(p + 4 * i, key[i]);
 }
 
 static PyObject *
@@ -256,8 +345,11 @@ chain(PyObject *module, PyObject *args)
         result = PyBytes_FromStringAndSize(NULL, KEY_BYTES * (blocks + 1));
         if (result != NULL) {
             unsigned char *out = (unsigned char *)PyBytes_AS_STRING(result);
+            uint32_t running[1][4];
             Py_BEGIN_ALLOW_THREADS
-            chain_words(padded.buf, blocks, key.buf, t, out);
+            load_key(key.buf, running[0]);
+            chain_words(padded.buf, blocks, running, 1, t, NULL, out);
+            store_key(out + KEY_BYTES * blocks, running[0]);
             Py_END_ALLOW_THREADS
         }
     }
@@ -266,15 +358,64 @@ chain(PyObject *module, PyObject *args)
     return result;
 }
 
+static PyObject *
+chain_many(PyObject *module, PyObject *args)
+{
+    Py_buffer padded, keys;
+    Py_ssize_t blocks;
+    long long t;
+    PyObject *result = NULL;
+
+    if (!PyArg_ParseTuple(args, "y*ny*L:chain_many", &padded, &blocks, &keys, &t))
+        return NULL;
+    Py_ssize_t n = keys.len / KEY_BYTES;
+    if (blocks < 1 || n == 0 || keys.len % KEY_BYTES != 0 || t < 1
+            || padded.len % BLOCK_BYTES != 0
+            || padded.len / BLOCK_BYTES / blocks != n
+            || padded.len / BLOCK_BYTES % blocks != 0)
+        PyErr_SetString(PyExc_ValueError,
+                        "expected n messages of `blocks` padded blocks each, "
+                        "n 16-byte keys and t >= 1");
+    else {
+        result = PyBytes_FromStringAndSize(NULL, KEY_BYTES * n);
+        if (result != NULL) {
+            const unsigned char *raw = padded.buf, *key = keys.buf;
+            unsigned char *out = (unsigned char *)PyBytes_AS_STRING(result);
+            struct first_schedule first = {0};
+            Py_BEGIN_ALLOW_THREADS
+            for (Py_ssize_t i = 0; i < n; i += 2) {
+                uint32_t running[2][4];
+                int pair = n - i < 2 ? 1 : 2;
+                const unsigned char *messages = raw + BLOCK_BYTES * blocks * i;
+                for (int m = 0; m < pair; m++)
+                    load_key(key + KEY_BYTES * (i + m), running[m]);
+                if (pair == 2)
+                    chain_words(messages, blocks, running, 2, t, &first, NULL);
+                else
+                    chain_words(messages, blocks, running, 1, t, &first, NULL);
+                for (int m = 0; m < pair; m++)
+                    store_key(out + KEY_BYTES * (i + m), running[m]);
+            }
+            Py_END_ALLOW_THREADS
+        }
+    }
+    PyBuffer_Release(&padded);
+    PyBuffer_Release(&keys);
+    return result;
+}
+
 static PyMethodDef kernel_methods[] = {
     {"chain", chain, METH_VARARGS,
      "chain(padded, key, t) -> every block digest, then the final key"},
+    {"chain_many", chain_many, METH_VARARGS,
+     "chain_many(padded, blocks, keys, t) -> each message's final key"},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT, "_kernel",
-    "The neurohash block chain, bit-equal to hashing._chain.", -1,
+    "The neurohash block chain, bit-equal to hashing._chain and _chain_many.",
+    -1,
     kernel_methods,
 };
 

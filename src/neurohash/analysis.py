@@ -10,17 +10,23 @@ colliding pairs with the birthday-bound expectation. All randomized
 experiments take an explicit seed and record it in their report.
 
 The sweeps and the birthday experiment hash thousands of independent
-messages, each flipped message or key rehashed whole by hash_message,
-in one loop on the calling thread. The paper's parallelism is inside
-each hash: the compiled chain steps a layer's neurons in lockstep.
+messages, each flipped message or key rehashed whole, in one loop on
+the calling thread. They build each message's padded bytes directly (a
+flip is one XOR into a copy of the padded message) and hand them to
+the chain in batches: one chain_many call per batch, which on the
+compiled chain expands a run of equal first-block keys once and walks
+two messages' key schedules in lockstep. The paper's parallelism is
+also inside each hash: the compiled chain steps a layer's neurons in
+lockstep.
 """
 
 import csv
 import random
+import struct
 from dataclasses import dataclass, fields
 
 from .chaosmap import check_count
-from .hashing import BLOCK_BITS, Message, check_message, hash_message
+from .hashing import BLOCK_BITS, Message, _hash_many, _pad_bytes, check_message
 from .keyschedule import KEY_BYTES, check_iterations, check_key, flip_key_bit
 
 __all__ = [
@@ -61,14 +67,48 @@ def hdr(a, b) -> float:
     return distance / 128.0
 
 
-def _hash_all(jobs, t: int) -> list:
-    """Digest of each (message, key) job, in order.
+_BLOCK_BYTES = BLOCK_BITS // 8
+# a batch ends once its padded messages reach this many bytes, or where
+# the block count changes
+_BATCH_BYTES = 1 << 16
+# the second padded block of a 1024-bit message: the '1' marker, then zeros
+_MARKER_BLOCK = b"\x80" + bytes(_BLOCK_BYTES - 1)
 
-    `jobs` is consumed in order, one job at a time, so a generator of
-    jobs is never held whole. `hash_message` is looked up when each job
-    runs, so a wrapper installed on this module applies here too.
+
+def _batches(jobs):
+    """Consecutive (padded bytes, key) jobs as (padded list, key list) runs.
+
+    A run ends where the block count changes or once its padded bytes
+    reach _BATCH_BYTES.
     """
-    return [hash_message(message, key, t) for message, key in jobs]
+    padded, keys = [], []
+    for raw, key in jobs:
+        if padded and len(raw) != len(padded[0]):
+            yield padded, keys
+            padded, keys = [], []
+        padded.append(raw)
+        keys.append(key)
+        if len(padded) * len(raw) >= _BATCH_BYTES:
+            yield padded, keys
+            padded, keys = [], []
+    if padded:
+        yield padded, keys
+
+
+def _hash_all(jobs, t: int) -> list:
+    """Digest of each (padded bytes, key) job, in order.
+
+    `jobs` is consumed in order, one job at a time, and hashed one batch
+    at a time, so a generator of jobs is never held whole. Each batch is
+    one `_hash_many` call, looked up when the batch runs, so a wrapper
+    installed on this module applies here too.
+    """
+    digests = []
+    for padded, keys in _batches(jobs):
+        finals = _hash_many(b"".join(padded), len(padded[0]) // _BLOCK_BYTES,
+                            b"".join(keys), t)
+        digests.extend(struct.iter_unpack(">4I", finals))
+    return digests
 
 
 def _report(indices, digests) -> HdrReport:
@@ -94,9 +134,15 @@ def message_sensitivity_sweep(message: Message, key: bytes, t: int) -> HdrReport
     key = check_key(key)
     check_iterations(t)
     indices = range(min(BLOCK_BITS, message.nbits))
-    jobs = ((message if i is None else message.flip(i), key)
-            for i in (None, *indices))
-    return _report(indices, _hash_all(jobs, t))
+    padded = _pad_bytes(message)
+
+    def jobs():
+        yield padded, key
+        for i in indices:
+            flipped = bytearray(padded)
+            flipped[i // 8] ^= 0x80 >> (i % 8)
+            yield flipped, key
+    return _report(indices, _hash_all(jobs(), t))
 
 
 def key_sensitivity_sweep(message: Message, key: bytes, t: int) -> HdrReport:
@@ -105,7 +151,8 @@ def key_sensitivity_sweep(message: Message, key: bytes, t: int) -> HdrReport:
     key = check_key(key)
     check_iterations(t)
     indices = range(8 * KEY_BYTES)
-    jobs = [(message, key)] + [(message, flip_key_bit(key, i)) for i in indices]
+    padded = _pad_bytes(message)
+    jobs = [(padded, key)] + [(padded, flip_key_bit(key, i)) for i in indices]
     return _report(indices, _hash_all(jobs, t))
 
 
@@ -125,17 +172,17 @@ def birthday_experiment(
     key = check_key(key)
     check_iterations(t)
     rng = random.Random(seed)
-    seen = set()
-    jobs = []
-    while len(jobs) < trials:
-        value = rng.getrandbits(BLOCK_BITS)
-        if value in seen:
-            continue
-        seen.add(value)
-        jobs.append((Message.from_int(value, BLOCK_BITS), key))
+
+    def jobs():
+        seen = set()
+        while len(seen) < trials:
+            value = rng.getrandbits(BLOCK_BITS)
+            if value not in seen:
+                seen.add(value)
+                yield value.to_bytes(_BLOCK_BYTES, "big") + _MARKER_BLOCK, key
 
     buckets = {}
-    for digest in _hash_all(jobs, t):
+    for digest in _hash_all(jobs(), t):
         top = digest[0] >> (32 - width)
         buckets[top] = buckets.get(top, 0) + 1
     observed = sum(c * (c - 1) // 2 for c in buckets.values())

@@ -1,7 +1,9 @@
 """The compiled block chain: built on first use, trusted after a self-check.
 
 _kernel.c hashes every block of a padded message as hashing._chain does
-and returns the same bytes (the contract is in hashing's docstring). Its
+and returns the same bytes (the contract is in hashing's docstring);
+its chain_many hashes a batch of messages as hashing._chain_many does,
+two at a time with their key schedules walked side by side. Its
 sums keep the Python stage functions' order. Its map steps two lanes at
 a time without a branch: masks pick each lane's numerator and divisor,
 the ones map_layer's branch would use, and one division follows, so each
@@ -21,9 +23,11 @@ _kernel.c's byte code (the __pycache__ directory beside it, or its
 mirror under sys.pycache_prefix), named after a CRC-32 of the source
 and FLAGS. If it is missing, one compiler call builds it under a
 temporary name and os.replace moves it into place, so concurrent builds
-never see a partial file. The module is used only after it reproduces
+never see a partial file; the builds of other sources or FLAGS in that
+directory are then deleted. The module is used only after it reproduces
 SELF_CHECK, golden records at t = 50, where a contracted build goes
-wrong (at t = 1 it can still agree). Otherwise load() returns None, the
+wrong (at t = 1 it can still agree), through chain and through one
+chain_many batch of both records. Otherwise load() returns None, the
 Python stage functions stay in charge, and status() names the reason.
 """
 
@@ -122,16 +126,44 @@ def _build(path: str):
             lines = result.stderr.strip().splitlines() or ["no message"]
             return "build failed (exit %d): %s" % (result.returncode, lines[0])
         os.replace(temporary, path)
+        _remove_other_builds(path)
         return None
     finally:
         if os.path.exists(temporary):
             os.remove(temporary)
 
 
+def _remove_other_builds(path: str) -> None:
+    """Delete the kernels built beside `path` for another source or FLAGS.
+
+    Those are `_kernel.*` and the older scheme's `_chain-*` with this
+    interpreter's suffix. A `*.tmp` file is another process's build in
+    progress and is left alone.
+    """
+    folder, name = os.path.split(path)
+    try:
+        others = os.listdir(folder)
+    except OSError:
+        return
+    for other in others:
+        if (other != name and other.startswith(("_kernel.", "_chain-"))
+                and other.endswith(EXTENSION_SUFFIXES[0])):
+            try:
+                os.remove(os.path.join(folder, other))
+            except OSError:
+                pass
+
+
 def _reproduces_self_check(module) -> bool:
+    """Both SELF_CHECK records through chain, then through chain_many as
+    one batch of two messages under distinct keys, a lane pair."""
     from .hashing import Message, _pad_bytes
 
-    return all(
-        module.chain(_pad_bytes(Message(bytes.fromhex(message))),
-                     bytes.fromhex(key), 50)[-16:] == bytes.fromhex(digest)
-        for key, message, digest in SELF_CHECK)
+    padded = [_pad_bytes(Message(bytes.fromhex(message)))
+              for _, message, _ in SELF_CHECK]
+    keys = [bytes.fromhex(key) for key, _, _ in SELF_CHECK]
+    digests = [bytes.fromhex(digest) for _, _, digest in SELF_CHECK]
+    return (all(module.chain(raw, key, 50)[-16:] == digest
+                for raw, key, digest in zip(padded, keys, digests))
+            and module.chain_many(b"".join(padded), 1, b"".join(keys), 50)
+            == b"".join(digests))

@@ -14,6 +14,11 @@ and has passed its self-check; otherwise _chain runs the Python stage
 functions, which stay the reference. The two chains share one contract:
 chain(padded, key, t) returns each block digest as four big-endian
 32-bit words, then the final running key, 16 * (blocks + 1) bytes.
+The experiments hash batches through _hash_many, which picks the chain
+the same way: chain_many(padded, blocks, keys, t) returns the final
+running key of each of n messages of `blocks` padded blocks, given one
+after the other, under its own key, 16 * n bytes. The Python
+_chain_many is a loop of _chain.
 """
 
 import struct
@@ -163,6 +168,19 @@ def _chain(raw: bytes, key: bytes, t: int) -> bytes:
     return b"".join(out)
 
 
+def _chain_many(padded: bytes, blocks: int, keys: bytes, t: int) -> bytes:
+    """The Python chain_many: each message's final running key, in order.
+
+    `padded` holds len(keys) // 16 messages of `blocks` padded blocks
+    each, one after the other, and `keys` their keys; message i gives
+    _chain(padded_i, key_i, t)[-16:].
+    """
+    size = blocks * BLOCK_BITS // 8
+    return b"".join(
+        _chain(padded[i * size:(i + 1) * size], keys[16 * i:16 * (i + 1)], t)[-16:]
+        for i in range(len(keys) // 16))
+
+
 def _hash(message: Message, key: bytes, t: int) -> bytes:
     """The chain's bytes for a checked, padded message."""
     key = check_key(key)
@@ -171,6 +189,13 @@ def _hash(message: Message, key: bytes, t: int) -> bytes:
     kernel = ckernel.load()
     chain = kernel.chain if kernel is not None else _chain
     return chain(raw, key, t)
+
+
+def _hash_many(padded: bytes, blocks: int, keys: bytes, t: int) -> bytes:
+    """chain_many's bytes for checked keys and t, on the chain _hash uses."""
+    kernel = ckernel.load()
+    chain_many = kernel.chain_many if kernel is not None else _chain_many
+    return chain_many(padded, blocks, keys, t)
 
 
 def hash_message(message: Message, key: bytes, t: int) -> tuple:

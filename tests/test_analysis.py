@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import neurohash
-from neurohash import analysis
+from neurohash import analysis, ckernel, hashing
 from neurohash.analysis import (
     BirthdayReport,
     HdrReport,
@@ -96,7 +96,8 @@ def test_message_sweep_holds_few_copies_of_the_message(monkeypatch):
     # hash is a stub, so only what the sweep itself holds is counted
     m = Message(bytes(range(256)) * 64)                 # 16 KiB
     bound = 64 * len(m.data)
-    monkeypatch.setattr(analysis, "hash_message", lambda *job: (0,) * 4)
+    monkeypatch.setattr(analysis, "_hash_many",
+                        lambda padded, blocks, keys, t: bytes(len(keys)))
     tracemalloc.start()
     try:
         report = message_sensitivity_sweep(m, KEY, 1)
@@ -293,19 +294,26 @@ def test_bad_input_raises_before_any_fork(call, error):
         call()
 
 
-def _failing_on(errors):
-    """hash_message that raises errors[i] on the message with bit i flipped."""
-    targets = {_small_message().flip(bad): error for bad, error in errors.items()}
+def _failing_on(message, errors, batches=None):
+    """_hash_many that raises errors[i] on a batch holding `message` with
+    bit i flipped (the first such flip of the batch), and hashes no batch
+    at all: it returns zero digests. Each batch's key count goes to
+    `batches` when given."""
+    targets = {hashing._pad_bytes(message.flip(bad)): error
+               for bad, error in errors.items()}
 
-    @functools.wraps(hash_message)
-    def failing(message, key, t):
-        if message in targets:
-            raise targets[message]
-        return hash_message(message, key, t)
+    def failing(padded, blocks, keys, t):
+        if batches is not None:
+            batches.append(len(keys) // 16)
+        size = 128 * blocks
+        for start in range(0, len(padded), size):
+            if padded[start:start + size] in targets:
+                raise targets[padded[start:start + size]]
+        return bytes(len(keys))
     return failing
 
 
-# 121 jobs: the baseline, then flips 0..119, so flip i is job i + 1
+# 121 jobs in one batch: the baseline, then flips 0..119, so flip i is job i + 1
 
 
 @pytest.mark.parametrize("flip, error, raised", [
@@ -313,10 +321,11 @@ def _failing_on(errors):
     (3, ValueError("failed early"), ValueError),       # job 4
     (100, SystemExit("exit late"), SystemExit),        # not only Exception
 ])
-def test_failure_reaps_every_worker(monkeypatch, flip, error, raised):
-    # the failing job's own exception object is raised, and no thread is
+def test_the_failing_call_raises_its_own_exception(monkeypatch, flip, error, raised):
+    # the failing batch's own exception object is raised, and no thread is
     # left behind
-    monkeypatch.setattr(analysis, "hash_message", _failing_on({flip: error}))
+    monkeypatch.setattr(analysis, "_hash_many",
+                        _failing_on(_small_message(), {flip: error}))
     threads = threading.active_count()
     with pytest.raises(raised) as info:
         message_sensitivity_sweep(_small_message(), KEY, 1)
@@ -324,16 +333,25 @@ def test_failure_reaps_every_worker(monkeypatch, flip, error, raised):
     assert threading.active_count() == threads
 
 
+# 4095 bytes pad to 32 blocks, so a 64 KiB batch holds 16 jobs: flip 3 is
+# job 4, in batch 0; flip 50 is job 51, in batch 3; flip 100 is job 101,
+# in batch 6
+LONG_MESSAGE = Message((bytes(range(256)) * 16)[:4095])
+
+
 @pytest.mark.parametrize("flips, first", [
-    ((3, 50, 100), 3),          # three jobs fail: job 4's error
-    ((50, 100), 50),            # two jobs fail: job 51's error
+    ((3, 50, 100), 3),          # three batches fail: batch 0's error
+    ((50, 100), 50),            # two batches fail: batch 3's error
 ])
 def test_the_first_failing_job_raises(monkeypatch, flips, first):
     errors = {flip: ValueError(flip) for flip in flips}
-    monkeypatch.setattr(analysis, "hash_message", _failing_on(errors))
+    batches = []
+    monkeypatch.setattr(analysis, "_hash_many", _failing_on(LONG_MESSAGE, errors, batches))
     with pytest.raises(ValueError) as info:
-        message_sensitivity_sweep(_small_message(), KEY, 1)
+        message_sensitivity_sweep(LONG_MESSAGE, KEY, 1)
     assert info.value is errors[first]
+    # the batches ran in order, and none after the failing one
+    assert batches == [16] * ((first + 1) // 16 + 1)
 
 
 @pytest.mark.parametrize("callers", [2, 3])
@@ -360,24 +378,102 @@ def test_concurrent_callers_get_in_process_reports(callers):
     assert reports == [expected] * callers
 
 
-def test_sweeps_under_a_wrapped_hash_message(monkeypatch):
-    # the traced benchmark pass swaps hash_message for a wrapper like this;
-    # each experiment's report equals an in-process loop of hash_message
-    calls = []
+def test_sweeps_under_a_wrapped_hash_many(monkeypatch):
+    # a wrapper on the batch call sees every job; each experiment's report
+    # equals an in-process loop of hash_message
+    jobs = []
 
-    @functools.wraps(hash_message)
-    def wrapper(*args, **kwargs):
-        calls.append(1)
-        return hash_message(*args, **kwargs)
+    @functools.wraps(hashing._hash_many)
+    def wrapper(padded, blocks, keys, t):
+        jobs.append(len(keys) // 16)
+        return hashing._hash_many(padded, blocks, keys, t)
 
-    monkeypatch.setattr(analysis, "hash_message", wrapper)
+    monkeypatch.setattr(analysis, "_hash_many", wrapper)
     m = _small_message()
     assert message_sensitivity_sweep(m, KEY, 1) == _expected_message_sweep(m, KEY, 1)
     assert key_sensitivity_sweep(m, KEY, 1) == _expected_key_sweep(m, KEY, 1)
     assert (birthday_experiment(8, 50, KEY, 1, seed=4)
             == _expected_birthday(8, 50, KEY, 1, 4))
     # every job of the message sweep, of the key sweep and of birthday
-    assert len(calls) == 121 + 129 + 50
+    assert sum(jobs) == 121 + 129 + 50
+
+
+def test_hash_all_cuts_batches_at_64_kib_and_at_a_new_block_count(monkeypatch):
+    # 300 two-block jobs, 2 one-block, 1 two-block: batches of 256 and 44
+    # jobs, then 2, then 1; the digests are those of hash_message, in order
+    messages = ([Message(bytes([i % 256, i // 256]) * 64) for i in range(300)]
+                + [Message(b"one"), Message(b"block"), Message(bytes(200))])
+    keys = [bytes([i % 7]) * 16 for i in range(len(messages))]
+    batches = []
+
+    def recording(padded, blocks, keys, t):
+        batches.append((blocks, len(keys) // 16, len(padded)))
+        return hashing._hash_many(padded, blocks, keys, t)
+
+    monkeypatch.setattr(analysis, "_hash_many", recording)
+    jobs = ((hashing._pad_bytes(m), k) for m, k in zip(messages, keys))
+    assert analysis._hash_all(jobs, 1) == [hash_message(m, k, 1)
+                                           for m, k in zip(messages, keys)]
+    assert batches == [(2, 256, 65536), (2, 44, 44 * 256), (1, 2, 256), (2, 1, 256)]
+
+
+def _captured_jobs(monkeypatch):
+    """Every (padded bytes, key) job the experiments hand the batch call;
+    the digests it returns are zeros."""
+    jobs = []
+
+    def capture(padded, blocks, keys, t):
+        size = 128 * blocks
+        for i in range(len(keys) // 16):
+            jobs.append((padded[i * size:(i + 1) * size], keys[16 * i:16 * (i + 1)]))
+        return bytes(len(keys))
+
+    monkeypatch.setattr(analysis, "_hash_many", capture)
+    return jobs
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(nbits=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1),
+       trials=st.integers(2, 40))
+@example(nbits=1, seed=1, trials=2)
+@example(nbits=1023, seed=2, trials=3)
+@example(nbits=1024, seed=3, trials=40)
+@example(nbits=2049, seed=4, trials=5)
+def test_the_experiments_pad_as_pad_bytes(nbits, seed, trials):
+    # the padded bytes built directly: each flip XORed into a copy of the
+    # padded message, one padded message for every key, and a birthday
+    # value's 128 bytes followed by the marker block
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        jobs = _captured_jobs(monkeypatch)
+        message = _random_message(nbits, seed)
+        message_sensitivity_sweep(message, KEY, 1)
+        flips = range(min(BLOCK_BITS, nbits))
+        assert jobs == [(hashing._pad_bytes(message), KEY)] + [
+            (hashing._pad_bytes(message.flip(i)), KEY) for i in flips]
+        jobs.clear()
+        key_sensitivity_sweep(message, KEY, 1)
+        keys = [KEY] + [analysis.flip_key_bit(KEY, i) for i in range(128)]
+        assert jobs == [(hashing._pad_bytes(message), key) for key in keys]
+        jobs.clear()
+        birthday_experiment(8, trials, KEY, 1, seed)
+    rng = random.Random(seed)
+    values = []
+    while len(values) < trials:
+        value = rng.getrandbits(BLOCK_BITS)
+        if value not in values:
+            values.append(value)
+    assert jobs == [(hashing._pad_bytes(Message.from_int(value, BLOCK_BITS)), KEY)
+                    for value in values]
+
+
+@pytest.mark.parametrize("seed, observed", [(1, 8), (2, 9)])
+def test_birthday_reports_frozen(monkeypatch, seed, observed):
+    # frozen from the per-message hash_message loop, before the batches;
+    # on the chain that loaded, then on the Python chain
+    expected = BirthdayReport(16, 1000, observed, 1000 * 999 / 2 / 2 ** 16, seed)
+    assert birthday_experiment(16, 1000, KEY, 50, seed) == expected
+    monkeypatch.setattr(ckernel, "load", lambda: None)
+    assert birthday_experiment(16, 1000, KEY, 50, seed) == expected
 
 
 # --- frozen sweep reports ----------------------------------------------------

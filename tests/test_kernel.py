@@ -15,6 +15,7 @@ import subprocess
 import sys
 import threading
 import types
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import pytest
 from hypothesis import example, given, settings
@@ -171,24 +172,117 @@ def test_special_keys_and_words_show_their_property():
         assert 0.0 < map_iter(x, q, 50) < 1.0
 
 
-@pytest.mark.parametrize("padded, key, t, error", [
-    pytest.param(b"", bytes(16), 1, ValueError, id="no-block"),
-    pytest.param(bytes(127), bytes(16), 1, ValueError, id="127-bytes"),
-    pytest.param(bytes(129), bytes(16), 1, ValueError, id="129-bytes"),
-    pytest.param(bytes(128), bytes(15), 1, ValueError, id="15-byte-key"),
-    pytest.param(bytes(128), bytes(17), 1, ValueError, id="17-byte-key"),
-    pytest.param(bytes(128), bytes(16), 0, ValueError, id="t-0"),
-    pytest.param(bytes(128), bytes(16), -1, ValueError, id="t-minus-1"),
-    pytest.param("x" * 128, bytes(16), 1, TypeError, id="str-blocks"),
-    pytest.param(bytes(128), "x" * 16, 1, TypeError, id="str-key"),
-    pytest.param(bytes(128), bytes(16), 2 ** 63, OverflowError, id="t-2**63"),
+SPECIAL_KEYS = (DOUBLY_DEAD, *LANE_KEYS, SATURATED[0])
+
+
+@st.composite
+def _batches(draw):
+    """1 to 9 messages of 1 to 3 padded blocks each, and their keys: all
+    equal, all distinct, or runs of one key split by another."""
+    blocks = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 9))
+    messages = []
+    for _ in range(n):
+        nbits = draw(st.integers(1024 * (blocks - 1), 1024 * blocks - 1))
+        messages.append(Message.from_int(draw(st.integers(0, (1 << nbits) - 1)), nbits))
+    keys = st.one_of(KEYS, st.sampled_from(SPECIAL_KEYS))
+    mode = draw(st.sampled_from(["equal", "distinct", "runs"]))
+    if mode == "equal":
+        chosen = [draw(keys)] * n
+    elif mode == "distinct":
+        chosen = draw(st.lists(keys, min_size=n, max_size=n, unique=True))
+    else:
+        pool = draw(st.lists(keys, min_size=2, max_size=2, unique=True))
+        chosen = [pool[i] for i in draw(st.lists(st.sampled_from([0, 1]),
+                                                 min_size=n, max_size=n))]
+    return blocks, messages, chosen
+
+
+def _batch(blocks, sizes, keys):
+    """A batch of messages of `blocks` padded blocks each, nbits from
+    `sizes`, filled with a byte pattern."""
+    return blocks, [Message(bytes((7 * i + size) % 256 for i in range(1 + size // 8)),
+                            size) for size in sizes], list(keys)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(batch=_batches(), t=st.integers(1, 60))
+@example(batch=_batch(1, [8], [ON_Q]), t=1)
+@example(batch=_batch(2, [1500] * 9, [bytes(range(16))] * 9), t=50)
+@example(batch=_batch(1, [100, 200, 300, 400, 500],
+                      [A_DEAD, A_DEAD, B_DEAD, A_DEAD, A_DEAD]), t=50)
+@example(batch=_batch(1, [10, 20, 30, 40, 50], [ON_Q, ON_Q, ON_Q, ON_TOP, ON_TOP]), t=3)
+# a run split by a key one bit away, which must not reuse the run's schedule
+@example(batch=_batch(2, [1030] * 5, [ON_Q, ON_Q, _key(0x12345678, 0x2468ACF0, 0x3C6EF372,
+                                                        0x5A827998), ON_Q, ON_Q]), t=50)
+@example(batch=_batch(3, [2100, 2200, 2300], [ON_TOP, ON_TOP, DOUBLY_DEAD]), t=2)
+@example(batch=_batch(2, [1100, 1200, 1300, 1400], [SATURATED[0], A_AT_Q_MIN,
+                                                    B_AT_Q_MAX, SATURATED[0]]), t=1)
+@example(batch=(1, [SATURATED[1]] * 2, [SATURATED[0]] * 2), t=1)
+def test_chain_many_equals_chains_and_oracle(batch, t):
+    # each message's final key: the compiled chain_many, the Python
+    # _chain_many, one chain call per message and the oracle agree
+    blocks, messages, keys = batch
+    padded = [hashing._pad_bytes(message) for message in messages]
+    assert {len(raw) for raw in padded} == {128 * blocks}
+    kernel = ckernel.load()
+    chain = kernel.chain if kernel is not None else hashing._chain
+    finals = b"".join(chain(raw, key, t)[-16:] for raw, key in zip(padded, keys))
+    assert hashing._chain_many(b"".join(padded), blocks, b"".join(keys), t) == finals
+    if kernel is not None:
+        assert kernel.chain_many(b"".join(padded), blocks, b"".join(keys), t) == finals
+    for i, (message, key) in enumerate(zip(messages, keys)):
+        bits = bytes_to_bits(message.data)[:message.nbits]
+        oracle = digest_to_bytes(hash_message_ref(bits, key, t))
+        assert oracle == finals[16 * i:16 * (i + 1)]
+
+
+@pytest.mark.parametrize("entry, args, error", [
+    pytest.param("chain", (b"", bytes(16), 1), ValueError, id="no-block"),
+    pytest.param("chain", (bytes(127), bytes(16), 1), ValueError, id="127-bytes"),
+    pytest.param("chain", (bytes(129), bytes(16), 1), ValueError, id="129-bytes"),
+    pytest.param("chain", (bytes(128), bytes(15), 1), ValueError, id="15-byte-key"),
+    pytest.param("chain", (bytes(128), bytes(17), 1), ValueError, id="17-byte-key"),
+    pytest.param("chain", (bytes(128), bytes(16), 0), ValueError, id="t-0"),
+    pytest.param("chain", (bytes(128), bytes(16), -1), ValueError, id="t-minus-1"),
+    pytest.param("chain", ("x" * 128, bytes(16), 1), TypeError, id="str-blocks"),
+    pytest.param("chain", (bytes(128), "x" * 16, 1), TypeError, id="str-key"),
+    pytest.param("chain", (bytes(128), bytes(16), 2 ** 63), OverflowError, id="t-2**63"),
+    pytest.param("chain_many", (bytes(128), 0, bytes(16), 1), ValueError,
+                 id="many-0-blocks"),
+    pytest.param("chain_many", (bytes(128), -1, bytes(16), 1), ValueError,
+                 id="many-minus-1-blocks"),
+    pytest.param("chain_many", (bytes(256), 1, bytes(24), 1), ValueError,
+                 id="many-24-byte-keys"),
+    pytest.param("chain_many", (bytes(128), 1, bytes(15), 1), ValueError,
+                 id="many-15-byte-keys"),
+    pytest.param("chain_many", (bytes(128), 1, b"", 1), ValueError, id="many-no-key"),
+    pytest.param("chain_many", (b"", 1, b"", 1), ValueError, id="many-nothing"),
+    pytest.param("chain_many", (b"", 1, bytes(16), 1), ValueError, id="many-no-block"),
+    pytest.param("chain_many", (bytes(128), 1, bytes(32), 1), ValueError,
+                 id="many-too-few-blocks"),
+    pytest.param("chain_many", (bytes(384), 1, bytes(32), 1), ValueError,
+                 id="many-too-many-blocks"),
+    pytest.param("chain_many", (bytes(384), 2, bytes(32), 1), ValueError,
+                 id="many-3-blocks-for-2-by-2"),
+    pytest.param("chain_many", (bytes(384), 2, bytes(16), 1), ValueError,
+                 id="many-3-blocks-for-1-by-2"),
+    pytest.param("chain_many", (bytes(129), 1, bytes(16), 1), ValueError,
+                 id="many-129-bytes"),
+    pytest.param("chain_many", ("x" * 128, 1, bytes(16), 1), TypeError,
+                 id="many-str-blocks"),
+    pytest.param("chain_many", (bytes(128), 1, "x" * 16, 1), TypeError,
+                 id="many-str-keys"),
+    pytest.param("chain_many", (bytes(128), 1, bytes(16), 0), ValueError, id="many-t-0"),
+    pytest.param("chain_many", (bytes(128), 1, bytes(16), 2 ** 63), OverflowError,
+                 id="many-t-2**63"),
 ])
-def test_the_kernel_refuses_malformed_arguments(padded, key, t, error):
+def test_the_kernel_refuses_malformed_arguments(entry, args, error):
     # the guard that keeps the block loop inside its buffers
     if neurohash.kernel != "c":
         pytest.skip("no compiled kernel: " + neurohash.kernel)
     with pytest.raises(error):
-        ckernel.load().chain(padded, key, t)
+        getattr(ckernel.load(), entry)(*args)
 
 
 def test_self_check_records_are_golden_vectors_at_t_50():
@@ -197,6 +291,30 @@ def test_self_check_records_are_golden_vectors_at_t_50():
               in read_vectors(os.path.join(DATA, "golden_vectors.csv"))}
     for key, message, digest in ckernel.SELF_CHECK:
         assert (key, message, 50, digest) in golden
+
+
+def test_a_kernel_whose_chain_many_disagrees_fails_the_self_check():
+    # the Python chains pass; a chain_many that swaps the pair's lanes,
+    # repeats the first lane or hashes both under the first key fails
+    def python(chain_many):
+        return types.SimpleNamespace(chain=hashing._chain, chain_many=chain_many)
+
+    def swapped(padded, blocks, keys, t):
+        out = hashing._chain_many(padded, blocks, keys, t)
+        return out[16:] + out[:16]
+
+    def first_lane_twice(padded, blocks, keys, t):
+        return hashing._chain_many(padded, blocks, keys, t)[:16] * 2
+
+    def first_key_only(padded, blocks, keys, t):
+        return hashing._chain_many(padded, blocks, keys[:16] * 2, t)
+
+    assert ckernel._reproduces_self_check(python(hashing._chain_many))
+    for broken in (swapped, first_lane_twice, first_key_only):
+        assert not ckernel._reproduces_self_check(python(broken)), broken.__name__
+    kernel = ckernel.load()
+    if kernel is not None:
+        assert ckernel._reproduces_self_check(kernel)
 
 
 @pytest.mark.parametrize("loaded", [True, False], ids=["kernel", "fallback"])
@@ -333,6 +451,27 @@ def test_a_second_process_loads_the_cache_without_compiling(tmp_path):
     assert re.fullmatch(r"_kernel\.[0-9a-f]{8}\..+", name)
     assert _run(src, code, no_compiler=True) == "c\n"
     assert _cached(src) == [name]
+
+
+def test_a_build_removes_the_other_builds_but_no_build_in_progress(tmp_path):
+    # builds of another source or FLAGS go, under either naming scheme;
+    # another interpreter's build and another process's *.tmp stay
+    if shutil.which("cc") is None:
+        pytest.skip("nothing is built without a C compiler")
+    src = _copy_package(tmp_path)
+    prefix = tmp_path / "prefix"
+    cache = prefix / (src / "neurohash").relative_to(src.anchor)
+    cache.mkdir(parents=True)
+    suffix = EXTENSION_SUFFIXES[0]
+    stale = ["_kernel.0badf00d" + suffix, "_chain-73f28c25" + suffix]
+    kept = ["_kernel.0badf00d.another-abi.so", "_kernel.feedface%s.4242.tmp" % suffix]
+    for name in stale + kept:
+        (cache / name).write_bytes(b"")
+    assert _run(src, "import neurohash; print(neurohash.kernel)", prefix=prefix) == "c\n"
+    left = sorted(p.name for p in cache.iterdir() if not p.name.endswith(".pyc"))
+    (built,) = set(left) - set(kept)
+    assert re.fullmatch(r"_kernel\.[0-9a-f]{8}" + re.escape(suffix), built)
+    assert left == sorted([built, *kept])
 
 
 def test_the_cache_follows_the_pycache_prefix(tmp_path):
