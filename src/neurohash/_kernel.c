@@ -11,23 +11,29 @@
  * padded blocks each, given one after the other, under their n keys,
  * and returns their n final running keys, 16 * n bytes: message i's are
  * chain(padded_i, key_i, t)[-16:], as hashing._chain_many has them. It
- * chains the messages two at a time, their two key schedules walked side
- * by side as two lane pairs, and a run of equal keys expands its first
- * block's schedule once. Both fill their new bytes object with the GIL
- * released, which is safe because nothing else holds a reference to it
- * yet, so threads hash in parallel.
+ * chains the messages four at a time: their four key schedules are walked
+ * side by side as four lane pairs, and their blocks are hashed in
+ * lockstep, each layer's neurons of all four messages stepped in one t
+ * loop. A short last group repeats its last message and stores only the
+ * real results. A group whose four keys all equal the last first-block
+ * key expanded copies that schedule, so a run of equal keys expands it
+ * once. chain runs the same code on one message. Both fill their new
+ * bytes object with the GIL released, which is safe because nothing else
+ * holds a reference to it yet, so threads hash in parallel.
  *
  * Every floating-point result is the one the Python code computes: sums
  * accumulate in ascending index order from the first product with the
  * bias added last, and mod1 is Python's x % 1.0. The map runs on two
  * lanes at a time (map_step): the two key orbits form one pair, and a
  * layer's neurons form pairs that advance together, one step each per
- * turn of the t loop. A lane step has no data-dependent branch for the
- * processor to mispredict: comparison masks pick the numerator and the
- * divisor of the branch chaosmap.map_layer takes, and one division
- * follows. The unpicked differences are computed and discarded, so each
- * lane performs map_layer's binary64 operations on the same operands and
- * rounds to the same result. The upper clamp is applied to both halves
+ * turn of the t loop; in chain_many the four messages' key orbits, and
+ * their neurons of a layer, advance together in the same way. A lane
+ * step has no data-dependent branch for the processor to mispredict:
+ * comparison masks pick the numerator and the divisor of the branch
+ * chaosmap.map_layer takes, and one division follows. The unpicked
+ * differences are computed and discarded, so each lane performs
+ * map_layer's binary64 operations on the same operands and rounds to the
+ * same result. The upper clamp is applied to both halves
  * of the map; in the lower half the quotient never exceeds 1.0
  * (chaosmap's docstring proves it), so there it changes nothing. The
  * digests match only if the compiler rounds every operation to binary64
@@ -60,6 +66,7 @@
 #define SUBKEY_COUNT 151
 #define BLOCK_BYTES 128
 #define KEY_BYTES 16
+#define GROUP 4                           /* messages chain_many hashes together */
 
 /* Python's x % 1.0 for 0 <= x < 2^63, which every sum here is (at most 9
  * non-negative terms, none above 1). The cast truncates to floor(x),
@@ -131,25 +138,6 @@ map_step(lanes x, lanes q, lanes half, lanes top)
     return pick(num > div, one, num / div);
 }
 
-/* The map applied t times to each of the 2 * pairs values at x, in
- * place: every turn of the t loop steps every pair. */
-static void
-map_pairs(double *x, int pairs, double q, long long t)
-{
-    const lanes qs = {q, q}, half = 0.5 - qs, top = 1.0 - qs;
-    lanes v[4];                   /* a layer has at most 8 neurons */
-
-    for (int p = 0; p < pairs; p++)
-        v[p] = (lanes){x[2 * p], x[2 * p + 1]};
-    for (long long i = 0; i < t; i++)
-        for (int p = 0; p < pairs; p++)
-            v[p] = map_step(v[p], qs, half, top);
-    for (int p = 0; p < pairs; p++) {
-        x[2 * p] = v[p][0];
-        x[2 * p + 1] = v[p][1];
-    }
-}
-
 static uint32_t
 load_word(const unsigned char *p)
 {
@@ -166,21 +154,50 @@ store_word(unsigned char *p, uint32_t word)
     p[3] = (unsigned char)word;
 }
 
-/* Inlined wherever it is called, so that a constant count of keys or
- * messages unrolls its loops and the lanes stay in registers: with a
- * count known only at run time they live on the stack, and every map step
- * of the key schedule waits for a store and a load. */
+/* Inlined wherever it is called, so that the count of keys or messages
+ * (1 or GROUP) is a constant. For one message the loops unroll and the
+ * lanes stay in registers: with a count known only at run time they lived
+ * on the stack, and every map step of the key schedule waited for a store
+ * and a load. A group's lanes outnumber the registers; their loads and
+ * stores overlap with the other pairs' steps. */
 #define UNROLLED static inline __attribute__((always_inline))
 
-/* keyschedule.subkey_stream for each of `keys` (1 or 2) running keys:
+/* The map applied t times to the 2 * pairs neurons of a layer of each of
+ * `msgs` messages, in place: message m's are x[2 * pairs * m ...], under
+ * its own q[m]. Every turn of the t loop steps every pair of every
+ * message, so the pairs' dependency chains overlap. */
+UNROLLED void
+step_layer(double *x, int msgs, int pairs, const double *q, long long t)
+{
+    lanes v[GROUP][4], qs[GROUP], half[GROUP], top[GROUP]; /* 8 neurons at most */
+
+    for (int m = 0; m < msgs; m++) {
+        qs[m] = (lanes){q[m], q[m]};
+        half[m] = 0.5 - qs[m];
+        top[m] = 1.0 - qs[m];
+        for (int p = 0; p < pairs; p++)
+            v[m][p] = (lanes){x[2 * (pairs * m + p)], x[2 * (pairs * m + p) + 1]};
+    }
+    for (long long i = 0; i < t; i++)
+        for (int m = 0; m < msgs; m++)
+            for (int p = 0; p < pairs; p++)
+                v[m][p] = map_step(v[m][p], qs[m], half[m], top[m]);
+    for (int m = 0; m < msgs; m++)
+        for (int p = 0; p < pairs; p++) {
+            x[2 * (pairs * m + p)] = v[m][p][0];
+            x[2 * (pairs * m + p) + 1] = v[m][p][1];
+        }
+}
+
+/* keyschedule.subkey_stream for each of `keys` (1 or GROUP) running keys:
  * key m's orbit a in lane 0 and orbit b in lane 1 of pair m, walked side
  * by side as orbit_sums walks them, the pairs stepped together as
- * map_pairs steps a layer's */
+ * step_layer steps a layer's */
 UNROLLED void
 subkey_stream(uint32_t (*k)[4], int keys, long long t,
               double (*s)[SUBKEY_COUNT])
 {
-    lanes x[2], q[2], half[2], top[2];
+    lanes x[GROUP], q[GROUP], half[GROUP], top[GROUP];
 
     for (int m = 0; m < keys; m++) {
         x[m] = (lanes){clamp_seed(quantize_word(k[m][0])),
@@ -213,29 +230,43 @@ weigh(const double *x, const double *w, int fan_in, double bias)
     return mod1(s + bias);
 }
 
-/* network.hash_block under the sub-keys s, as sliced by assign_subkeys */
-static void
-hash_block(const unsigned char *block, const double s[SUBKEY_COUNT],
-           long long t, uint32_t digest[4])
+/* network.hash_block for each of `msgs` (1 or GROUP) messages: message
+ * m's block at block[m] under its sub-keys s[m], as sliced by
+ * assign_subkeys, into digest[m]. Each layer steps all the messages'
+ * neurons together, each message under its own layer q. */
+UNROLLED void
+hash_blocks(const unsigned char **block, double (*s)[SUBKEY_COUNT], int msgs,
+            long long t, uint32_t (*digest)[4])
 {
-    double p[32], c[8], d[8], h[4];
+    double c[GROUP * 8], d[GROUP * 8], h[GROUP * 4], q[GROUP];
 
-    for (int i = 0; i < 32; i++)
-        p[i] = quantize_word(load_word(block + 4 * i));
-    /* input neuron j reads p[4j .. 4j+3] with weights s[4j .. 4j+3] */
-    for (int j = 0; j < 8; j++)
-        c[j] = weigh(p + 4 * j, s + 4 * j, 4, s[32 + j]);
-    map_pairs(c, 4, derive_param(s[40]), t);
-    for (int j = 0; j < 8; j++)
-        d[j] = weigh(c, s + 41 + 8 * j, 8, s[105 + j]);
-    map_pairs(d, 4, derive_param(s[113]), 1);
-    for (int j = 0; j < 4; j++)
-        h[j] = weigh(d, s + 114 + 8 * j, 8, s[146 + j]);
-    map_pairs(h, 2, derive_param(s[150]), t);
-    for (int j = 0; j < 4; j++) {
-        double w = h[j] * 4294967296.0;
-        digest[j] = w < 4294967296.0 ? (uint32_t)w : 0xFFFFFFFFu;
+    for (int m = 0; m < msgs; m++) {
+        double p[32];
+        for (int i = 0; i < 32; i++)
+            p[i] = quantize_word(load_word(block[m] + 4 * i));
+        /* input neuron j reads p[4j .. 4j+3] with weights s[4j .. 4j+3] */
+        for (int j = 0; j < 8; j++)
+            c[8 * m + j] = weigh(p + 4 * j, s[m] + 4 * j, 4, s[m][32 + j]);
+        q[m] = derive_param(s[m][40]);
     }
+    step_layer(c, msgs, 4, q, t);
+    for (int m = 0; m < msgs; m++) {
+        for (int j = 0; j < 8; j++)
+            d[8 * m + j] = weigh(c + 8 * m, s[m] + 41 + 8 * j, 8, s[m][105 + j]);
+        q[m] = derive_param(s[m][113]);
+    }
+    step_layer(d, msgs, 4, q, 1);
+    for (int m = 0; m < msgs; m++) {
+        for (int j = 0; j < 4; j++)
+            h[4 * m + j] = weigh(d + 8 * m, s[m] + 114 + 8 * j, 8, s[m][146 + j]);
+        q[m] = derive_param(s[m][150]);
+    }
+    step_layer(h, msgs, 2, q, t);
+    for (int m = 0; m < msgs; m++)
+        for (int j = 0; j < 4; j++) {
+            double w = h[4 * m + j] * 4294967296.0;
+            digest[m][j] = w < 4294967296.0 ? (uint32_t)w : 0xFFFFFFFFu;
+        }
 }
 
 /* The first block's key schedule of the latest key chain_many expanded,
@@ -252,64 +283,58 @@ same_key(const uint32_t a[4], const uint32_t b[4])
     return a[0] == b[0] && a[1] == b[1] && a[2] == b[2] && a[3] == b[3];
 }
 
-/* The first block's schedules of the `keys` (1 or 2) keys k into s: a key
- * that `first` holds is copied from it, the others are expanded side by
- * side (two equal ones once), and the last key's schedule is held next. */
+/* The first block's schedules of the GROUP keys k into s: copied from
+ * `first` when it holds all of them, otherwise all expanded side by side,
+ * and the last key's schedule held next */
 static void
-first_subkey_stream(uint32_t (*k)[4], int keys, long long t,
-                    double (*s)[SUBKEY_COUNT], struct first_schedule *first)
+first_subkey_stream(uint32_t (*k)[4], long long t, double (*s)[SUBKEY_COUNT],
+                    struct first_schedule *first)
 {
-    int lo = 0, hi = keys;        /* the keys k[lo .. hi-1] to expand */
+    int held = first->held;
 
-    if (first->held && same_key(k[0], first->key)) {
-        memcpy(s[0], first->s, sizeof first->s);
-        lo = 1;
+    for (int m = 0; m < GROUP; m++)
+        held = held && same_key(k[m], first->key);
+    if (held) {
+        for (int m = 0; m < GROUP; m++)
+            memcpy(s[m], first->s, sizeof first->s);
+        return;
     }
-    if (keys == 2 && first->held && same_key(k[1], first->key)) {
-        memcpy(s[1], first->s, sizeof first->s);
-        hi = 1;
-    }
-    if (hi - lo == 2 && !same_key(k[0], k[1]))
-        subkey_stream(k, 2, t, s);
-    else if (lo < hi) {
-        subkey_stream(k + lo, 1, t, s + lo);
-        if (hi - lo == 2)         /* two equal keys */
-            memcpy(s[1], s[0], sizeof s[0]);
-    }
-    if (hi == keys && lo < hi) {
-        memcpy(first->key, k[keys - 1], sizeof first->key);
-        memcpy(first->s, s[keys - 1], sizeof first->s);
-        first->held = 1;
-    }
+    subkey_stream(k, GROUP, t, s);
+    memcpy(first->key, k[GROUP - 1], sizeof first->key);
+    memcpy(first->s, s[GROUP - 1], sizeof first->s);
+    first->held = 1;
 }
 
-/* The chains of `keys` (1 or 2) messages of `blocks` padded blocks each,
- * stored one after the other in raw, from their running keys in `running`,
- * which end as their final keys. The two key schedules of a block are
- * expanded side by side; the first block's go through `first` when it is
- * not NULL. When `digests` is not NULL (one message), each block digest
- * goes there as four big-endian words. Touches no Python object. */
+/* The chains of `msgs` (1 or GROUP) messages of `blocks` padded blocks
+ * each, message m's at raw[m], from their running keys in `running`,
+ * which end as their final keys. Each block's key schedules are expanded
+ * side by side and its blocks hashed in lockstep; the first block's
+ * schedules go through `first` when it is not NULL (GROUP messages only).
+ * When `digests` is not NULL (one message), each block digest goes there
+ * as four big-endian words. Touches no Python object. */
 UNROLLED void
-chain_words(const unsigned char *raw, Py_ssize_t blocks, uint32_t (*running)[4],
-            int keys, long long t, struct first_schedule *first,
+chain_words(const unsigned char **raw, Py_ssize_t blocks, uint32_t (*running)[4],
+            int msgs, long long t, struct first_schedule *first,
             unsigned char *digests)
 {
-    uint32_t digest[4];
-    double s[2][SUBKEY_COUNT];
+    uint32_t digest[GROUP][4];
+    double s[GROUP][SUBKEY_COUNT];
+    const unsigned char *block[GROUP];
 
     for (Py_ssize_t n = 0; n < blocks; n++) {
         if (n == 0 && first != NULL)
-            first_subkey_stream(running, keys, t, s, first);
+            first_subkey_stream(running, t, s, first);
         else
-            subkey_stream(running, keys, t, s);
-        for (int m = 0; m < keys; m++) {
-            hash_block(raw + (m * blocks + n) * BLOCK_BYTES, s[m], t, digest);
+            subkey_stream(running, msgs, t, s);
+        for (int m = 0; m < msgs; m++)
+            block[m] = raw[m] + BLOCK_BYTES * n;
+        hash_blocks(block, s, msgs, t, digest);
+        for (int m = 0; m < msgs; m++)
             for (int i = 0; i < 4; i++) {
                 if (digests != NULL)
-                    store_word(digests + KEY_BYTES * n + 4 * i, digest[i]);
-                running[m][i] ^= digest[i];
+                    store_word(digests + KEY_BYTES * n + 4 * i, digest[m][i]);
+                running[m][i] ^= digest[m][i];
             }
-        }
     }
 }
 
@@ -345,10 +370,11 @@ chain(PyObject *module, PyObject *args)
         result = PyBytes_FromStringAndSize(NULL, KEY_BYTES * (blocks + 1));
         if (result != NULL) {
             unsigned char *out = (unsigned char *)PyBytes_AS_STRING(result);
+            const unsigned char *message[1] = {padded.buf};
             uint32_t running[1][4];
             Py_BEGIN_ALLOW_THREADS
             load_key(key.buf, running[0]);
-            chain_words(padded.buf, blocks, running, 1, t, NULL, out);
+            chain_words(message, blocks, running, 1, t, NULL, out);
             store_key(out + KEY_BYTES * blocks, running[0]);
             Py_END_ALLOW_THREADS
         }
@@ -383,17 +409,18 @@ chain_many(PyObject *module, PyObject *args)
             unsigned char *out = (unsigned char *)PyBytes_AS_STRING(result);
             struct first_schedule first = {0};
             Py_BEGIN_ALLOW_THREADS
-            for (Py_ssize_t i = 0; i < n; i += 2) {
-                uint32_t running[2][4];
-                int pair = n - i < 2 ? 1 : 2;
-                const unsigned char *messages = raw + BLOCK_BYTES * blocks * i;
-                for (int m = 0; m < pair; m++)
-                    load_key(key + KEY_BYTES * (i + m), running[m]);
-                if (pair == 2)
-                    chain_words(messages, blocks, running, 2, t, &first, NULL);
-                else
-                    chain_words(messages, blocks, running, 1, t, &first, NULL);
-                for (int m = 0; m < pair; m++)
+            for (Py_ssize_t i = 0; i < n; i += GROUP) {
+                /* a short last group repeats its last message */
+                Py_ssize_t real = n - i < GROUP ? n - i : GROUP;
+                const unsigned char *message[GROUP];
+                uint32_t running[GROUP][4];
+                for (int m = 0; m < GROUP; m++) {
+                    Py_ssize_t j = i + (m < real ? m : real - 1);
+                    message[m] = raw + BLOCK_BYTES * blocks * j;
+                    load_key(key + KEY_BYTES * j, running[m]);
+                }
+                chain_words(message, blocks, running, GROUP, t, &first, NULL);
+                for (int m = 0; m < real; m++)
                     store_key(out + KEY_BYTES * (i + m), running[m]);
             }
             Py_END_ALLOW_THREADS

@@ -14,10 +14,10 @@ messages, each flipped message or key rehashed whole, in one loop on
 the calling thread. They build each message's padded bytes directly (a
 flip is one XOR into a copy of the padded message) and hand them to
 the chain in batches: one chain_many call per batch, which on the
-compiled chain expands a run of equal first-block keys once and walks
-two messages' key schedules in lockstep. The paper's parallelism is
-also inside each hash: the compiled chain steps a layer's neurons in
-lockstep.
+compiled chain expands a run of equal first-block keys once and hashes
+four messages at a time, their key schedules and their layers' neurons
+in lockstep. The paper's parallelism is also inside each hash: the
+compiled chain steps a layer's neurons in lockstep.
 """
 
 import csv

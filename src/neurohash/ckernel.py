@@ -3,8 +3,8 @@
 _kernel.c hashes every block of a padded message as hashing._chain does
 and returns the same bytes (the contract is in hashing's docstring);
 its chain_many hashes a batch of messages as hashing._chain_many does,
-two at a time with their key schedules walked side by side. Its
-sums keep the Python stage functions' order. Its map steps two lanes at
+four at a time, their key schedules and layers stepped in lockstep.
+Its sums keep the Python stage functions' order. Its map steps two lanes at
 a time without a branch: masks pick each lane's numerator and divisor,
 the ones map_layer's branch would use, and one division follows, so each
 lane rounds the same binary64 operations on the same operands. The upper
@@ -27,8 +27,9 @@ never see a partial file; the builds of other sources or FLAGS in that
 directory are then deleted. The module is used only after it reproduces
 SELF_CHECK, golden records at t = 50, where a contracted build goes
 wrong (at t = 1 it can still agree), through chain and through one
-chain_many batch of both records. Otherwise load() returns None, the
-Python stage functions stay in charge, and status() names the reason.
+chain_many batch of five, a full group of four and a short one.
+Otherwise load() returns None, the Python stage functions stay in
+charge, and status() names the reason.
 """
 
 import functools
@@ -155,15 +156,18 @@ def _remove_other_builds(path: str) -> None:
 
 
 def _reproduces_self_check(module) -> bool:
-    """Both SELF_CHECK records through chain, then through chain_many as
-    one batch of two messages under distinct keys, a lane pair."""
+    """Both SELF_CHECK records, A and B, through chain, then through
+    chain_many as the batch A, B, B, A, A: a group of four under two keys,
+    then a short group whose key is the held first-block key."""
     from .hashing import Message, _pad_bytes
 
     padded = [_pad_bytes(Message(bytes.fromhex(message)))
               for _, message, _ in SELF_CHECK]
     keys = [bytes.fromhex(key) for key, _, _ in SELF_CHECK]
     digests = [bytes.fromhex(digest) for _, _, digest in SELF_CHECK]
+    batch = (0, 1, 1, 0, 0)
     return (all(module.chain(raw, key, 50)[-16:] == digest
                 for raw, key, digest in zip(padded, keys, digests))
-            and module.chain_many(b"".join(padded), 1, b"".join(keys), 50)
-            == b"".join(digests))
+            and module.chain_many(b"".join(padded[i] for i in batch), 1,
+                                  b"".join(keys[i] for i in batch), 50)
+            == b"".join(digests[i] for i in batch))

@@ -34,7 +34,7 @@ from neurohash.hashing import (
     hash_message_trace,
     pad,
 )
-from neurohash.keyschedule import orbit_starts
+from neurohash.keyschedule import expand_key, orbit_starts
 from oracles import bytes_to_bits, hash_message_ref
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -79,6 +79,8 @@ B_DEAD = _key(0x3C6EF372, 0x5A827999, 0x80000000, 0x9E3779B9)
 A_AT_Q_MIN = _key(0x3C6EF372, 0, 0x9E3779B9, 0x5A827999)
 B_AT_Q_MAX = _key(0x9E3779B9, 0x5A827999, 0x3C6EF372, 0xFFFFFFFF)
 LANE_KEYS = (ON_Q, ON_TOP, A_DEAD, B_DEAD, A_AT_Q_MIN, B_AT_Q_MAX)
+# ON_Q with K3 one less, so a schedule held for ON_Q must not serve it
+NEXT_TO_ON_Q = _key(0x12345678, 0x2468ACF0, 0x3C6EF372, 0x5A827998)
 
 # K0/K2 seed the orbits: 0x80000000 kills one, 0, 1 and 0xFFFFFFFF are
 # one clamp class. K1/K3 set q: 0x80000000 is the dyadic q = 0.25, and
@@ -170,9 +172,17 @@ def test_special_keys_and_words_show_their_property():
     for key, lane in ((A_DEAD, 1), (B_DEAD, 0), (A_AT_Q_MIN, 1), (B_AT_Q_MAX, 0)):
         x, q = starts[key][2 * lane:2 * lane + 2]
         assert 0.0 < map_iter(x, q, 50) < 1.0
+    # the messages of Q_GROUP step each layer under four different q
+    for t in (1, 50):
+        subkeys = [expand_key(key, t) for key in Q_GROUP]
+        for layer in ("q0", "q1", "q2"):
+            assert len({getattr(s, layer) for s in subkeys}) == 4, (t, layer)
 
 
 SPECIAL_KEYS = (DOUBLY_DEAD, *LANE_KEYS, SATURATED[0])
+# chain_many hashes four messages at a time; these keys give a group's
+# messages four different q in every layer
+Q_GROUP = (SATURATED[0], ON_Q, ON_TOP, B_AT_Q_MAX)
 
 
 @st.composite
@@ -213,12 +223,20 @@ def _batch(blocks, sizes, keys):
                       [A_DEAD, A_DEAD, B_DEAD, A_DEAD, A_DEAD]), t=50)
 @example(batch=_batch(1, [10, 20, 30, 40, 50], [ON_Q, ON_Q, ON_Q, ON_TOP, ON_TOP]), t=3)
 # a run split by a key one bit away, which must not reuse the run's schedule
-@example(batch=_batch(2, [1030] * 5, [ON_Q, ON_Q, _key(0x12345678, 0x2468ACF0, 0x3C6EF372,
-                                                        0x5A827998), ON_Q, ON_Q]), t=50)
+@example(batch=_batch(2, [1030] * 5, [ON_Q, ON_Q, NEXT_TO_ON_Q, ON_Q, ON_Q]), t=50)
 @example(batch=_batch(3, [2100, 2200, 2300], [ON_TOP, ON_TOP, DOUBLY_DEAD]), t=2)
 @example(batch=_batch(2, [1100, 1200, 1300, 1400], [SATURATED[0], A_AT_Q_MIN,
                                                     B_AT_Q_MAX, SATURATED[0]]), t=1)
 @example(batch=(1, [SATURATED[1]] * 2, [SATURATED[0]] * 2), t=1)
+# group edges: a full group, one and three messages past it, two groups
+@example(batch=_batch(1, [300] * 4, Q_GROUP), t=50)
+@example(batch=_batch(1, [300] * 5, [*Q_GROUP, DOUBLY_DEAD]), t=50)
+@example(batch=_batch(1, range(100, 800, 100), SPECIAL_KEYS[:7]), t=50)
+@example(batch=_batch(2, range(1100, 1900, 100), SPECIAL_KEYS), t=3)
+# the schedule held from the first group, and a new key in each lane of the next
+@example(batch=_batch(2, [1100] * 8, [ON_Q] * 7 + [NEXT_TO_ON_Q]), t=50)
+@example(batch=_batch(2, [1100] * 8, [ON_Q] * 5 + [NEXT_TO_ON_Q] + [ON_Q] * 2), t=50)
+@example(batch=_batch(2, [1100] * 8, [ON_Q] * 4 + [NEXT_TO_ON_Q] + [ON_Q] * 3), t=50)
 def test_chain_many_equals_chains_and_oracle(batch, t):
     # each message's final key: the compiled chain_many, the Python
     # _chain_many, one chain call per message and the oracle agree
@@ -294,23 +312,32 @@ def test_self_check_records_are_golden_vectors_at_t_50():
 
 
 def test_a_kernel_whose_chain_many_disagrees_fails_the_self_check():
-    # the Python chains pass; a chain_many that swaps the pair's lanes,
-    # repeats the first lane or hashes both under the first key fails
+    # the Python chains pass; a chain_many that swaps two lanes, repeats
+    # the first lane, hashes all under the first key, or gets only the
+    # third or only the fourth message of the full group wrong fails
     def python(chain_many):
         return types.SimpleNamespace(chain=hashing._chain, chain_many=chain_many)
 
     def swapped(padded, blocks, keys, t):
         out = hashing._chain_many(padded, blocks, keys, t)
-        return out[16:] + out[:16]
+        return out[16:32] + out[:16] + out[32:]
 
-    def first_lane_twice(padded, blocks, keys, t):
-        return hashing._chain_many(padded, blocks, keys, t)[:16] * 2
+    def first_lane_repeated(padded, blocks, keys, t):
+        return hashing._chain_many(padded, blocks, keys, t)[:16] * (len(keys) // 16)
 
     def first_key_only(padded, blocks, keys, t):
-        return hashing._chain_many(padded, blocks, keys[:16] * 2, t)
+        return hashing._chain_many(padded, blocks, keys[:16] * (len(keys) // 16), t)
+
+    def third_under_first_key(padded, blocks, keys, t):
+        return hashing._chain_many(padded, blocks, keys[:32] + keys[:16] + keys[48:], t)
+
+    def fourth_repeats_third(padded, blocks, keys, t):
+        out = hashing._chain_many(padded, blocks, keys, t)
+        return out[:48] + out[32:48] + out[64:]
 
     assert ckernel._reproduces_self_check(python(hashing._chain_many))
-    for broken in (swapped, first_lane_twice, first_key_only):
+    for broken in (swapped, first_lane_repeated, first_key_only,
+                   third_under_first_key, fourth_repeats_third):
         assert not ckernel._reproduces_self_check(python(broken)), broken.__name__
     kernel = ckernel.load()
     if kernel is not None:
