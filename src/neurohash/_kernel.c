@@ -11,42 +11,53 @@
  * padded blocks each, given one after the other, under their n keys,
  * and returns their n final running keys, 16 * n bytes: message i's are
  * chain(padded_i, key_i, t)[-16:], as hashing._chain_many has them. It
- * chains the messages four at a time: their four key schedules are walked
- * side by side as four lane pairs, and their blocks are hashed in
- * lockstep, each layer's neurons of all four messages stepped in one t
- * loop. A short last group repeats its last message and stores only the
- * real results. A group whose four keys all equal the last first-block
- * key expanded copies that schedule, so a run of equal keys expands it
- * once. chain runs the same code on one message. Both fill their new
- * bytes object with the GIL released, which is safe because nothing else
- * holds a reference to it yet, so threads hash in parallel.
+ * chains the messages four at a time, a group: their four key schedules
+ * are walked side by side, and their blocks are hashed in lockstep, each
+ * layer's neurons of all four messages stepped in one t loop. A short
+ * last group repeats its last message and stores only the real results.
+ * A group whose four keys all equal the last first-block key expanded
+ * copies that schedule, so a run of equal keys expands it once. chain
+ * runs the same code on one message. Both fill their new bytes object
+ * with the GIL released, which is safe because nothing else holds a
+ * reference to it yet, so threads hash in parallel.
  *
  * Every floating-point result is the one the Python code computes: sums
  * accumulate in ascending index order from the first product with the
- * bias added last, and mod1 is Python's x % 1.0. The map runs on two
- * lanes at a time (map_step): the two key orbits form one pair, and a
- * layer's neurons form pairs that advance together, one step each per
- * turn of the t loop; in chain_many the four messages' key orbits, and
- * their neurons of a layer, advance together in the same way. A lane
- * step has no data-dependent branch for the processor to mispredict:
- * comparison masks pick the numerator and the divisor of the branch
- * chaosmap.map_layer takes, and one division follows. The unpicked
- * differences are computed and discarded, so each lane performs
- * map_layer's binary64 operations on the same operands and rounds to the
- * same result. The upper clamp is applied to both halves
- * of the map; in the lower half the quotient never exceeds 1.0
- * (chaosmap's docstring proves it), so there it changes nothing. The
- * digests match only if the compiler rounds every operation to binary64
- * on its own: build with -ffp-contract=off, and never with -ffast-math
- * or -mfma (ckernel.FLAGS). The check below refuses targets that
- * evaluate doubles in a wider format. The lanes are a GCC vector
- * extension, which gcc and clang compile to SSE2 on x86-64 and to NEON
- * on arm64.
+ * bias added last, and mod1 is Python's x % 1.0. The map runs on vectors
+ * of lanes (map_step), a GCC vector extension: the two key orbits of a
+ * key sit side by side, and a layer's neurons advance together, one step
+ * each per turn of the t loop. A lane step has no data-dependent branch
+ * for the processor to mispredict: comparison masks pick the numerator
+ * and the divisor of the branch chaosmap.map_layer takes, and one
+ * division follows. The unpicked differences are computed and discarded,
+ * so each lane performs map_layer's binary64 operations on the same
+ * operands and rounds to the same result. The upper clamp is applied to
+ * both halves of the map; in the lower half the quotient never exceeds
+ * 1.0 (chaosmap's docstring proves it), so there it changes nothing.
+ *
+ * The lane code is written once, at the end of this file, and compiled
+ * once per width by including the file in itself. On 2 lanes (SSE2 on
+ * x86-64, NEON on arm64) chain runs it on one message: a key's two orbits
+ * form one pair, a layer's 8 or 4 neurons 4 or 2 pairs. On x86-64 it is
+ * compiled again on 4 lanes inside functions built for AVX2, the only
+ * place the 4-lane type is used (without AVX it is several times slower
+ * than 2 lanes). When the module loads, __builtin_cpu_supports picks the
+ * widest width the processor steps for chain_many's groups: on 4 lanes a
+ * group's key schedules form 2 quads of (a, b, a', b'), and each
+ * message's layers 2, 2 and 1 quads; on 2 lanes 4 pairs, and 4, 4 and 2.
+ * LANES tells which. AVX2 brings no fused multiply-add.
+ *
+ * The digests match only if the compiler rounds every operation to
+ * binary64 on its own: build with -ffp-contract=off, and never with
+ * -ffast-math, -mfma or -march=native (ckernel.FLAGS). The check below
+ * refuses targets that evaluate doubles in a wider format.
  *
  * The map's domain checks are left out. The chain cannot leave the
  * domain: every parameter comes out of derive_param's clamp, every seed
  * out of clamp_seed's, and every map input out of % 1.0 or a map step.
  */
+
+#ifndef LANES
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -106,38 +117,6 @@ clamp_seed(double x)
     return x;
 }
 
-/* Two doubles, one map lane each, and the lane mask a comparison of
- * two of them gives: all ones where it holds, all zeros where not. */
-typedef double lanes __attribute__((vector_size(16)));
-typedef __typeof__((lanes){0.0, 0.0} < (lanes){0.0, 0.0}) mask;
-
-/* yes in the lanes where m holds, no in the others */
-static lanes
-pick(mask m, lanes yes, lanes no)
-{
-    return (lanes)((m & (mask)yes) | (~m & (mask)no));
-}
-
-/* One map step in each lane; half = 0.5 - q and top = 1.0 - q, as
- * map_layer has them. The masks pick the numerator of the lane's branch
- * (x, x - q, top - x or 1 - x) and its divisor: half where q <= x < top
- * (x < top holds wherever x < q does, so that band is below ^ inner),
- * q elsewhere. The clamp tests the operands, which leaves the compare
- * off the division's path: num > div exactly when the quotient exceeds
- * 1.0 before rounding, and since rounding is monotone the rounded
- * quotient is then >= 1.0, which the clamp makes 1.0; otherwise it is
- * <= 1.0 and the clamp does nothing. */
-static lanes
-map_step(lanes x, lanes q, lanes half, lanes top)
-{
-    const lanes one = {1.0, 1.0}, mid = {0.5, 0.5};
-    mask below = x < q, lower = x < mid, inner = x < top;
-    lanes num = pick(lower, pick(below, x, x - q),
-                     pick(inner, top - x, one - x));
-    lanes div = pick(below ^ inner, half, q);
-    return pick(num > div, one, num / div);
-}
-
 static uint32_t
 load_word(const unsigned char *p)
 {
@@ -154,71 +133,6 @@ store_word(unsigned char *p, uint32_t word)
     p[3] = (unsigned char)word;
 }
 
-/* Inlined wherever it is called, so that the count of keys or messages
- * (1 or GROUP) is a constant. For one message the loops unroll and the
- * lanes stay in registers: with a count known only at run time they lived
- * on the stack, and every map step of the key schedule waited for a store
- * and a load. A group's lanes outnumber the registers; their loads and
- * stores overlap with the other pairs' steps. */
-#define UNROLLED static inline __attribute__((always_inline))
-
-/* The map applied t times to the 2 * pairs neurons of a layer of each of
- * `msgs` messages, in place: message m's are x[2 * pairs * m ...], under
- * its own q[m]. Every turn of the t loop steps every pair of every
- * message, so the pairs' dependency chains overlap. */
-UNROLLED void
-step_layer(double *x, int msgs, int pairs, const double *q, long long t)
-{
-    lanes v[GROUP][4], qs[GROUP], half[GROUP], top[GROUP]; /* 8 neurons at most */
-
-    for (int m = 0; m < msgs; m++) {
-        qs[m] = (lanes){q[m], q[m]};
-        half[m] = 0.5 - qs[m];
-        top[m] = 1.0 - qs[m];
-        for (int p = 0; p < pairs; p++)
-            v[m][p] = (lanes){x[2 * (pairs * m + p)], x[2 * (pairs * m + p) + 1]};
-    }
-    for (long long i = 0; i < t; i++)
-        for (int m = 0; m < msgs; m++)
-            for (int p = 0; p < pairs; p++)
-                v[m][p] = map_step(v[m][p], qs[m], half[m], top[m]);
-    for (int m = 0; m < msgs; m++)
-        for (int p = 0; p < pairs; p++) {
-            x[2 * (pairs * m + p)] = v[m][p][0];
-            x[2 * (pairs * m + p) + 1] = v[m][p][1];
-        }
-}
-
-/* keyschedule.subkey_stream for each of `keys` (1 or GROUP) running keys:
- * key m's orbit a in lane 0 and orbit b in lane 1 of pair m, walked side
- * by side as orbit_sums walks them, the pairs stepped together as
- * step_layer steps a layer's */
-UNROLLED void
-subkey_stream(uint32_t (*k)[4], int keys, long long t,
-              double (*s)[SUBKEY_COUNT])
-{
-    lanes x[GROUP], q[GROUP], half[GROUP], top[GROUP];
-
-    for (int m = 0; m < keys; m++) {
-        x[m] = (lanes){clamp_seed(quantize_word(k[m][0])),
-                       clamp_seed(quantize_word(k[m][2]))};
-        q[m] = (lanes){derive_param(quantize_word(k[m][1])),
-                       derive_param(quantize_word(k[m][3]))};
-        half[m] = 0.5 - q[m];
-        top[m] = 1.0 - q[m];
-    }
-    for (long long i = 0; i < t; i++)
-        for (int m = 0; m < keys; m++)
-            x[m] = map_step(x[m], q[m], half[m], top[m]);
-    for (int j = 0; j < SUBKEY_COUNT; j++) {
-        if (j > 0)
-            for (int m = 0; m < keys; m++)
-                x[m] = map_step(x[m], q[m], half[m], top[m]);
-        for (int m = 0; m < keys; m++)
-            s[m][j] = mod1(x[m][0] + x[m][1]);
-    }
-}
-
 /* A neuron's pre-activation: the weighted sum of its fan_in inputs plus
  * its bias, mod 1 */
 static double
@@ -230,44 +144,13 @@ weigh(const double *x, const double *w, int fan_in, double bias)
     return mod1(s + bias);
 }
 
-/* network.hash_block for each of `msgs` (1 or GROUP) messages: message
- * m's block at block[m] under its sub-keys s[m], as sliced by
- * assign_subkeys, into digest[m]. Each layer steps all the messages'
- * neurons together, each message under its own layer q. */
-UNROLLED void
-hash_blocks(const unsigned char **block, double (*s)[SUBKEY_COUNT], int msgs,
-            long long t, uint32_t (*digest)[4])
-{
-    double c[GROUP * 8], d[GROUP * 8], h[GROUP * 4], q[GROUP];
-
-    for (int m = 0; m < msgs; m++) {
-        double p[32];
-        for (int i = 0; i < 32; i++)
-            p[i] = quantize_word(load_word(block[m] + 4 * i));
-        /* input neuron j reads p[4j .. 4j+3] with weights s[4j .. 4j+3] */
-        for (int j = 0; j < 8; j++)
-            c[8 * m + j] = weigh(p + 4 * j, s[m] + 4 * j, 4, s[m][32 + j]);
-        q[m] = derive_param(s[m][40]);
-    }
-    step_layer(c, msgs, 4, q, t);
-    for (int m = 0; m < msgs; m++) {
-        for (int j = 0; j < 8; j++)
-            d[8 * m + j] = weigh(c + 8 * m, s[m] + 41 + 8 * j, 8, s[m][105 + j]);
-        q[m] = derive_param(s[m][113]);
-    }
-    step_layer(d, msgs, 4, q, 1);
-    for (int m = 0; m < msgs; m++) {
-        for (int j = 0; j < 4; j++)
-            h[4 * m + j] = weigh(d + 8 * m, s[m] + 114 + 8 * j, 8, s[m][146 + j]);
-        q[m] = derive_param(s[m][150]);
-    }
-    step_layer(h, msgs, 2, q, t);
-    for (int m = 0; m < msgs; m++)
-        for (int j = 0; j < 4; j++) {
-            double w = h[4 * m + j] * 4294967296.0;
-            digest[m][j] = w < 4294967296.0 ? (uint32_t)w : 0xFFFFFFFFu;
-        }
-}
+/* Inlined wherever it is called, so that the count of keys or messages
+ * (1 or GROUP) is a constant. For one message the loops unroll and the
+ * lanes stay in registers: with a count known only at run time they lived
+ * on the stack, and every map step of the key schedule waited for a store
+ * and a load. A group's lanes outnumber the registers; their loads and
+ * stores overlap with the other vectors' steps. */
+#define UNROLLED static inline __attribute__((always_inline))
 
 /* The first block's key schedule of the latest key chain_many expanded,
  * so that a run of equal keys is expanded once per call */
@@ -283,60 +166,40 @@ same_key(const uint32_t a[4], const uint32_t b[4])
     return a[0] == b[0] && a[1] == b[1] && a[2] == b[2] && a[3] == b[3];
 }
 
-/* The first block's schedules of the GROUP keys k into s: copied from
- * `first` when it holds all of them, otherwise all expanded side by side,
- * and the last key's schedule held next */
-static void
-first_subkey_stream(uint32_t (*k)[4], long long t, double (*s)[SUBKEY_COUNT],
-                    struct first_schedule *first)
-{
-    int held = first->held;
+/* The lane code below #else, once per width: its names get the width as
+ * a suffix (map_step_2, chain_group_4), and LANE_FN marks its functions */
+#define WIDE(name) WIDE_(name, LANES)
+#define WIDE_(name, width) WIDE__(name, width)
+#define WIDE__(name, width) name##_##width
+#define lanes WIDE(lanes)
+#define mask WIDE(mask)
+#define pick WIDE(pick)
+#define map_step WIDE(map_step)
+#define step_layer WIDE(step_layer)
+#define subkey_stream WIDE(subkey_stream)
+#define hash_blocks WIDE(hash_blocks)
+#define first_subkey_stream WIDE(first_subkey_stream)
+#define chain_words WIDE(chain_words)
+#define chain_group WIDE(chain_group)
 
-    for (int m = 0; m < GROUP; m++)
-        held = held && same_key(k[m], first->key);
-    if (held) {
-        for (int m = 0; m < GROUP; m++)
-            memcpy(s[m], first->s, sizeof first->s);
-        return;
-    }
-    subkey_stream(k, GROUP, t, s);
-    memcpy(first->key, k[GROUP - 1], sizeof first->key);
-    memcpy(first->s, s[GROUP - 1], sizeof first->s);
-    first->held = 1;
-}
+#define LANES 2
+#define LANE_FN
+#include "_kernel.c"
+#undef LANES
+#undef LANE_FN
 
-/* The chains of `msgs` (1 or GROUP) messages of `blocks` padded blocks
- * each, message m's at raw[m], from their running keys in `running`,
- * which end as their final keys. Each block's key schedules are expanded
- * side by side and its blocks hashed in lockstep; the first block's
- * schedules go through `first` when it is not NULL (GROUP messages only).
- * When `digests` is not NULL (one message), each block digest goes there
- * as four big-endian words. Touches no Python object. */
-UNROLLED void
-chain_words(const unsigned char **raw, Py_ssize_t blocks, uint32_t (*running)[4],
-            int msgs, long long t, struct first_schedule *first,
-            unsigned char *digests)
-{
-    uint32_t digest[GROUP][4];
-    double s[GROUP][SUBKEY_COUNT];
-    const unsigned char *block[GROUP];
+#if defined(__x86_64__)
+#define LANES 4
+#define LANE_FN __attribute__((target("avx2")))
+#include "_kernel.c"
+#undef LANES
+#undef LANE_FN
+#endif
 
-    for (Py_ssize_t n = 0; n < blocks; n++) {
-        if (n == 0 && first != NULL)
-            first_subkey_stream(running, t, s, first);
-        else
-            subkey_stream(running, msgs, t, s);
-        for (int m = 0; m < msgs; m++)
-            block[m] = raw[m] + BLOCK_BYTES * n;
-        hash_blocks(block, s, msgs, t, digest);
-        for (int m = 0; m < msgs; m++)
-            for (int i = 0; i < 4; i++) {
-                if (digests != NULL)
-                    store_word(digests + KEY_BYTES * n + 4 * i, digest[m][i]);
-                running[m][i] ^= digest[m][i];
-            }
-    }
-}
+/* chain_many's group path, set once when the module loads */
+typedef void group_fn(const unsigned char **, Py_ssize_t, uint32_t (*)[4],
+                      long long, struct first_schedule *);
+static group_fn *host_group = chain_group_2;
 
 static void
 load_key(const unsigned char *p, uint32_t key[4])
@@ -374,7 +237,7 @@ chain(PyObject *module, PyObject *args)
             uint32_t running[1][4];
             Py_BEGIN_ALLOW_THREADS
             load_key(key.buf, running[0]);
-            chain_words(message, blocks, running, 1, t, NULL, out);
+            chain_words_2(message, blocks, running, 1, t, NULL, out);
             store_key(out + KEY_BYTES * blocks, running[0]);
             Py_END_ALLOW_THREADS
         }
@@ -384,8 +247,9 @@ chain(PyObject *module, PyObject *args)
     return result;
 }
 
+/* chain_many, its groups hashed by `group` */
 static PyObject *
-chain_many(PyObject *module, PyObject *args)
+chain_groups(PyObject *args, group_fn *group)
 {
     Py_buffer padded, keys;
     Py_ssize_t blocks;
@@ -419,7 +283,7 @@ chain_many(PyObject *module, PyObject *args)
                     message[m] = raw + BLOCK_BYTES * blocks * j;
                     load_key(key + KEY_BYTES * j, running[m]);
                 }
-                chain_words(message, blocks, running, GROUP, t, &first, NULL);
+                group(message, blocks, running, t, &first);
                 for (int m = 0; m < real; m++)
                     store_key(out + KEY_BYTES * (i + m), running[m]);
             }
@@ -431,11 +295,27 @@ chain_many(PyObject *module, PyObject *args)
     return result;
 }
 
+static PyObject *
+chain_many(PyObject *module, PyObject *args)
+{
+    return chain_groups(args, host_group);
+}
+
+/* chain_many on 2-lane groups whatever the processor, so that the tests
+ * reach both group paths on an AVX2 host */
+static PyObject *
+chain_many_pairs(PyObject *module, PyObject *args)
+{
+    return chain_groups(args, chain_group_2);
+}
+
 static PyMethodDef kernel_methods[] = {
     {"chain", chain, METH_VARARGS,
      "chain(padded, key, t) -> every block digest, then the final key"},
     {"chain_many", chain_many, METH_VARARGS,
      "chain_many(padded, blocks, keys, t) -> each message's final key"},
+    {"_chain_many_pairs", chain_many_pairs, METH_VARARGS,
+     "chain_many on 2-lane groups, for the tests"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -449,5 +329,217 @@ static struct PyModuleDef kernel_module = {
 PyMODINIT_FUNC
 PyInit__kernel(void)
 {
-    return PyModule_Create(&kernel_module);
+    int width = 2;
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2")) {
+        host_group = chain_group_4;
+        width = 4;
+    }
+#endif
+    PyObject *module = PyModule_Create(&kernel_module);
+    if (module != NULL && PyModule_AddIntConstant(module, "LANES", width) < 0)
+        Py_CLEAR(module);
+    return module;
 }
+
+#else /* LANES: the lane code, on vectors of LANES doubles */
+
+/* LANES doubles, one map lane each, and the lane mask a comparison of
+ * two of them gives: all ones where it holds, all zeros where not */
+typedef double lanes __attribute__((vector_size(8 * LANES)));
+typedef __typeof__((lanes){0} < (lanes){0}) mask;
+
+/* yes in the lanes where m holds, no in the others */
+LANE_FN static lanes
+pick(mask m, lanes yes, lanes no)
+{
+    return (lanes)((m & (mask)yes) | (~m & (mask)no));
+}
+
+/* One map step in each lane; half = 0.5 - q and top = 1.0 - q, as
+ * map_layer has them. The masks pick the numerator of the lane's branch
+ * (x, x - q, top - x or 1 - x) and its divisor: half where q <= x < top
+ * (x < top holds wherever x < q does, so that band is below ^ inner),
+ * q elsewhere. The clamp tests the operands, which leaves the compare
+ * off the division's path: num > div exactly when the quotient exceeds
+ * 1.0 before rounding, and since rounding is monotone the rounded
+ * quotient is then >= 1.0, which the clamp makes 1.0; otherwise it is
+ * <= 1.0 and the clamp does nothing. */
+LANE_FN static lanes
+map_step(lanes x, lanes q, lanes half, lanes top)
+{
+    const lanes zero = {0}, one = zero + 1.0, mid = zero + 0.5;
+    mask below = x < q, lower = x < mid, inner = x < top;
+    lanes num = pick(lower, pick(below, x, x - q),
+                     pick(inner, top - x, one - x));
+    lanes div = pick(below ^ inner, half, q);
+    return pick(num > div, one, num / div);
+}
+
+/* The map applied t times to the `neurons` neurons of a layer of each of
+ * `msgs` messages, in place: message m's are x[neurons * m ...], under
+ * its own q[m]. Every turn of the t loop steps every vector of every
+ * message, so their dependency chains overlap. */
+LANE_FN UNROLLED void
+step_layer(double *x, int msgs, int neurons, const double *q, long long t)
+{
+    lanes v[GROUP][8 / LANES], qs[GROUP], half[GROUP], top[GROUP]; /* 8 neurons at most */
+    int vectors = neurons / LANES;
+
+    for (int m = 0; m < msgs; m++) {
+        qs[m] = (lanes){0} + q[m];
+        half[m] = 0.5 - qs[m];
+        top[m] = 1.0 - qs[m];
+        for (int p = 0; p < vectors; p++)
+            memcpy(&v[m][p], x + neurons * m + LANES * p, sizeof v[m][p]);
+    }
+    for (long long i = 0; i < t; i++)
+        for (int m = 0; m < msgs; m++)
+            for (int p = 0; p < vectors; p++)
+                v[m][p] = map_step(v[m][p], qs[m], half[m], top[m]);
+    for (int m = 0; m < msgs; m++)
+        for (int p = 0; p < vectors; p++)
+            memcpy(x + neurons * m + LANES * p, &v[m][p], sizeof v[m][p]);
+}
+
+/* keyschedule.subkey_stream for each of `keys` (1 or GROUP) running keys:
+ * key m's orbit a and orbit b in two adjacent lanes, LANES / 2 keys to a
+ * vector, walked side by side as orbit_sums walks them, the vectors
+ * stepped together as step_layer steps a layer's */
+LANE_FN UNROLLED void
+subkey_stream(uint32_t (*k)[4], int keys, long long t,
+              double (*s)[SUBKEY_COUNT])
+{
+    enum { PER = LANES / 2, MOST = GROUP / PER };  /* keys per vector, vectors */
+    double seed[2 * GROUP], param[2 * GROUP];
+    lanes x[MOST], q[MOST], half[MOST], top[MOST];
+    int vectors = keys / PER;
+
+    for (int m = 0; m < keys; m++) {
+        seed[2 * m] = clamp_seed(quantize_word(k[m][0]));
+        param[2 * m] = derive_param(quantize_word(k[m][1]));
+        seed[2 * m + 1] = clamp_seed(quantize_word(k[m][2]));
+        param[2 * m + 1] = derive_param(quantize_word(k[m][3]));
+    }
+    for (int v = 0; v < vectors; v++) {
+        memcpy(&x[v], seed + LANES * v, sizeof x[v]);
+        memcpy(&q[v], param + LANES * v, sizeof q[v]);
+        half[v] = 0.5 - q[v];
+        top[v] = 1.0 - q[v];
+    }
+    for (long long i = 0; i < t; i++)
+        for (int v = 0; v < vectors; v++)
+            x[v] = map_step(x[v], q[v], half[v], top[v]);
+    for (int j = 0; j < SUBKEY_COUNT; j++) {
+        if (j > 0)
+            for (int v = 0; v < vectors; v++)
+                x[v] = map_step(x[v], q[v], half[v], top[v]);
+        for (int m = 0; m < keys; m++)
+            s[m][j] = mod1(x[m / PER][2 * (m % PER)] + x[m / PER][2 * (m % PER) + 1]);
+    }
+}
+
+/* network.hash_block for each of `msgs` (1 or GROUP) messages: message
+ * m's block at block[m] under its sub-keys s[m], as sliced by
+ * assign_subkeys, into digest[m]. Each layer steps all the messages'
+ * neurons together, each message under its own layer q. */
+LANE_FN UNROLLED void
+hash_blocks(const unsigned char **block, double (*s)[SUBKEY_COUNT], int msgs,
+            long long t, uint32_t (*digest)[4])
+{
+    double c[GROUP * 8], d[GROUP * 8], h[GROUP * 4], q[GROUP];
+
+    for (int m = 0; m < msgs; m++) {
+        double p[32];
+        for (int i = 0; i < 32; i++)
+            p[i] = quantize_word(load_word(block[m] + 4 * i));
+        /* input neuron j reads p[4j .. 4j+3] with weights s[4j .. 4j+3] */
+        for (int j = 0; j < 8; j++)
+            c[8 * m + j] = weigh(p + 4 * j, s[m] + 4 * j, 4, s[m][32 + j]);
+        q[m] = derive_param(s[m][40]);
+    }
+    step_layer(c, msgs, 8, q, t);
+    for (int m = 0; m < msgs; m++) {
+        for (int j = 0; j < 8; j++)
+            d[8 * m + j] = weigh(c + 8 * m, s[m] + 41 + 8 * j, 8, s[m][105 + j]);
+        q[m] = derive_param(s[m][113]);
+    }
+    step_layer(d, msgs, 8, q, 1);
+    for (int m = 0; m < msgs; m++) {
+        for (int j = 0; j < 4; j++)
+            h[4 * m + j] = weigh(d + 8 * m, s[m] + 114 + 8 * j, 8, s[m][146 + j]);
+        q[m] = derive_param(s[m][150]);
+    }
+    step_layer(h, msgs, 4, q, t);
+    for (int m = 0; m < msgs; m++)
+        for (int j = 0; j < 4; j++) {
+            double w = h[4 * m + j] * 4294967296.0;
+            digest[m][j] = w < 4294967296.0 ? (uint32_t)w : 0xFFFFFFFFu;
+        }
+}
+
+/* The first block's schedules of the GROUP keys k into s: copied from
+ * `first` when it holds all of them, otherwise all expanded side by side,
+ * and the last key's schedule held next */
+LANE_FN static void
+first_subkey_stream(uint32_t (*k)[4], long long t, double (*s)[SUBKEY_COUNT],
+                    struct first_schedule *first)
+{
+    int held = first->held;
+
+    for (int m = 0; m < GROUP; m++)
+        held = held && same_key(k[m], first->key);
+    if (held) {
+        for (int m = 0; m < GROUP; m++)
+            memcpy(s[m], first->s, sizeof first->s);
+        return;
+    }
+    subkey_stream(k, GROUP, t, s);
+    memcpy(first->key, k[GROUP - 1], sizeof first->key);
+    memcpy(first->s, s[GROUP - 1], sizeof first->s);
+    first->held = 1;
+}
+
+/* The chains of `msgs` (1 or GROUP) messages of `blocks` padded blocks
+ * each, message m's at raw[m], from their running keys in `running`,
+ * which end as their final keys. Each block's key schedules are expanded
+ * side by side and its blocks hashed in lockstep; the first block's
+ * schedules go through `first` when it is not NULL (GROUP messages only).
+ * When `digests` is not NULL (one message), each block digest goes there
+ * as four big-endian words. Touches no Python object. */
+LANE_FN UNROLLED void
+chain_words(const unsigned char **raw, Py_ssize_t blocks, uint32_t (*running)[4],
+            int msgs, long long t, struct first_schedule *first,
+            unsigned char *digests)
+{
+    uint32_t digest[GROUP][4];
+    double s[GROUP][SUBKEY_COUNT];
+    const unsigned char *block[GROUP];
+
+    for (Py_ssize_t n = 0; n < blocks; n++) {
+        if (n == 0 && first != NULL)
+            first_subkey_stream(running, t, s, first);
+        else
+            subkey_stream(running, msgs, t, s);
+        for (int m = 0; m < msgs; m++)
+            block[m] = raw[m] + BLOCK_BYTES * n;
+        hash_blocks(block, s, msgs, t, digest);
+        for (int m = 0; m < msgs; m++)
+            for (int i = 0; i < 4; i++) {
+                if (digests != NULL)
+                    store_word(digests + KEY_BYTES * n + 4 * i, digest[m][i]);
+                running[m][i] ^= digest[m][i];
+            }
+    }
+}
+
+/* chain_words on a group of GROUP messages, a group_fn */
+LANE_FN static void
+chain_group(const unsigned char **raw, Py_ssize_t blocks, uint32_t (*running)[4],
+            long long t, struct first_schedule *first)
+{
+    chain_words(raw, blocks, running, GROUP, t, first, NULL);
+}
+
+#endif /* LANES */

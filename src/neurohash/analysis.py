@@ -16,7 +16,9 @@ flip is one XOR into a copy of the padded message) and hand them to
 the chain in batches: one chain_many call per batch, which on the
 compiled chain expands a run of equal first-block keys once and hashes
 four messages at a time, their key schedules and their layers' neurons
-in lockstep. The paper's parallelism is also inside each hash: the
+in lockstep, on 4-lane AVX2 vectors where the processor has AVX2 (a
+check made once, when the kernel loads) and on 2-lane vectors
+otherwise. The paper's parallelism is also inside each hash: the
 compiled chain steps a layer's neurons in lockstep.
 """
 

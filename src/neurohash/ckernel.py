@@ -4,19 +4,23 @@ _kernel.c hashes every block of a padded message as hashing._chain does
 and returns the same bytes (the contract is in hashing's docstring);
 its chain_many hashes a batch of messages as hashing._chain_many does,
 four at a time, their key schedules and layers stepped in lockstep.
-Its sums keep the Python stage functions' order. Its map steps two lanes at
-a time without a branch: masks pick each lane's numerator and divisor,
-the ones map_layer's branch would use, and one division follows, so each
-lane rounds the same binary64 operations on the same operands. The upper
-clamp is applied to both halves of the map, which changes nothing in the
-lower half, where the quotient never exceeds 1.0 (chaosmap's docstring).
-Its digests are therefore bit-equal to the Python path's as long as the
-compiler neither fuses a multiply and an add into one rounding nor
-reorders floating-point operations. FLAGS asks for -ffp-contract=off
-(clang's default, "on", fuses within an expression) and holds no
--ffast-math or -mfma. It hashes with the GIL released, as hashlib
-does, so a caller's own threads hash in parallel; the Python fallback
-holds the GIL.
+Its sums keep the Python stage functions' order. Its map steps a vector
+of lanes at a time without a branch: masks pick each lane's numerator
+and divisor, the ones map_layer's branch would use, and one division
+follows, so each lane rounds the same binary64 operations on the same
+operands. The upper clamp is applied to both halves of the map, which
+changes nothing in the lower half, where the quotient never exceeds 1.0
+(chaosmap's docstring). chain steps 2 lanes. chain_many's groups step
+4 lanes, in functions compiled for AVX2, when the module finds at load
+that the processor has AVX2, and 2 lanes otherwise; the module's LANES
+says which. On either width its digests are bit-equal to the Python
+path's as long as the compiler neither fuses a multiply and an add into
+one rounding nor reorders floating-point operations. FLAGS asks for
+-ffp-contract=off (clang's default, "on", fuses within an expression)
+and holds no -ffast-math, -mfma or -march=native, and AVX2 brings no
+fused multiply-add. It hashes with the GIL released, as hashlib does,
+so a caller's own threads hash in parallel; the Python fallback holds
+the GIL.
 
 The first load() in a process finds the extension where CPython keeps
 _kernel.c's byte code (the __pycache__ directory beside it, or its
@@ -27,7 +31,8 @@ never see a partial file; the builds of other sources or FLAGS in that
 directory are then deleted. The module is used only after it reproduces
 SELF_CHECK, golden records at t = 50, where a contracted build goes
 wrong (at t = 1 it can still agree), through chain and through one
-chain_many batch of five, a full group of four and a short one.
+chain_many batch of five, a full group of four and a short one, on the
+group lanes this processor steps.
 Otherwise load() returns None, the Python stage functions stay in
 charge, and status() names the reason.
 """

@@ -9,6 +9,7 @@ refused unless --unsafe-small-t is given.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -26,6 +27,9 @@ from .opcount import count_operations
 _PROG = "neurohash"
 
 
+# built on the first main call, not at import, and kept for the later calls
+# in the process: a build costs about a millisecond
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=_PROG,

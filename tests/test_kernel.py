@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import neurohash
 from neurohash import ckernel, hashing
-from neurohash.chaosmap import Q_MAX, Q_MIN, map_iter, map_step
+from neurohash.chaosmap import Q_MAX, Q_MIN, map_iter, map_step, mod1
 from neurohash.goldens import read_vectors
 from neurohash.hashing import (
     Message,
@@ -34,7 +34,8 @@ from neurohash.hashing import (
     hash_message_trace,
     pad,
 )
-from neurohash.keyschedule import expand_key, orbit_starts
+from neurohash.keyschedule import assign_subkeys, expand_key, orbit_starts, subkey_stream
+from neurohash.network import hash_block
 from oracles import bytes_to_bits, hash_message_ref
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -61,12 +62,14 @@ SATURATED = (
     1,
 )
 
-# The compiled map steps orbit a (K0, K1) in lane 0 and orbit b (K2, K3)
-# in lane 1 of one pair. Each key below puts one lane on a branch
-# boundary, or dead or clamped, beside a live lane; at t = 1 the first
-# step's value enters s[0]. They check bit-equality on those edges, not
-# which branch an edge takes: at x == q and x == top the two branches
-# give 0.0 and 1.0, which agree mod 1 and both reach 0.0 a step later.
+# The compiled map steps a key's orbit a (K0, K1) and orbit b (K2, K3) in
+# two adjacent lanes. Each key below puts one lane on a branch boundary,
+# or dead or clamped, beside a live lane; at t = 1 the first step's value
+# enters s[0]. At x == q and x == top the map gives 0.0 and 1.0, and the
+# branch on the other side of the edge 1.0 and 0.0. Both reach 0.0 a
+# step later, so only s[0] = mod1(a + b) can tell them apart: there
+# mod1(1.0 + b) rounds away b's low bits, which the weighted sums mostly
+# lose. The EDGE_* messages below are ones where the digest shows it.
 
 # K1 = 2 * K0: the first step of orbit a starts at x == q
 ON_Q = _key(0x12345678, 0x2468ACF0, 0x3C6EF372, 0x5A827999)
@@ -81,6 +84,13 @@ B_AT_Q_MAX = _key(0x9E3779B9, 0x5A827999, 0x3C6EF372, 0xFFFFFFFF)
 LANE_KEYS = (ON_Q, ON_TOP, A_DEAD, B_DEAD, A_AT_Q_MIN, B_AT_Q_MAX)
 # ON_Q with K3 one less, so a schedule held for ON_Q must not serve it
 NEXT_TO_ON_Q = _key(0x12345678, 0x2468ACF0, 0x3C6EF372, 0x5A827998)
+# ON_TOP's orbit b beside another orbit a
+B_ON_TOP = _key(0x111A0F10, 0x97548264, 0xDEADBEEF, 0x42A48222)
+# (key, message, lane on the edge, the other branch's value) at t = 1:
+# the first block's digest changes with the branch that orbit a takes at
+# x == q, or orbit b at x == top (message word 0 found by search)
+EDGE_Q = (ON_Q, Message(bytes.fromhex("fa271df4") + bytes(60)), 0, 1.0)
+EDGE_TOP = (B_ON_TOP, Message(bytes.fromhex("f4e0abfb") + bytes(124)), 1, 0.0)
 
 # K0/K2 seed the orbits: 0x80000000 kills one, 0, 1 and 0xFFFFFFFF are
 # one clamp class. K1/K3 set q: 0x80000000 is the dyadic q = 0.25, and
@@ -137,6 +147,8 @@ def test_the_suite_runs_the_kernel_wherever_a_compiler_is(monkeypatch):
 @example(message=Message(bytes(range(200))), key=B_DEAD, t=50)
 @example(message=Message(bytes(range(200))), key=A_AT_Q_MIN, t=50)
 @example(message=Message(bytes(range(200))), key=B_AT_Q_MAX, t=50)
+@example(message=EDGE_Q[1], key=EDGE_Q[0], t=1)
+@example(message=EDGE_TOP[1], key=EDGE_TOP[0], t=1)
 def test_kernel_equals_python_chain_and_oracle(message, key, t):
     raw = hashing._pad_bytes(message)
     expected = hashing._chain(raw, key, t)
@@ -172,6 +184,19 @@ def test_special_keys_and_words_show_their_property():
     for key, lane in ((A_DEAD, 1), (B_DEAD, 0), (A_AT_Q_MIN, 1), (B_AT_Q_MAX, 0)):
         x, q = starts[key][2 * lane:2 * lane + 2]
         assert 0.0 < map_iter(x, q, 50) < 1.0
+    # the EDGE_* messages tell the branches at the edge apart: with the
+    # other branch's value in s[0], the first block hashes differently
+    for key, message, lane, other in (EDGE_Q, EDGE_TOP):
+        xa, qa, xb, qb = orbit_starts(struct.unpack(">4I", key))
+        assert (xa == qa, xb == 1.0 - qb)[lane]
+        edge = [map_step(xa, qa), map_step(xb, qb)]
+        assert edge[lane] == 1.0 - other
+        stream = subkey_stream(key, 1)
+        assert stream[0] == mod1(edge[0] + edge[1])
+        edge[lane] = other
+        block = pad(message)[0]
+        other_branch = assign_subkeys([mod1(edge[0] + edge[1]), *stream[1:]])
+        assert hash_block(block, other_branch, 1) != hash_block(block, expand_key(key, 1), 1)
     # the messages of Q_GROUP step each layer under four different q
     for t in (1, 50):
         subkeys = [expand_key(key, t) for key in Q_GROUP]
@@ -237,9 +262,14 @@ def _batch(blocks, sizes, keys):
 @example(batch=_batch(2, [1100] * 8, [ON_Q] * 7 + [NEXT_TO_ON_Q]), t=50)
 @example(batch=_batch(2, [1100] * 8, [ON_Q] * 5 + [NEXT_TO_ON_Q] + [ON_Q] * 2), t=50)
 @example(batch=_batch(2, [1100] * 8, [ON_Q] * 4 + [NEXT_TO_ON_Q] + [ON_Q] * 3), t=50)
+# the edge keys in every lane of a group, beside other keys
+@example(batch=(1, [EDGE_Q[1]] * 6, [ON_Q, ON_TOP, ON_Q, ON_Q, B_DEAD, ON_Q]), t=1)
+@example(batch=(2, [EDGE_TOP[1]] * 6, [B_ON_TOP, ON_Q, B_ON_TOP, B_ON_TOP, A_DEAD,
+                                      B_ON_TOP]), t=1)
 def test_chain_many_equals_chains_and_oracle(batch, t):
-    # each message's final key: the compiled chain_many, the Python
-    # _chain_many, one chain call per message and the oracle agree
+    # each message's final key: the compiled chain_many on the host's
+    # group lanes and on 2-lane groups, the Python _chain_many, one chain
+    # call per message and the oracle agree
     blocks, messages, keys = batch
     padded = [hashing._pad_bytes(message) for message in messages]
     assert {len(raw) for raw in padded} == {128 * blocks}
@@ -248,7 +278,8 @@ def test_chain_many_equals_chains_and_oracle(batch, t):
     finals = b"".join(chain(raw, key, t)[-16:] for raw, key in zip(padded, keys))
     assert hashing._chain_many(b"".join(padded), blocks, b"".join(keys), t) == finals
     if kernel is not None:
-        assert kernel.chain_many(b"".join(padded), blocks, b"".join(keys), t) == finals
+        for chain_many in (kernel.chain_many, kernel._chain_many_pairs):
+            assert chain_many(b"".join(padded), blocks, b"".join(keys), t) == finals
     for i, (message, key) in enumerate(zip(messages, keys)):
         bits = bytes_to_bits(message.data)[:message.nbits]
         oracle = digest_to_bytes(hash_message_ref(bits, key, t))
@@ -429,16 +460,32 @@ for name, sweep in (("message", message_sensitivity_sweep), ("key", key_sensitiv
 SAME_OUTPUTS = ["goldens 20 []", "message ok", "key ok"]
 
 
+def _x86_linux_has(feature):
+    """Whether this x86-64 Linux machine's processor has `feature`; None
+    on other machines."""
+    if (platform.machine().lower() not in ("x86_64", "amd64")
+            or not sys.platform.startswith("linux")):
+        return None
+    with open("/proc/cpuinfo") as handle:
+        return re.search(r"^flags\s*:.*\b%s\b" % feature, handle.read(), re.M) is not None
+
+
 def _fusing_flags():
     """Flags that make the compiler fuse multiply-adds on this machine."""
-    machine = platform.machine().lower()
-    if machine in ("arm64", "aarch64"):
+    if platform.machine().lower() in ("arm64", "aarch64"):
         return ["-O2", "-ffp-contract=fast"]
-    if machine in ("x86_64", "amd64") and sys.platform.startswith("linux"):
-        with open("/proc/cpuinfo") as handle:
-            if re.search(r"^flags\s*:.*\bfma\b", handle.read(), re.M):
-                return ["-O2", "-mfma", "-ffp-contract=fast"]
+    if _x86_linux_has("fma"):
+        return ["-O2", "-mfma", "-ffp-contract=fast"]
     return None
+
+
+def test_chain_many_groups_take_4_lanes_where_the_processor_has_avx2():
+    if neurohash.kernel != "c":
+        pytest.skip("no compiled kernel: " + neurohash.kernel)
+    avx2 = _x86_linux_has("avx2")
+    if avx2 is None and platform.machine().lower() not in ("arm64", "aarch64"):
+        pytest.skip("cannot read this processor's features")
+    assert ckernel.load().LANES == (4 if avx2 else 2)
 
 
 def test_a_contracted_build_fails_the_self_check(tmp_path):
