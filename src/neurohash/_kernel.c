@@ -17,9 +17,14 @@
  * last group repeats its last message and stores only the real results.
  * A group whose four keys all equal the last first-block key expanded
  * copies that schedule, so a run of equal keys expands it once. chain
- * runs the same code on one message. Both fill their new bytes object
- * with the GIL released, which is safe because nothing else holds a
- * reference to it yet, so threads hash in parallel.
+ * runs the same code on one message, in another order: a group's key
+ * schedules are walked in full before its layers, but one message's
+ * only to sub-key 40, all its input layer reads, and the other 110 under
+ * that layer's t loop, KEY_STEPS per turn, and after it. One key's walk
+ * is a chain of dependent steps, and so is each vector of a layer, so
+ * the two overlap. Both fill their new bytes object with the GIL
+ * released, which is safe because nothing else holds a reference to it
+ * yet, so threads hash in parallel.
  *
  * Every floating-point result is the one the Python code computes: sums
  * accumulate in ascending index order from the first product with the
@@ -37,15 +42,17 @@
  *
  * The lane code is written once, at the end of this file, and compiled
  * once per width by including the file in itself. On 2 lanes (SSE2 on
- * x86-64, NEON on arm64) chain runs it on one message: a key's two orbits
- * form one pair, a layer's 8 or 4 neurons 4 or 2 pairs. On x86-64 it is
- * compiled again on 4 lanes inside functions built for AVX2, the only
+ * x86-64, NEON on arm64) a key's two orbits form one pair, and one
+ * message's layers of 8, 8 and 4 neurons 4, 4 and 2 pairs. On x86-64 it
+ * is compiled again on 4 lanes inside functions built for AVX2, the only
  * place the 4-lane type is used (without AVX it is several times slower
- * than 2 lanes). When the module loads, __builtin_cpu_supports picks the
- * widest width the processor steps for chain_many's groups: on 4 lanes a
- * group's key schedules form 2 quads of (a, b, a', b'), and each
- * message's layers 2, 2 and 1 quads; on 2 lanes 4 pairs, and 4, 4 and 2.
- * LANES tells which. AVX2 brings no fused multiply-add.
+ * than 2 lanes): a group's key schedules form 2 quads of (a, b, a', b'),
+ * one key fills a quad with a copy of itself, and each message's layers
+ * form 2, 2 and 1 quads. When the module loads, __builtin_cpu_supports
+ * picks the widest width the processor steps, for chain and for
+ * chain_many's groups alike, and LANES tells which; _chain_pairs and
+ * _chain_many_pairs run 2 lanes on any host, for the tests. AVX2 brings
+ * no fused multiply-add.
  *
  * The digests match only if the compiler rounds every operation to
  * binary64 on its own: build with -ffp-contract=off, and never with
@@ -166,6 +173,26 @@ same_key(const uint32_t a[4], const uint32_t b[4])
     return a[0] == b[0] && a[1] == b[1] && a[2] == b[2] && a[3] == b[3];
 }
 
+/* Whether `first` holds the schedule of each of the `keys` keys k; if it
+ * does, that schedule is copied into each s[m] */
+static int
+copy_held(uint32_t (*k)[4], int keys, double (*s)[SUBKEY_COUNT],
+          const struct first_schedule *first)
+{
+    if (!first->held)
+        return 0;
+    for (int m = 0; m < keys; m++)
+        if (!same_key(k[m], first->key))
+            return 0;
+    for (int m = 0; m < keys; m++)
+        memcpy(s[m], first->s, sizeof first->s);
+    return 1;
+}
+
+/* Key schedule steps per turn of one message's input layer (2 measured
+ * faster than 1 or 3) */
+#define KEY_STEPS 2
+
 /* The lane code below #else, once per width: its names get the width as
  * a suffix (map_step_2, chain_group_4), and LANE_FN marks its functions */
 #define WIDE(name) WIDE_(name, LANES)
@@ -175,12 +202,15 @@ same_key(const uint32_t a[4], const uint32_t b[4])
 #define mask WIDE(mask)
 #define pick WIDE(pick)
 #define map_step WIDE(map_step)
+#define key_walk WIDE(key_walk)
+#define walk_start WIDE(walk_start)
+#define walk_step WIDE(walk_step)
+#define walk_to WIDE(walk_to)
 #define step_layer WIDE(step_layer)
-#define subkey_stream WIDE(subkey_stream)
 #define hash_blocks WIDE(hash_blocks)
-#define first_subkey_stream WIDE(first_subkey_stream)
 #define chain_words WIDE(chain_words)
 #define chain_group WIDE(chain_group)
+#define chain_one WIDE(chain_one)
 
 #define LANES 2
 #define LANE_FN
@@ -196,9 +226,13 @@ same_key(const uint32_t a[4], const uint32_t b[4])
 #undef LANE_FN
 #endif
 
-/* chain_many's group path, set once when the module loads */
+/* chain's one-message path and chain_many's group path, set once when
+ * the module loads */
+typedef void one_fn(const unsigned char **, Py_ssize_t, uint32_t (*)[4],
+                    long long, unsigned char *);
 typedef void group_fn(const unsigned char **, Py_ssize_t, uint32_t (*)[4],
                       long long, struct first_schedule *);
+static one_fn *host_one = chain_one_2;
 static group_fn *host_group = chain_group_2;
 
 static void
@@ -215,8 +249,9 @@ store_key(unsigned char *p, const uint32_t key[4])
         store_word(p + 4 * i, key[i]);
 }
 
+/* chain, its message hashed by `one` */
 static PyObject *
-chain(PyObject *module, PyObject *args)
+chain_message(PyObject *args, one_fn *one)
 {
     Py_buffer padded, key;
     long long t;
@@ -237,7 +272,7 @@ chain(PyObject *module, PyObject *args)
             uint32_t running[1][4];
             Py_BEGIN_ALLOW_THREADS
             load_key(key.buf, running[0]);
-            chain_words_2(message, blocks, running, 1, t, NULL, out);
+            one(message, blocks, running, t, out);
             store_key(out + KEY_BYTES * blocks, running[0]);
             Py_END_ALLOW_THREADS
         }
@@ -245,6 +280,20 @@ chain(PyObject *module, PyObject *args)
     PyBuffer_Release(&padded);
     PyBuffer_Release(&key);
     return result;
+}
+
+static PyObject *
+chain(PyObject *module, PyObject *args)
+{
+    return chain_message(args, host_one);
+}
+
+/* chain on 2-lane pairs whatever the processor, so that the tests reach
+ * both widths on an AVX2 host */
+static PyObject *
+chain_pairs(PyObject *module, PyObject *args)
+{
+    return chain_message(args, chain_one_2);
 }
 
 /* chain_many, its groups hashed by `group` */
@@ -312,6 +361,8 @@ chain_many_pairs(PyObject *module, PyObject *args)
 static PyMethodDef kernel_methods[] = {
     {"chain", chain, METH_VARARGS,
      "chain(padded, key, t) -> every block digest, then the final key"},
+    {"_chain_pairs", chain_pairs, METH_VARARGS,
+     "chain on 2-lane pairs, for the tests"},
     {"chain_many", chain_many, METH_VARARGS,
      "chain_many(padded, blocks, keys, t) -> each message's final key"},
     {"_chain_many_pairs", chain_many_pairs, METH_VARARGS,
@@ -333,6 +384,7 @@ PyInit__kernel(void)
 #if defined(__x86_64__)
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx2")) {
+        host_one = chain_one_4;
         host_group = chain_group_4;
         width = 4;
     }
@@ -377,12 +429,80 @@ map_step(lanes x, lanes q, lanes half, lanes top)
     return pick(num > div, one, num / div);
 }
 
+/* keyschedule.subkey_stream for `keys` (1 or GROUP) running keys, walked
+ * in stages, so that one message's walk can run under its input layer:
+ * key m's orbit a and orbit b in two adjacent lanes, LANES / 2 keys to a
+ * vector, walked side by side as orbit_sums walks them, the vectors
+ * stepped together as step_layer steps a layer's. One key on 4 lanes
+ * fills its quad with a copy of itself, whose lanes 2-3 are never read.
+ * `next` is the index of the next sub-key. */
+struct key_walk {
+    lanes x[2 * GROUP / LANES], q[2 * GROUP / LANES];
+    lanes half[2 * GROUP / LANES], top[2 * GROUP / LANES];
+    int next;
+};
+
+/* The vectors that hold `keys` keys' orbits */
+#define KEY_VECTORS(keys) ((2 * (keys) + LANES - 1) / LANES)
+
+/* Decode the keys k and walk their orbits t - 1 steps: the next step
+ * gives sub-key 0 */
+LANE_FN UNROLLED void
+walk_start(struct key_walk *w, uint32_t (*k)[4], int keys, long long t)
+{
+    double seed[2 * GROUP], param[2 * GROUP];
+    int vectors = KEY_VECTORS(keys);
+
+    for (int m = 0; m < vectors * LANES / 2; m++) {
+        const uint32_t *key = k[m < keys ? m : 0];
+        seed[2 * m] = clamp_seed(quantize_word(key[0]));
+        param[2 * m] = derive_param(quantize_word(key[1]));
+        seed[2 * m + 1] = clamp_seed(quantize_word(key[2]));
+        param[2 * m + 1] = derive_param(quantize_word(key[3]));
+    }
+    for (int v = 0; v < vectors; v++) {
+        memcpy(&w->x[v], seed + LANES * v, sizeof w->x[v]);
+        memcpy(&w->q[v], param + LANES * v, sizeof w->q[v]);
+        w->half[v] = 0.5 - w->q[v];
+        w->top[v] = 1.0 - w->q[v];
+    }
+    for (long long i = 1; i < t; i++)
+        for (int v = 0; v < vectors; v++)
+            w->x[v] = map_step(w->x[v], w->q[v], w->half[v], w->top[v]);
+    w->next = 0;
+}
+
+/* Step every orbit once, then emit sub-key w->next of each key into s */
+LANE_FN UNROLLED void
+walk_step(struct key_walk *w, int keys, double (*s)[SUBKEY_COUNT])
+{
+    enum { PER = LANES / 2 };  /* keys per vector */
+
+    for (int v = 0; v < KEY_VECTORS(keys); v++)
+        w->x[v] = map_step(w->x[v], w->q[v], w->half[v], w->top[v]);
+    for (int m = 0; m < keys; m++)
+        s[m][w->next] = mod1(w->x[m / PER][2 * (m % PER)]
+                             + w->x[m / PER][2 * (m % PER) + 1]);
+    w->next++;
+}
+
+/* Walk on until sub-key end - 1 is emitted */
+LANE_FN UNROLLED void
+walk_to(struct key_walk *w, int keys, int end, double (*s)[SUBKEY_COUNT])
+{
+    while (w->next < end)
+        walk_step(w, keys, s);
+}
+
 /* The map applied t times to the `neurons` neurons of a layer of each of
  * `msgs` messages, in place: message m's are x[neurons * m ...], under
  * its own q[m]. Every turn of the t loop steps every vector of every
- * message, so their dependency chains overlap. */
+ * message, so their dependency chains overlap. When `w` is not NULL, each
+ * turn also walks one key's schedule KEY_STEPS sub-keys on into s, until
+ * it is done: another chain that overlaps the layer's. */
 LANE_FN UNROLLED void
-step_layer(double *x, int msgs, int neurons, const double *q, long long t)
+step_layer(double *x, int msgs, int neurons, const double *q, long long t,
+           struct key_walk *w, double (*s)[SUBKEY_COUNT])
 {
     lanes v[GROUP][8 / LANES], qs[GROUP], half[GROUP], top[GROUP]; /* 8 neurons at most */
     int vectors = neurons / LANES;
@@ -394,62 +514,44 @@ step_layer(double *x, int msgs, int neurons, const double *q, long long t)
         for (int p = 0; p < vectors; p++)
             memcpy(&v[m][p], x + neurons * m + LANES * p, sizeof v[m][p]);
     }
-    for (long long i = 0; i < t; i++)
+    for (long long i = 0; i < t; i++) {
         for (int m = 0; m < msgs; m++)
             for (int p = 0; p < vectors; p++)
                 v[m][p] = map_step(v[m][p], qs[m], half[m], top[m]);
+        if (w != NULL)
+            for (int j = 0; j < KEY_STEPS && w->next < SUBKEY_COUNT; j++)
+                walk_step(w, msgs, s);
+    }
     for (int m = 0; m < msgs; m++)
         for (int p = 0; p < vectors; p++)
             memcpy(x + neurons * m + LANES * p, &v[m][p], sizeof v[m][p]);
 }
 
-/* keyschedule.subkey_stream for each of `keys` (1 or GROUP) running keys:
- * key m's orbit a and orbit b in two adjacent lanes, LANES / 2 keys to a
- * vector, walked side by side as orbit_sums walks them, the vectors
- * stepped together as step_layer steps a layer's */
-LANE_FN UNROLLED void
-subkey_stream(uint32_t (*k)[4], int keys, long long t,
-              double (*s)[SUBKEY_COUNT])
-{
-    enum { PER = LANES / 2, MOST = GROUP / PER };  /* keys per vector, vectors */
-    double seed[2 * GROUP], param[2 * GROUP];
-    lanes x[MOST], q[MOST], half[MOST], top[MOST];
-    int vectors = keys / PER;
-
-    for (int m = 0; m < keys; m++) {
-        seed[2 * m] = clamp_seed(quantize_word(k[m][0]));
-        param[2 * m] = derive_param(quantize_word(k[m][1]));
-        seed[2 * m + 1] = clamp_seed(quantize_word(k[m][2]));
-        param[2 * m + 1] = derive_param(quantize_word(k[m][3]));
-    }
-    for (int v = 0; v < vectors; v++) {
-        memcpy(&x[v], seed + LANES * v, sizeof x[v]);
-        memcpy(&q[v], param + LANES * v, sizeof q[v]);
-        half[v] = 0.5 - q[v];
-        top[v] = 1.0 - q[v];
-    }
-    for (long long i = 0; i < t; i++)
-        for (int v = 0; v < vectors; v++)
-            x[v] = map_step(x[v], q[v], half[v], top[v]);
-    for (int j = 0; j < SUBKEY_COUNT; j++) {
-        if (j > 0)
-            for (int v = 0; v < vectors; v++)
-                x[v] = map_step(x[v], q[v], half[v], top[v]);
-        for (int m = 0; m < keys; m++)
-            s[m][j] = mod1(x[m / PER][2 * (m % PER)] + x[m / PER][2 * (m % PER) + 1]);
-    }
-}
-
 /* network.hash_block for each of `msgs` (1 or GROUP) messages: message
- * m's block at block[m] under its sub-keys s[m], as sliced by
- * assign_subkeys, into digest[m]. Each layer steps all the messages'
- * neurons together, each message under its own layer q. */
+ * m's block at block[m] under the schedule of its running key k[m], as
+ * sliced by assign_subkeys, into digest[m]. When `first` is not NULL
+ * (GROUP messages, first block), the schedules are copied from it if it
+ * holds them all, and otherwise the last key's is held there next. Each
+ * layer steps all the messages' neurons together, each message under its
+ * own layer q. A group's schedules are walked in full before its input
+ * layer (walking them under it measured slower: four messages' vectors
+ * already keep the processor busy). One message's are walked to s[40],
+ * all that its input layer reads, and the rest under that layer's t
+ * loop, KEY_STEPS a turn, and after it if any is left: one key's walk
+ * and one message's 2 or 4 vectors are each bound by the latency of
+ * their steps, so the two overlap. */
 LANE_FN UNROLLED void
-hash_blocks(const unsigned char **block, double (*s)[SUBKEY_COUNT], int msgs,
-            long long t, uint32_t (*digest)[4])
+hash_blocks(const unsigned char **block, uint32_t (*k)[4], int msgs, long long t,
+            struct first_schedule *first, uint32_t (*digest)[4])
 {
-    double c[GROUP * 8], d[GROUP * 8], h[GROUP * 4], q[GROUP];
+    double s[GROUP][SUBKEY_COUNT], c[GROUP * 8], d[GROUP * 8], h[GROUP * 4], q[GROUP];
+    struct key_walk w;
+    int walk = first == NULL || !copy_held(k, msgs, s, first);
 
+    if (walk) {
+        walk_start(&w, k, msgs, t);
+        walk_to(&w, msgs, msgs == 1 ? 41 : SUBKEY_COUNT, s);
+    }
     for (int m = 0; m < msgs; m++) {
         double p[32];
         for (int i = 0; i < 32; i++)
@@ -459,51 +561,37 @@ hash_blocks(const unsigned char **block, double (*s)[SUBKEY_COUNT], int msgs,
             c[8 * m + j] = weigh(p + 4 * j, s[m] + 4 * j, 4, s[m][32 + j]);
         q[m] = derive_param(s[m][40]);
     }
-    step_layer(c, msgs, 8, q, t);
+    step_layer(c, msgs, 8, q, t, msgs == 1 && walk ? &w : NULL, s);
+    if (walk) {
+        walk_to(&w, msgs, SUBKEY_COUNT, s);
+        if (first != NULL) {
+            memcpy(first->key, k[msgs - 1], sizeof first->key);
+            memcpy(first->s, s[msgs - 1], sizeof first->s);
+            first->held = 1;
+        }
+    }
     for (int m = 0; m < msgs; m++) {
         for (int j = 0; j < 8; j++)
             d[8 * m + j] = weigh(c + 8 * m, s[m] + 41 + 8 * j, 8, s[m][105 + j]);
         q[m] = derive_param(s[m][113]);
     }
-    step_layer(d, msgs, 8, q, 1);
+    step_layer(d, msgs, 8, q, 1, NULL, s);
     for (int m = 0; m < msgs; m++) {
         for (int j = 0; j < 4; j++)
             h[4 * m + j] = weigh(d + 8 * m, s[m] + 114 + 8 * j, 8, s[m][146 + j]);
         q[m] = derive_param(s[m][150]);
     }
-    step_layer(h, msgs, 4, q, t);
+    step_layer(h, msgs, 4, q, t, NULL, s);
     for (int m = 0; m < msgs; m++)
         for (int j = 0; j < 4; j++) {
-            double w = h[4 * m + j] * 4294967296.0;
-            digest[m][j] = w < 4294967296.0 ? (uint32_t)w : 0xFFFFFFFFu;
+            double x = h[4 * m + j] * 4294967296.0;
+            digest[m][j] = x < 4294967296.0 ? (uint32_t)x : 0xFFFFFFFFu;
         }
-}
-
-/* The first block's schedules of the GROUP keys k into s: copied from
- * `first` when it holds all of them, otherwise all expanded side by side,
- * and the last key's schedule held next */
-LANE_FN static void
-first_subkey_stream(uint32_t (*k)[4], long long t, double (*s)[SUBKEY_COUNT],
-                    struct first_schedule *first)
-{
-    int held = first->held;
-
-    for (int m = 0; m < GROUP; m++)
-        held = held && same_key(k[m], first->key);
-    if (held) {
-        for (int m = 0; m < GROUP; m++)
-            memcpy(s[m], first->s, sizeof first->s);
-        return;
-    }
-    subkey_stream(k, GROUP, t, s);
-    memcpy(first->key, k[GROUP - 1], sizeof first->key);
-    memcpy(first->s, s[GROUP - 1], sizeof first->s);
-    first->held = 1;
 }
 
 /* The chains of `msgs` (1 or GROUP) messages of `blocks` padded blocks
  * each, message m's at raw[m], from their running keys in `running`,
- * which end as their final keys. Each block's key schedules are expanded
+ * which end as their final keys. Each block's key schedules are walked
  * side by side and its blocks hashed in lockstep; the first block's
  * schedules go through `first` when it is not NULL (GROUP messages only).
  * When `digests` is not NULL (one message), each block digest goes there
@@ -514,17 +602,12 @@ chain_words(const unsigned char **raw, Py_ssize_t blocks, uint32_t (*running)[4]
             unsigned char *digests)
 {
     uint32_t digest[GROUP][4];
-    double s[GROUP][SUBKEY_COUNT];
     const unsigned char *block[GROUP];
 
     for (Py_ssize_t n = 0; n < blocks; n++) {
-        if (n == 0 && first != NULL)
-            first_subkey_stream(running, t, s, first);
-        else
-            subkey_stream(running, msgs, t, s);
         for (int m = 0; m < msgs; m++)
             block[m] = raw[m] + BLOCK_BYTES * n;
-        hash_blocks(block, s, msgs, t, digest);
+        hash_blocks(block, running, msgs, t, n == 0 ? first : NULL, digest);
         for (int m = 0; m < msgs; m++)
             for (int i = 0; i < 4; i++) {
                 if (digests != NULL)
@@ -534,6 +617,14 @@ chain_words(const unsigned char **raw, Py_ssize_t blocks, uint32_t (*running)[4]
     }
 }
 
+/* chain_words on one message, with its block digests, a one_fn */
+LANE_FN static void
+chain_one(const unsigned char **raw, Py_ssize_t blocks, uint32_t (*running)[4],
+          long long t, unsigned char *digests)
+{
+    chain_words(raw, blocks, running, 1, t, NULL, digests);
+}
+
 /* chain_words on a group of GROUP messages, a group_fn */
 LANE_FN static void
 chain_group(const unsigned char **raw, Py_ssize_t blocks, uint32_t (*running)[4],
@@ -541,5 +632,7 @@ chain_group(const unsigned char **raw, Py_ssize_t blocks, uint32_t (*running)[4]
 {
     chain_words(raw, blocks, running, GROUP, t, first, NULL);
 }
+
+#undef KEY_VECTORS
 
 #endif /* LANES */

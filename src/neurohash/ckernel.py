@@ -10,10 +10,12 @@ and divisor, the ones map_layer's branch would use, and one division
 follows, so each lane rounds the same binary64 operations on the same
 operands. The upper clamp is applied to both halves of the map, which
 changes nothing in the lower half, where the quotient never exceeds 1.0
-(chaosmap's docstring). chain steps 2 lanes. chain_many's groups step
-4 lanes, in functions compiled for AVX2, when the module finds at load
-that the processor has AVX2, and 2 lanes otherwise; the module's LANES
-says which. On either width its digests are bit-equal to the Python
+(chaosmap's docstring). chain, which walks one message's key schedule
+under its input layer, and chain_many's groups step 4 lanes, in
+functions compiled for AVX2, when the module finds at load that the
+processor has AVX2, and 2 lanes otherwise; the module's LANES says
+which, and its _chain_pairs and _chain_many_pairs step 2 lanes on any
+host. On either width its digests are bit-equal to the Python
 path's as long as the compiler neither fuses a multiply and an add into
 one rounding nor reorders floating-point operations. FLAGS asks for
 -ffp-contract=off (clang's default, "on", fuses within an expression)
@@ -32,7 +34,7 @@ directory are then deleted. The module is used only after it reproduces
 SELF_CHECK, golden records at t = 50, where a contracted build goes
 wrong (at t = 1 it can still agree), through chain and through one
 chain_many batch of five, a full group of four and a short one, on the
-group lanes this processor steps.
+lanes this processor steps.
 Otherwise load() returns None, the Python stage functions stay in
 charge, and status() names the reason.
 """
@@ -163,7 +165,10 @@ def _remove_other_builds(path: str) -> None:
 def _reproduces_self_check(module) -> bool:
     """Both SELF_CHECK records, A and B, through chain, then through
     chain_many as the batch A, B, B, A, A: a group of four under two keys,
-    then a short group whose key is the held first-block key."""
+    then a short group whose key is the held first-block key. Both run on
+    the lanes the module picked for this processor; at t = 50 chain walks
+    41 of a block's sub-keys before its input layer, 100 under it and 10
+    after it."""
     from .hashing import Message, _pad_bytes
 
     padded = [_pad_bytes(Message(bytes.fromhex(message)))

@@ -62,7 +62,9 @@ class Message:
     nbits: int
 
     def __init__(self, data: bytes = b"", nbits=None):
-        data = bytes(memoryview(data))
+        if type(data) is not bytes:
+            # a copy, so a mutable source cannot change the Message
+            data = bytes(memoryview(data))
         if nbits is None:
             nbits = 8 * len(data)
         elif check_count(nbits, 0, "nbits") > 8 * len(data):
@@ -118,13 +120,17 @@ def pad(message: Message) -> tuple:
 def _pad_bytes(message: Message) -> bytes:
     """The padded message as bytes, a whole number of blocks.
 
-    One shift of the whole message, so the cost is linear in its length.
+    The '1' marker is ORed into the last, partial byte (whose bits past
+    nbits Message keeps clear), or appended as a byte 0x80 when nbits is
+    a whole number of bytes; zero bytes follow up to a block boundary.
+    Concatenation, so the cost is linear in the message's length.
     """
-    check_message(message)
-    nbits = message.nbits
-    total = ((nbits + 1) + BLOCK_BITS - 1) // BLOCK_BITS * BLOCK_BITS
-    value = ((message.to_int() << 1) | 1) << (total - nbits - 1)
-    return value.to_bytes(total // 8, "big")
+    data, nbits = check_message(message).data, message.nbits
+    if nbits % 8:
+        data = data[:-1] + bytes((data[-1] | 0x80 >> nbits % 8,))
+    else:
+        data += b"\x80"
+    return data + bytes(-len(data) % (BLOCK_BITS // 8))
 
 
 def _blocks(raw: bytes) -> tuple:

@@ -198,7 +198,7 @@ def test_map_kernels_reject_out_of_domain(kernel, x, q):
     lambda t: orbit_sums(0.3, 0.2, 0.6, 0.1, t, 3),
     lambda t: divergence_probe(2.0 ** -32, 0.2, t, 10, 0),
     lambda t: map_layer([0.3, 0.7], 0.2, t),
-], ids=["map_iter", "map_orbit", "divergence_probe", "map_layer"])
+], ids=["map_iter", "orbit_sums", "divergence_probe", "map_layer"])
 @pytest.mark.parametrize("t", [True, False, 2.5, "5", None])
 def test_map_kernels_reject_non_int_iteration_count(kernel, t):
     with pytest.raises(TypeError, match="^iteration count must be an int, not "
@@ -210,7 +210,7 @@ def test_map_kernels_reject_non_int_iteration_count(kernel, t):
     lambda t: map_iter(0.3, 0.2, t),
     lambda t: orbit_sums(0.3, 0.2, 0.6, 0.1, t, 3),
     lambda t: map_layer([0.3, 0.7], 0.2, t),
-], ids=["map_iter", "map_orbit", "map_layer"])
+], ids=["map_iter", "orbit_sums", "map_layer"])
 @pytest.mark.parametrize("t", [-1, -50])
 def test_map_kernels_reject_negative_iteration_count(kernel, t):
     with pytest.raises(ValueError, match="^iteration count must be >= 0$"):

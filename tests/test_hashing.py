@@ -67,6 +67,18 @@ def test_message_pickle_and_copy_round_trip():
                 twin.nbits = 0
 
 
+def test_message_copies_a_mutable_source():
+    # exact bytes are immutable and kept as given; any other bytes-like
+    # source is copied to bytes, so changing it cannot change the Message
+    data = b"abc"
+    assert Message(data).data is data
+    for source in (bytearray(b"abc"), memoryview(bytearray(b"abc"))):
+        m = Message(source)
+        source[0] = 0x7A
+        assert type(m.data) is bytes and m == Message(b"abc")
+    assert type(Message(type("Sub", (bytes,), {})(b"abc")).data) is bytes
+
+
 @st.composite
 def _bit_string(draw):
     data = draw(st.binary(max_size=40))
@@ -172,10 +184,31 @@ def unaligned_messages(draw):
     return nbits, draw(st.integers(0, (1 << nbits) - 1))
 
 
+@st.composite
+def any_messages(draw):
+    """Messages of 0-3000 bits, aligned or not."""
+    nbits = draw(st.integers(0, 3000))
+    return nbits, draw(st.integers(0, (1 << nbits) - 1))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(message=unaligned_messages())
+@given(message=st.one_of(unaligned_messages(), any_messages()))
 @example(message=(1025, (1 << 1025) - 1))
 @example(message=(2047, 1))
+# the marker ORed into a partial byte or appended as a byte, next to ones
+# and zeros, and the lengths around a block boundary
+@example(message=(0, 0))
+@example(message=(1, 1))
+@example(message=(7, 0x7F))
+@example(message=(8, 0xFF))
+@example(message=(8, 0))
+@example(message=(1016, (1 << 1016) - 1))
+@example(message=(1023, (1 << 1023) - 1))
+@example(message=(1023, 0))
+@example(message=(1024, (1 << 1024) - 1))
+@example(message=(1024, 0))
+@example(message=(1025, 0))
+@example(message=(2048, (1 << 2048) - 1))
 def test_pad_matches_bit_list_oracle(message):
     nbits, value = message
     bits = [(value >> (nbits - 1 - i)) & 1 for i in range(nbits)]

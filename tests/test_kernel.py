@@ -149,13 +149,25 @@ def test_the_suite_runs_the_kernel_wherever_a_compiler_is(monkeypatch):
 @example(message=Message(bytes(range(200))), key=B_AT_Q_MAX, t=50)
 @example(message=EDGE_Q[1], key=EDGE_Q[0], t=1)
 @example(message=EDGE_TOP[1], key=EDGE_TOP[0], t=1)
+# one message's key schedule is walked to s[40], then 2 sub-keys a turn
+# under its input layer's t loop, and the rest after it: the walk ends
+# after the loop (t = 1, 2, 54), on its last turn (55) or inside it (56, 120)
+@example(message=Message(bytes(range(250))), key=bytes(range(16)), t=1)
+@example(message=Message(bytes(range(250))), key=bytes(range(16)), t=2)
+@example(message=Message(bytes(range(250))), key=bytes(range(16)), t=54)
+@example(message=Message(bytes(range(250))), key=bytes(range(16)), t=55)
+@example(message=Message(bytes(range(250))), key=bytes(range(16)), t=56)
+@example(message=Message(bytes(range(250))), key=bytes(range(16)), t=120)
 def test_kernel_equals_python_chain_and_oracle(message, key, t):
+    # the compiled chain on the host's lanes and on 2-lane pairs, the
+    # Python chain and the oracle agree
     raw = hashing._pad_bytes(message)
     expected = hashing._chain(raw, key, t)
     assert len(expected) == 16 * (len(raw) // 128 + 1)
     kernel = ckernel.load()
     if kernel is not None:
-        assert kernel.chain(raw, key, t) == expected
+        for chain in (kernel.chain, kernel._chain_pairs):
+            assert chain(raw, key, t) == expected
     digest, per_block = hash_message_trace(message, key, t)
     assert b"".join(map(digest_to_bytes, per_block + (digest,))) == expected
     bits = bytes_to_bits(message.data)[:message.nbits]
@@ -480,6 +492,8 @@ def _fusing_flags():
 
 
 def test_chain_many_groups_take_4_lanes_where_the_processor_has_avx2():
+    # LANES is the width of chain and of chain_many's groups alike: the
+    # module picks both paths together when it loads
     if neurohash.kernel != "c":
         pytest.skip("no compiled kernel: " + neurohash.kernel)
     avx2 = _x86_linux_has("avx2")
