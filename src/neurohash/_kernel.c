@@ -1,30 +1,25 @@
 /* The neurohash block chain in C, bit-equal to the Python stage functions.
  *
- * chain(padded, key, t) hashes every 128-byte block of a padded message
- * as hashing._chain does: the running key is expanded into its 151
- * sub-keys (keyschedule.subkey_stream, assign_subkeys), the block runs
- * through the input, hidden and output layers (network.hash_block), and
- * the block digest is XORed into the running key. It returns one bytes
- * object, as hashing._chain does: each block digest as four big-endian
- * 32-bit words, then the final running key, 16 * (blocks + 1) bytes.
- * chain_many(padded, blocks, keys, t) hashes n messages of `blocks`
- * padded blocks each, given one after the other, under their n keys,
- * and returns their n final running keys, 16 * n bytes: message i's are
- * chain(padded_i, key_i, t)[-16:], as hashing._chain_many has them. It
+ * chain(padded, blocks, keys, t) hashes n messages of `blocks` padded
+ * blocks each, given one after the other, under their n keys, as
+ * hashing._chain does: for each 128-byte block the running key is
+ * expanded into its 151 sub-keys (keyschedule.subkey_stream,
+ * assign_subkeys), the block runs through the input, hidden and output
+ * layers (network.hash_block), and the block digest is XORed into the
+ * running key. It returns the n final running keys, 16 * n bytes. It
  * chains the messages four at a time, a group: their four key schedules
  * are walked side by side, and their blocks are hashed in lockstep, each
- * layer's neurons of all four messages stepped in one t loop. A short
- * last group repeats its last message and stores only the real results.
- * A group whose four keys all equal the last first-block key expanded
- * copies that schedule, so a run of equal keys expands it once. chain
- * runs the same code on one message, in another order: a group's key
- * schedules are walked in full before its layers, but one message's
- * only to sub-key 40, all its input layer reads, and the other 110 under
- * that layer's t loop, KEY_STEPS per turn, and after it. One key's walk
- * is a chain of dependent steps, and so is each vector of a layer, so
- * the two overlap. Both fill their new bytes object with the GIL
- * released, which is safe because nothing else holds a reference to it
- * yet, so threads hash in parallel.
+ * layer's neurons of all four messages stepped in one t loop. A group
+ * whose four keys all equal the last first-block key expanded copies
+ * that schedule, so a run of equal keys expands it once. Each message
+ * after the last full group is chained alone, in another order: a
+ * group's key schedules are walked in full before its layers, but one
+ * message's only to sub-key 40, all its input layer reads, and the other
+ * 110 under that layer's t loop, KEY_STEPS per turn, and after it. One
+ * key's walk is a chain of dependent steps, and so is each vector of a
+ * layer, so the two overlap. chain fills its new bytes object with the
+ * GIL released, which is safe because nothing else holds a reference to
+ * it yet, so threads hash in parallel.
  *
  * Every floating-point result is the one the Python code computes: sums
  * accumulate in ascending index order from the first product with the
@@ -49,10 +44,9 @@
  * than 2 lanes): a group's key schedules form 2 quads of (a, b, a', b'),
  * one key fills a quad with a copy of itself, and each message's layers
  * form 2, 2 and 1 quads. When the module loads, __builtin_cpu_supports
- * picks the widest width the processor steps, for chain and for
- * chain_many's groups alike, and LANES tells which; _chain_pairs and
- * _chain_many_pairs run 2 lanes on any host, for the tests. AVX2 brings
- * no fused multiply-add.
+ * picks the widest width the processor steps, for groups and single
+ * messages alike, and LANES tells which; _chain_pairs runs 2 lanes on
+ * any host, for the tests. AVX2 brings no fused multiply-add.
  *
  * The digests match only if the compiler rounds every operation to
  * binary64 on its own: build with -ffp-contract=off, and never with
@@ -84,7 +78,7 @@
 #define SUBKEY_COUNT 151
 #define BLOCK_BYTES 128
 #define KEY_BYTES 16
-#define GROUP 4                           /* messages chain_many hashes together */
+#define GROUP 4                           /* messages chain hashes together */
 
 /* Python's x % 1.0 for 0 <= x < 2^63, which every sum here is (at most 9
  * non-negative terms, none above 1). The cast truncates to floor(x),
@@ -159,8 +153,8 @@ weigh(const double *x, const double *w, int fan_in, double bias)
  * stores overlap with the other vectors' steps. */
 #define UNROLLED static inline __attribute__((always_inline))
 
-/* The first block's key schedule of the latest key chain_many expanded,
- * so that a run of equal keys is expanded once per call */
+/* The first-block key schedule of the last key of the group chain
+ * expanded last, so that a run of equal keys is expanded once per call */
 struct first_schedule {
     int held;
     uint32_t key[4];
@@ -226,14 +220,12 @@ copy_held(uint32_t (*k)[4], int keys, double (*s)[SUBKEY_COUNT],
 #undef LANE_FN
 #endif
 
-/* chain's one-message path and chain_many's group path, set once when
- * the module loads */
-typedef void one_fn(const unsigned char **, Py_ssize_t, uint32_t (*)[4],
-                    long long, unsigned char *);
-typedef void group_fn(const unsigned char **, Py_ssize_t, uint32_t (*)[4],
-                      long long, struct first_schedule *);
-static one_fn *host_one = chain_one_2;
-static group_fn *host_group = chain_group_2;
+/* chain's group path and one-message path, set once when the module
+ * loads */
+typedef void path_fn(const unsigned char **, Py_ssize_t, uint32_t (*)[4],
+                     long long, struct first_schedule *);
+static path_fn *host_group = chain_group_2;
+static path_fn *host_one = chain_one_2;
 
 static void
 load_key(const unsigned char *p, uint32_t key[4])
@@ -249,63 +241,17 @@ store_key(unsigned char *p, const uint32_t key[4])
         store_word(p + 4 * i, key[i]);
 }
 
-/* chain, its message hashed by `one` */
+/* chain, its full groups hashed by `group` and the messages after the
+ * last full group by `one`, one at a time */
 static PyObject *
-chain_message(PyObject *args, one_fn *one)
-{
-    Py_buffer padded, key;
-    long long t;
-    PyObject *result = NULL;
-
-    if (!PyArg_ParseTuple(args, "y*y*L:chain", &padded, &key, &t))
-        return NULL;
-    if (padded.len == 0 || padded.len % BLOCK_BYTES != 0
-            || key.len != KEY_BYTES || t < 1)
-        PyErr_SetString(PyExc_ValueError,
-                        "expected padded blocks, a 16-byte key and t >= 1");
-    else {
-        Py_ssize_t blocks = padded.len / BLOCK_BYTES;
-        result = PyBytes_FromStringAndSize(NULL, KEY_BYTES * (blocks + 1));
-        if (result != NULL) {
-            unsigned char *out = (unsigned char *)PyBytes_AS_STRING(result);
-            const unsigned char *message[1] = {padded.buf};
-            uint32_t running[1][4];
-            Py_BEGIN_ALLOW_THREADS
-            load_key(key.buf, running[0]);
-            one(message, blocks, running, t, out);
-            store_key(out + KEY_BYTES * blocks, running[0]);
-            Py_END_ALLOW_THREADS
-        }
-    }
-    PyBuffer_Release(&padded);
-    PyBuffer_Release(&key);
-    return result;
-}
-
-static PyObject *
-chain(PyObject *module, PyObject *args)
-{
-    return chain_message(args, host_one);
-}
-
-/* chain on 2-lane pairs whatever the processor, so that the tests reach
- * both widths on an AVX2 host */
-static PyObject *
-chain_pairs(PyObject *module, PyObject *args)
-{
-    return chain_message(args, chain_one_2);
-}
-
-/* chain_many, its groups hashed by `group` */
-static PyObject *
-chain_groups(PyObject *args, group_fn *group)
+chain_paths(PyObject *args, path_fn *group, path_fn *one)
 {
     Py_buffer padded, keys;
     Py_ssize_t blocks;
     long long t;
     PyObject *result = NULL;
 
-    if (!PyArg_ParseTuple(args, "y*ny*L:chain_many", &padded, &blocks, &keys, &t))
+    if (!PyArg_ParseTuple(args, "y*ny*L:chain", &padded, &blocks, &keys, &t))
         return NULL;
     Py_ssize_t n = keys.len / KEY_BYTES;
     if (blocks < 1 || n == 0 || keys.len % KEY_BYTES != 0 || t < 1
@@ -321,19 +267,18 @@ chain_groups(PyObject *args, group_fn *group)
             const unsigned char *raw = padded.buf, *key = keys.buf;
             unsigned char *out = (unsigned char *)PyBytes_AS_STRING(result);
             struct first_schedule first = {0};
+            int msgs;
             Py_BEGIN_ALLOW_THREADS
-            for (Py_ssize_t i = 0; i < n; i += GROUP) {
-                /* a short last group repeats its last message */
-                Py_ssize_t real = n - i < GROUP ? n - i : GROUP;
+            for (Py_ssize_t i = 0; i < n; i += msgs) {
                 const unsigned char *message[GROUP];
                 uint32_t running[GROUP][4];
-                for (int m = 0; m < GROUP; m++) {
-                    Py_ssize_t j = i + (m < real ? m : real - 1);
-                    message[m] = raw + BLOCK_BYTES * blocks * j;
-                    load_key(key + KEY_BYTES * j, running[m]);
+                msgs = n - i < GROUP ? 1 : GROUP;
+                for (int m = 0; m < msgs; m++) {
+                    message[m] = raw + BLOCK_BYTES * blocks * (i + m);
+                    load_key(key + KEY_BYTES * (i + m), running[m]);
                 }
-                group(message, blocks, running, t, &first);
-                for (int m = 0; m < real; m++)
+                (msgs == GROUP ? group : one)(message, blocks, running, t, &first);
+                for (int m = 0; m < msgs; m++)
                     store_key(out + KEY_BYTES * (i + m), running[m]);
             }
             Py_END_ALLOW_THREADS
@@ -345,34 +290,30 @@ chain_groups(PyObject *args, group_fn *group)
 }
 
 static PyObject *
-chain_many(PyObject *module, PyObject *args)
+chain(PyObject *module, PyObject *args)
 {
-    return chain_groups(args, host_group);
+    return chain_paths(args, host_group, host_one);
 }
 
-/* chain_many on 2-lane groups whatever the processor, so that the tests
- * reach both group paths on an AVX2 host */
+/* chain on 2 lanes whatever the processor, so that the tests reach both
+ * widths on an AVX2 host */
 static PyObject *
-chain_many_pairs(PyObject *module, PyObject *args)
+chain_pairs(PyObject *module, PyObject *args)
 {
-    return chain_groups(args, chain_group_2);
+    return chain_paths(args, chain_group_2, chain_one_2);
 }
 
 static PyMethodDef kernel_methods[] = {
     {"chain", chain, METH_VARARGS,
-     "chain(padded, key, t) -> every block digest, then the final key"},
+     "chain(padded, blocks, keys, t) -> each message's final key"},
     {"_chain_pairs", chain_pairs, METH_VARARGS,
-     "chain on 2-lane pairs, for the tests"},
-    {"chain_many", chain_many, METH_VARARGS,
-     "chain_many(padded, blocks, keys, t) -> each message's final key"},
-    {"_chain_many_pairs", chain_many_pairs, METH_VARARGS,
-     "chain_many on 2-lane groups, for the tests"},
+     "chain on 2 lanes, for the tests"},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT, "_kernel",
-    "The neurohash block chain, bit-equal to hashing._chain and _chain_many.",
+    "The neurohash block chain, bit-equal to hashing._chain.",
     -1,
     kernel_methods,
 };
@@ -594,12 +535,10 @@ hash_blocks(const unsigned char **block, uint32_t (*k)[4], int msgs, long long t
  * which end as their final keys. Each block's key schedules are walked
  * side by side and its blocks hashed in lockstep; the first block's
  * schedules go through `first` when it is not NULL (GROUP messages only).
- * When `digests` is not NULL (one message), each block digest goes there
- * as four big-endian words. Touches no Python object. */
+ * Touches no Python object. */
 LANE_FN UNROLLED void
 chain_words(const unsigned char **raw, Py_ssize_t blocks, uint32_t (*running)[4],
-            int msgs, long long t, struct first_schedule *first,
-            unsigned char *digests)
+            int msgs, long long t, struct first_schedule *first)
 {
     uint32_t digest[GROUP][4];
     const unsigned char *block[GROUP];
@@ -609,28 +548,26 @@ chain_words(const unsigned char **raw, Py_ssize_t blocks, uint32_t (*running)[4]
             block[m] = raw[m] + BLOCK_BYTES * n;
         hash_blocks(block, running, msgs, t, n == 0 ? first : NULL, digest);
         for (int m = 0; m < msgs; m++)
-            for (int i = 0; i < 4; i++) {
-                if (digests != NULL)
-                    store_word(digests + KEY_BYTES * n + 4 * i, digest[m][i]);
+            for (int i = 0; i < 4; i++)
                 running[m][i] ^= digest[m][i];
-            }
     }
 }
 
-/* chain_words on one message, with its block digests, a one_fn */
+/* chain_words on one message, a path_fn that neither reads nor holds
+ * `first` */
 LANE_FN static void
 chain_one(const unsigned char **raw, Py_ssize_t blocks, uint32_t (*running)[4],
-          long long t, unsigned char *digests)
+          long long t, struct first_schedule *first)
 {
-    chain_words(raw, blocks, running, 1, t, NULL, digests);
+    chain_words(raw, blocks, running, 1, t, NULL);
 }
 
-/* chain_words on a group of GROUP messages, a group_fn */
+/* chain_words on a group of GROUP messages, a path_fn */
 LANE_FN static void
 chain_group(const unsigned char **raw, Py_ssize_t blocks, uint32_t (*running)[4],
             long long t, struct first_schedule *first)
 {
-    chain_words(raw, blocks, running, GROUP, t, first, NULL);
+    chain_words(raw, blocks, running, GROUP, t, first);
 }
 
 #undef KEY_VECTORS

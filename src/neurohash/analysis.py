@@ -13,7 +13,7 @@ The sweeps and the birthday experiment hash thousands of independent
 messages, each flipped message or key rehashed whole, in one loop on
 the calling thread. They build each message's padded bytes directly (a
 flip is one XOR into a copy of the padded message) and hand them to
-the chain in batches: one chain_many call per batch, which on the
+the chain in batches: one chain call per batch, which on the
 compiled chain expands a run of equal first-block keys once and hashes
 four messages at a time, their key schedules and their layers' neurons
 in lockstep, on 4-lane AVX2 vectors where the processor has AVX2 (a

@@ -1,28 +1,28 @@
 """The compiled block chain: built on first use, trusted after a self-check.
 
-_kernel.c hashes every block of a padded message as hashing._chain does
-and returns the same bytes (the contract is in hashing's docstring);
-its chain_many hashes a batch of messages as hashing._chain_many does,
-four at a time, their key schedules and layers stepped in lockstep.
-Its sums keep the Python stage functions' order. Its map steps a vector
-of lanes at a time without a branch: masks pick each lane's numerator
-and divisor, the ones map_layer's branch would use, and one division
-follows, so each lane rounds the same binary64 operations on the same
-operands. The upper clamp is applied to both halves of the map, which
-changes nothing in the lower half, where the quotient never exceeds 1.0
-(chaosmap's docstring). chain, which walks one message's key schedule
-under its input layer, and chain_many's groups step 4 lanes, in
-functions compiled for AVX2, when the module finds at load that the
-processor has AVX2, and 2 lanes otherwise; the module's LANES says
-which, and its _chain_pairs and _chain_many_pairs step 2 lanes on any
-host. On either width its digests are bit-equal to the Python
-path's as long as the compiler neither fuses a multiply and an add into
-one rounding nor reorders floating-point operations. FLAGS asks for
--ffp-contract=off (clang's default, "on", fuses within an expression)
-and holds no -ffast-math, -mfma or -march=native, and AVX2 brings no
-fused multiply-add. It hashes with the GIL released, as hashlib does,
-so a caller's own threads hash in parallel; the Python fallback holds
-the GIL.
+_kernel.c's chain hashes a batch of padded messages as hashing._chain
+does and returns the same bytes, each message's final running key (the
+contract is in hashing's docstring). It hashes four messages at a time,
+their key schedules and layers stepped in lockstep, and each message
+after the last full group alone, its key schedule walked under its
+input layer. Its sums keep the Python stage functions' order. Its map
+steps a vector of lanes at a time without a branch: masks pick each
+lane's numerator and divisor, the ones map_layer's branch would use,
+and one division follows, so each lane rounds the same binary64
+operations on the same operands. The upper clamp is applied to both
+halves of the map, which changes nothing in the lower half, where the
+quotient never exceeds 1.0 (chaosmap's docstring). Both paths step 4
+lanes, in functions compiled for AVX2, when the module finds at load
+that the processor has AVX2, and 2 lanes otherwise; the module's LANES
+says which, and its _chain_pairs steps 2 lanes on any host. On either
+width its digests are bit-equal to the Python path's as long as the
+compiler neither fuses a multiply and an add into one rounding nor
+reorders floating-point operations. FLAGS asks for -ffp-contract=off
+(clang's default, "on", fuses within an expression) and holds no
+-ffast-math, -mfma or -march=native, and AVX2 brings no fused
+multiply-add. It hashes with the GIL released, as hashlib does, so a
+caller's own threads hash in parallel; the Python fallback holds the
+GIL.
 
 The first load() in a process finds the extension where CPython keeps
 _kernel.c's byte code (the __pycache__ directory beside it, or its
@@ -32,9 +32,9 @@ temporary name and os.replace moves it into place, so concurrent builds
 never see a partial file; the builds of other sources or FLAGS in that
 directory are then deleted. The module is used only after it reproduces
 SELF_CHECK, golden records at t = 50, where a contracted build goes
-wrong (at t = 1 it can still agree), through chain and through one
-chain_many batch of five, a full group of four and a short one, on the
-lanes this processor steps.
+wrong (at t = 1 it can still agree), through one chain call on a batch
+of ten, two full groups and two messages after them, on the lanes this
+processor steps.
 Otherwise load() returns None, the Python stage functions stay in
 charge, and status() names the reason.
 """
@@ -163,21 +163,19 @@ def _remove_other_builds(path: str) -> None:
 
 
 def _reproduces_self_check(module) -> bool:
-    """Both SELF_CHECK records, A and B, through chain, then through
-    chain_many as the batch A, B, B, A, A: a group of four under two keys,
-    then a short group whose key is the held first-block key. Both run on
-    the lanes the module picked for this processor; at t = 50 chain walks
-    41 of a block's sub-keys before its input layer, 100 under it and 10
-    after it."""
+    """Both SELF_CHECK records, A and B, through one chain call on the
+    batch A, B, B, A, A, A, A, A, A, B, on the lanes the module picked
+    for this processor: a group of four under two keys, which holds A's
+    first-block schedule, a group that copies it, then A and B, each
+    alone. At t = 50 a message alone walks 41 of a block's sub-keys
+    before its input layer, 100 under it and 10 after it."""
     from .hashing import Message, _pad_bytes
 
     padded = [_pad_bytes(Message(bytes.fromhex(message)))
               for _, message, _ in SELF_CHECK]
     keys = [bytes.fromhex(key) for key, _, _ in SELF_CHECK]
     digests = [bytes.fromhex(digest) for _, _, digest in SELF_CHECK]
-    batch = (0, 1, 1, 0, 0)
-    return (all(module.chain(raw, key, 50)[-16:] == digest
-                for raw, key, digest in zip(padded, keys, digests))
-            and module.chain_many(b"".join(padded[i] for i in batch), 1,
-                                  b"".join(keys[i] for i in batch), 50)
+    batch = (0, 1, 1, 0, 0, 0, 0, 0, 0, 1)
+    return (module.chain(b"".join(padded[i] for i in batch), 1,
+                         b"".join(keys[i] for i in batch), 50)
             == b"".join(digests[i] for i in batch))

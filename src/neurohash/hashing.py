@@ -9,16 +9,15 @@ XORed with the block digest. The final running key is the message
 digest, i.e. key XOR (XOR of all per-block digests).
 
 hash_message and hash_message_trace check their inputs, pad, and hand
-the padded bytes to the compiled chain (ckernel) when it has been built
-and has passed its self-check; otherwise _chain runs the Python stage
-functions, which stay the reference. The two chains share one contract:
-chain(padded, key, t) returns each block digest as four big-endian
-32-bit words, then the final running key, 16 * (blocks + 1) bytes.
-The experiments hash batches through _hash_many, which picks the chain
-the same way: chain_many(padded, blocks, keys, t) returns the final
-running key of each of n messages of `blocks` padded blocks, given one
-after the other, under its own key, 16 * n bytes. The Python
-_chain_many is a loop of _chain.
+the padded bytes to _hash_many, which runs the compiled chain (ckernel)
+when it has been built and has passed its self-check, and otherwise
+_chain, a loop of chain_step over the Python stage functions, which
+stay the reference. The two chains share one contract:
+chain(padded, blocks, keys, t) returns the final running key of each of
+n messages of `blocks` padded blocks, given one after the other, under
+its own key, 16 * n bytes. Hashing a message's blocks in two calls, the
+second from the first's final key, gives the final key of one call.
+The experiments hash their batches through _hash_many too.
 """
 
 import struct
@@ -45,6 +44,7 @@ __all__ = [
 ]
 
 BLOCK_BITS = 32 * BLOCK_WORDS
+_BLOCK_BYTES = BLOCK_BITS // 8
 _BLOCK_FORMAT = ">%dI" % BLOCK_WORDS
 
 
@@ -130,12 +130,12 @@ def _pad_bytes(message: Message) -> bytes:
         data = data[:-1] + bytes((data[-1] | 0x80 >> nbits % 8,))
     else:
         data += b"\x80"
-    return data + bytes(-len(data) % (BLOCK_BITS // 8))
+    return data + bytes(-len(data) % _BLOCK_BYTES)
 
 
 def _blocks(raw: bytes) -> tuple:
     return tuple(struct.unpack_from(_BLOCK_FORMAT, raw, off)
-                 for off in range(0, len(raw), BLOCK_BITS // 8))
+                 for off in range(0, len(raw), _BLOCK_BYTES))
 
 
 def unpad(blocks) -> Message:
@@ -164,55 +164,50 @@ def _next_key(prev_key: bytes, digest) -> bytes:
     return value.to_bytes(16, "big")
 
 
-def _chain(raw: bytes, key: bytes, t: int) -> bytes:
-    """The Python chain: every block digest, then the final running key."""
-    out = []
-    for block in _blocks(raw):
-        digest, key = chain_step(key, block, t)
-        out.append(digest_to_bytes(digest))
-    out.append(key)
-    return b"".join(out)
-
-
-def _chain_many(padded: bytes, blocks: int, keys: bytes, t: int) -> bytes:
-    """The Python chain_many: each message's final running key, in order.
+def _chain(padded: bytes, blocks: int, keys: bytes, t: int) -> bytes:
+    """The Python chain: each message's final running key, in order.
 
     `padded` holds len(keys) // 16 messages of `blocks` padded blocks
-    each, one after the other, and `keys` their keys; message i gives
-    _chain(padded_i, key_i, t)[-16:].
+    each, one after the other, and `keys` their keys.
     """
-    size = blocks * BLOCK_BITS // 8
-    return b"".join(
-        _chain(padded[i * size:(i + 1) * size], keys[16 * i:16 * (i + 1)], t)[-16:]
-        for i in range(len(keys) // 16))
-
-
-def _hash(message: Message, key: bytes, t: int) -> bytes:
-    """The chain's bytes for a checked, padded message."""
-    key = check_key(key)
-    raw = _pad_bytes(message)
-    check_iterations(t)
-    kernel = ckernel.load()
-    chain = kernel.chain if kernel is not None else _chain
-    return chain(raw, key, t)
+    size = blocks * _BLOCK_BYTES
+    finals = []
+    for i in range(len(keys) // 16):
+        key = keys[16 * i:16 * (i + 1)]
+        for block in _blocks(padded[i * size:(i + 1) * size]):
+            key = chain_step(key, block, t)[1]
+        finals.append(key)
+    return b"".join(finals)
 
 
 def _hash_many(padded: bytes, blocks: int, keys: bytes, t: int) -> bytes:
-    """chain_many's bytes for checked keys and t, on the chain _hash uses."""
+    """chain's bytes for checked keys and t, on the compiled chain when
+    it loaded and on _chain otherwise."""
     kernel = ckernel.load()
-    chain_many = kernel.chain_many if kernel is not None else _chain_many
-    return chain_many(padded, blocks, keys, t)
+    chain = kernel.chain if kernel is not None else _chain
+    return chain(padded, blocks, keys, t)
 
 
 def hash_message(message: Message, key: bytes, t: int) -> tuple:
     """Digest of an arbitrary-length message under a 128-bit key."""
-    return bytes_to_digest(_hash(message, key, t)[-16:])
+    key = check_key(key)
+    raw = _pad_bytes(message)
+    check_iterations(t)
+    return bytes_to_digest(_hash_many(raw, len(raw) // _BLOCK_BYTES, key, t))
 
 
 def hash_message_trace(message: Message, key: bytes, t: int):
-    """The message digest and every per-block digest, in chain order."""
-    out = _hash(message, key, t)
-    return bytes_to_digest(out[-16:]), tuple(struct.iter_unpack(">4I", out[:-16]))
+    """The message digest and every per-block digest, in chain order: the
+    digest from one chain call, each block digest from a call on that
+    block alone, the running key before it XOR the one after it."""
+    digest = hash_message(message, key, t)
+    key, raw = check_key(key), _pad_bytes(message)
+    per_block = []
+    for off in range(0, len(raw), _BLOCK_BYTES):
+        after = _hash_many(raw[off:off + _BLOCK_BYTES], 1, key, t)
+        per_block.append(bytes_to_digest(bytes(a ^ b for a, b in zip(key, after))))
+        key = after
+    return digest, tuple(per_block)
 
 
 def format_digest(digest) -> str:

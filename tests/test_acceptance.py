@@ -8,12 +8,13 @@ hash derives from the sample key, and that the dyadic parameter
 q = 0.25 collapses every orbit (see that test's docstring).
 Criterion 4 checks the paper's parallelism, a layer's neurons run
 independently, on two paths against the scalar one: the compiled
-chain, which steps a layer's neurons as 2-lane pairs in lockstep,
-against hashing._chain, which runs them one after another, on 1000
-random (message, key) pairs (skipped on the Python fallback, which has
-no compiled chain); and count_operations, a per-lane instrumented walk
-that steps each neuron through its own map_step calls, on the first
-block of the first 100 of them.
+chain, which steps a layer's neurons as lanes in lockstep, against
+hashing.chain_step, which runs them one after another, on every block
+digest and the final key of 1000 random (message, key) pairs (skipped
+on the Python fallback, which has no compiled chain); and
+count_operations, a per-lane instrumented walk that steps each neuron
+through its own map_step calls, on the first block of the first 100 of
+them.
 """
 
 import math
@@ -22,7 +23,6 @@ import random
 import struct
 
 import neurohash
-from neurohash import ckernel, hashing
 from neurohash.analysis import (
     birthday_experiment,
     key_sensitivity_sweep,
@@ -30,7 +30,7 @@ from neurohash.analysis import (
 )
 from neurohash.chaosmap import Q_MAX, Q_MIN, divergence_probe, map_iter, map_step
 from neurohash.goldens import SAMPLE_KEY, SAMPLE_SENTENCE, default_vectors, format_vectors
-from neurohash.hashing import Message, hash_message_trace, pad, unpad
+from neurohash.hashing import Message, chain_step, hash_message_trace, pad, unpad
 from neurohash.hashing import bytes_to_digest
 from neurohash.keyschedule import derive_param, expand_key, quantize_word
 from neurohash.opcount import count_operations
@@ -86,14 +86,18 @@ def test_criterion_4_parallel_fidelity():
             rng.getrandbits(nbits) if nbits else 0, nbits
         )
         pairs.append((message, key))
-    # lockstep lanes: the compiled chain steps a layer's neurons in 2-lane
-    # pairs, hashing._chain one neuron at a time; their bytes must agree
+    # lockstep lanes: hash_message_trace runs the compiled chain, which
+    # steps a layer's neurons in lanes, and chain_step one neuron at a
+    # time; every block digest and the final key must agree
     ok = True
     if neurohash.kernel == "c":
-        chain = ckernel.load().chain
         for message, key in pairs:
-            padded = hashing._pad_bytes(message)
-            ok = ok and chain(padded, key, 50) == hashing._chain(padded, key, 50)
+            running, per_block = key, []
+            for block in pad(message):
+                digest, running = chain_step(running, block, 50)
+                per_block.append(digest)
+            expected = (bytes_to_digest(running), tuple(per_block))
+            ok = ok and hash_message_trace(message, key, 50) == expected
     # per-lane walk: count_operations steps each neuron through its
     # own map_step calls, hash_block runs a layer as one map_layer call,
     # and count_operations raises if the digests differ

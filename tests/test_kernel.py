@@ -28,6 +28,7 @@ from neurohash.goldens import read_vectors
 from neurohash.hashing import (
     Message,
     bytes_to_digest,
+    chain_step,
     digest_to_bytes,
     format_digest,
     hash_message,
@@ -159,19 +160,30 @@ def test_the_suite_runs_the_kernel_wherever_a_compiler_is(monkeypatch):
 @example(message=Message(bytes(range(250))), key=bytes(range(16)), t=56)
 @example(message=Message(bytes(range(250))), key=bytes(range(16)), t=120)
 def test_kernel_equals_python_chain_and_oracle(message, key, t):
-    # the compiled chain on the host's lanes and on 2-lane pairs, the
-    # Python chain and the oracle agree
+    # the compiled chain on the host's lanes and on 2 lanes, the Python
+    # chain, a chain_step walk and the oracle agree; on each chain, the
+    # blocks hashed in any two consecutive calls give one call's final key
     raw = hashing._pad_bytes(message)
-    expected = hashing._chain(raw, key, t)
-    assert len(expected) == 16 * (len(raw) // 128 + 1)
+    blocks = len(raw) // 128
+    running, per_block = [key], []
+    for block in pad(message):
+        digest, after = chain_step(running[-1], block, t)
+        running.append(after)
+        per_block.append(digest)
     kernel = ckernel.load()
+    chains = [hashing._chain]
     if kernel is not None:
-        for chain in (kernel.chain, kernel._chain_pairs):
-            assert chain(raw, key, t) == expected
-    digest, per_block = hash_message_trace(message, key, t)
-    assert b"".join(map(digest_to_bytes, per_block + (digest,))) == expected
+        chains += [kernel.chain, kernel._chain_pairs]
+    for chain in chains:
+        assert chain(raw, blocks, key, t) == running[-1]
+        for cut in range(1, blocks):
+            head = chain(raw[:128 * cut], cut, key, t)
+            assert head == running[cut]
+            assert chain(raw[128 * cut:], blocks - cut, head, t) == running[-1]
+    assert hash_message_trace(message, key, t) == (bytes_to_digest(running[-1]),
+                                                   tuple(per_block))
     bits = bytes_to_bits(message.data)[:message.nbits]
-    assert hash_message_ref(bits, key, t) == digest
+    assert hash_message_ref(bits, key, t) == bytes_to_digest(running[-1])
 
 
 def test_special_keys_and_words_show_their_property():
@@ -217,7 +229,7 @@ def test_special_keys_and_words_show_their_property():
 
 
 SPECIAL_KEYS = (DOUBLY_DEAD, *LANE_KEYS, SATURATED[0])
-# chain_many hashes four messages at a time; these keys give a group's
+# chain hashes four messages at a time; these keys give a group's
 # messages four different q in every layer
 Q_GROUP = (SATURATED[0], ON_Q, ON_TOP, B_AT_Q_MAX)
 
@@ -279,71 +291,55 @@ def _batch(blocks, sizes, keys):
 @example(batch=(2, [EDGE_TOP[1]] * 6, [B_ON_TOP, ON_Q, B_ON_TOP, B_ON_TOP, A_DEAD,
                                       B_ON_TOP]), t=1)
 def test_chain_many_equals_chains_and_oracle(batch, t):
-    # each message's final key: the compiled chain_many on the host's
-    # group lanes and on 2-lane groups, the Python _chain_many, one chain
+    # each message's final key: a batch through the compiled chain on
+    # the host's lanes and on 2 lanes and through the Python chain, one
     # call per message and the oracle agree
     blocks, messages, keys = batch
     padded = [hashing._pad_bytes(message) for message in messages]
     assert {len(raw) for raw in padded} == {128 * blocks}
     kernel = ckernel.load()
     chain = kernel.chain if kernel is not None else hashing._chain
-    finals = b"".join(chain(raw, key, t)[-16:] for raw, key in zip(padded, keys))
-    assert hashing._chain_many(b"".join(padded), blocks, b"".join(keys), t) == finals
+    finals = b"".join(chain(raw, blocks, key, t) for raw, key in zip(padded, keys))
+    chains = [hashing._chain]
     if kernel is not None:
-        for chain_many in (kernel.chain_many, kernel._chain_many_pairs):
-            assert chain_many(b"".join(padded), blocks, b"".join(keys), t) == finals
+        chains += [kernel.chain, kernel._chain_pairs]
+    for chain in chains:
+        assert chain(b"".join(padded), blocks, b"".join(keys), t) == finals
     for i, (message, key) in enumerate(zip(messages, keys)):
         bits = bytes_to_bits(message.data)[:message.nbits]
         oracle = digest_to_bytes(hash_message_ref(bits, key, t))
         assert oracle == finals[16 * i:16 * (i + 1)]
 
 
-@pytest.mark.parametrize("entry, args, error", [
-    pytest.param("chain", (b"", bytes(16), 1), ValueError, id="no-block"),
-    pytest.param("chain", (bytes(127), bytes(16), 1), ValueError, id="127-bytes"),
-    pytest.param("chain", (bytes(129), bytes(16), 1), ValueError, id="129-bytes"),
-    pytest.param("chain", (bytes(128), bytes(15), 1), ValueError, id="15-byte-key"),
-    pytest.param("chain", (bytes(128), bytes(17), 1), ValueError, id="17-byte-key"),
-    pytest.param("chain", (bytes(128), bytes(16), 0), ValueError, id="t-0"),
-    pytest.param("chain", (bytes(128), bytes(16), -1), ValueError, id="t-minus-1"),
-    pytest.param("chain", ("x" * 128, bytes(16), 1), TypeError, id="str-blocks"),
-    pytest.param("chain", (bytes(128), "x" * 16, 1), TypeError, id="str-key"),
-    pytest.param("chain", (bytes(128), bytes(16), 2 ** 63), OverflowError, id="t-2**63"),
-    pytest.param("chain_many", (bytes(128), 0, bytes(16), 1), ValueError,
-                 id="many-0-blocks"),
-    pytest.param("chain_many", (bytes(128), -1, bytes(16), 1), ValueError,
-                 id="many-minus-1-blocks"),
-    pytest.param("chain_many", (bytes(256), 1, bytes(24), 1), ValueError,
-                 id="many-24-byte-keys"),
-    pytest.param("chain_many", (bytes(128), 1, bytes(15), 1), ValueError,
-                 id="many-15-byte-keys"),
-    pytest.param("chain_many", (bytes(128), 1, b"", 1), ValueError, id="many-no-key"),
-    pytest.param("chain_many", (b"", 1, b"", 1), ValueError, id="many-nothing"),
-    pytest.param("chain_many", (b"", 1, bytes(16), 1), ValueError, id="many-no-block"),
-    pytest.param("chain_many", (bytes(128), 1, bytes(32), 1), ValueError,
-                 id="many-too-few-blocks"),
-    pytest.param("chain_many", (bytes(384), 1, bytes(32), 1), ValueError,
-                 id="many-too-many-blocks"),
-    pytest.param("chain_many", (bytes(384), 2, bytes(32), 1), ValueError,
-                 id="many-3-blocks-for-2-by-2"),
-    pytest.param("chain_many", (bytes(384), 2, bytes(16), 1), ValueError,
-                 id="many-3-blocks-for-1-by-2"),
-    pytest.param("chain_many", (bytes(129), 1, bytes(16), 1), ValueError,
-                 id="many-129-bytes"),
-    pytest.param("chain_many", ("x" * 128, 1, bytes(16), 1), TypeError,
-                 id="many-str-blocks"),
-    pytest.param("chain_many", (bytes(128), 1, "x" * 16, 1), TypeError,
-                 id="many-str-keys"),
-    pytest.param("chain_many", (bytes(128), 1, bytes(16), 0), ValueError, id="many-t-0"),
-    pytest.param("chain_many", (bytes(128), 1, bytes(16), 2 ** 63), OverflowError,
-                 id="many-t-2**63"),
+@pytest.mark.parametrize("args, error", [
+    pytest.param((b"", 1, bytes(16), 1), ValueError, id="no-block"),
+    pytest.param((bytes(127), 1, bytes(16), 1), ValueError, id="127-bytes"),
+    pytest.param((bytes(129), 1, bytes(16), 1), ValueError, id="129-bytes"),
+    pytest.param((bytes(128), 1, bytes(15), 1), ValueError, id="15-byte-key"),
+    pytest.param((bytes(128), 1, bytes(17), 1), ValueError, id="17-byte-key"),
+    pytest.param((bytes(128), 1, bytes(16), 0), ValueError, id="t-0"),
+    pytest.param((bytes(128), 1, bytes(16), -1), ValueError, id="t-minus-1"),
+    pytest.param(("x" * 128, 1, bytes(16), 1), TypeError, id="str-blocks"),
+    pytest.param((bytes(128), 1, "x" * 16, 1), TypeError, id="str-key"),
+    pytest.param((bytes(128), 1, bytes(16), 2 ** 63), OverflowError, id="t-2**63"),
+    pytest.param((bytes(128), 0, bytes(16), 1), ValueError, id="many-0-blocks"),
+    pytest.param((bytes(128), -1, bytes(16), 1), ValueError, id="many-minus-1-blocks"),
+    pytest.param((bytes(256), 1, bytes(24), 1), ValueError, id="many-24-byte-keys"),
+    pytest.param((bytes(128), 1, b"", 1), ValueError, id="many-no-key"),
+    pytest.param((b"", 1, b"", 1), ValueError, id="many-nothing"),
+    pytest.param((bytes(128), 1, bytes(32), 1), ValueError, id="many-too-few-blocks"),
+    pytest.param((bytes(384), 1, bytes(32), 1), ValueError, id="many-too-many-blocks"),
+    pytest.param((bytes(384), 2, bytes(32), 1), ValueError, id="many-3-blocks-for-2-by-2"),
+    pytest.param((bytes(384), 2, bytes(16), 1), ValueError, id="many-3-blocks-for-1-by-2"),
 ])
-def test_the_kernel_refuses_malformed_arguments(entry, args, error):
+def test_the_kernel_refuses_malformed_arguments(args, error):
     # the guard that keeps the block loop inside its buffers
     if neurohash.kernel != "c":
         pytest.skip("no compiled kernel: " + neurohash.kernel)
-    with pytest.raises(error):
-        getattr(ckernel.load(), entry)(*args)
+    kernel = ckernel.load()
+    for chain in (kernel.chain, kernel._chain_pairs):
+        with pytest.raises(error):
+            chain(*args)
 
 
 def test_self_check_records_are_golden_vectors_at_t_50():
@@ -355,32 +351,42 @@ def test_self_check_records_are_golden_vectors_at_t_50():
 
 
 def test_a_kernel_whose_chain_many_disagrees_fails_the_self_check():
-    # the Python chains pass; a chain_many that swaps two lanes, repeats
-    # the first lane, hashes all under the first key, or gets only the
-    # third or only the fourth message of the full group wrong fails
-    def python(chain_many):
-        return types.SimpleNamespace(chain=hashing._chain, chain_many=chain_many)
+    # the Python chain passes; a chain that swaps two lanes, repeats the
+    # first lane, hashes all under the first key, gets only the third or
+    # only the fourth message of the first group wrong, hashes the second
+    # group, whose schedule is the held one, under the other key, or gets
+    # only the last message, which is hashed alone, wrong fails
+    def python(chain):
+        return types.SimpleNamespace(chain=chain)
 
     def swapped(padded, blocks, keys, t):
-        out = hashing._chain_many(padded, blocks, keys, t)
+        out = hashing._chain(padded, blocks, keys, t)
         return out[16:32] + out[:16] + out[32:]
 
     def first_lane_repeated(padded, blocks, keys, t):
-        return hashing._chain_many(padded, blocks, keys, t)[:16] * (len(keys) // 16)
+        return hashing._chain(padded, blocks, keys, t)[:16] * (len(keys) // 16)
 
     def first_key_only(padded, blocks, keys, t):
-        return hashing._chain_many(padded, blocks, keys[:16] * (len(keys) // 16), t)
+        return hashing._chain(padded, blocks, keys[:16] * (len(keys) // 16), t)
 
     def third_under_first_key(padded, blocks, keys, t):
-        return hashing._chain_many(padded, blocks, keys[:32] + keys[:16] + keys[48:], t)
+        return hashing._chain(padded, blocks, keys[:32] + keys[:16] + keys[48:], t)
 
     def fourth_repeats_third(padded, blocks, keys, t):
-        out = hashing._chain_many(padded, blocks, keys, t)
+        out = hashing._chain(padded, blocks, keys, t)
         return out[:48] + out[32:48] + out[64:]
 
-    assert ckernel._reproduces_self_check(python(hashing._chain_many))
-    for broken in (swapped, first_lane_repeated, first_key_only,
-                   third_under_first_key, fourth_repeats_third):
+    def second_group_under_second_key(padded, blocks, keys, t):
+        return hashing._chain(padded, blocks, keys[:64] + keys[16:32] * 4 + keys[128:], t)
+
+    def last_repeats_the_one_before(padded, blocks, keys, t):
+        out = hashing._chain(padded, blocks, keys, t)
+        return out[:-16] + out[-32:-16]
+
+    assert ckernel._reproduces_self_check(python(hashing._chain))
+    for broken in (swapped, first_lane_repeated, first_key_only, third_under_first_key,
+                   fourth_repeats_third, second_group_under_second_key,
+                   last_repeats_the_one_before):
         assert not ckernel._reproduces_self_check(python(broken)), broken.__name__
     kernel = ckernel.load()
     if kernel is not None:
@@ -394,9 +400,9 @@ def test_a_t_of_2_to_the_63_is_refused_before_any_chain(monkeypatch, loaded):
     calls = []
 
     def stub(name):
-        def chain(raw, key, t):
+        def chain(padded, blocks, keys, t):
             calls.append((name, t))
-            return key
+            return keys
         return chain
 
     monkeypatch.setattr(hashing, "_chain", stub("python"))
@@ -492,7 +498,7 @@ def _fusing_flags():
 
 
 def test_chain_many_groups_take_4_lanes_where_the_processor_has_avx2():
-    # LANES is the width of chain and of chain_many's groups alike: the
+    # LANES is the width of chain's groups and single messages alike: the
     # module picks both paths together when it loads
     if neurohash.kernel != "c":
         pytest.skip("no compiled kernel: " + neurohash.kernel)
@@ -588,7 +594,7 @@ def test_the_kernel_releases_the_gil():
 
     def hash_in_helper():
         before = turns[0]
-        chain(raw, bytes(16), 50)
+        chain(raw, len(raw) // 128, bytes(16), 50)
         turns_inside.append(turns[0] - before)
 
     interval = sys.getswitchinterval()
