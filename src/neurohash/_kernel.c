@@ -12,14 +12,13 @@
  * layer's neurons of all four messages stepped in one t loop. A group
  * whose four keys all equal the last first-block key expanded copies
  * that schedule, so a run of equal keys expands it once. Each message
- * after the last full group is chained alone, in another order: a
- * group's key schedules are walked in full before its layers, but one
- * message's only to sub-key 40, all its input layer reads, and the other
- * 110 under that layer's t loop, KEY_STEPS per turn, and after it. One
- * key's walk is a chain of dependent steps, and so is each vector of a
- * layer, so the two overlap. chain fills its new bytes object with the
- * GIL released, which is safe because nothing else holds a reference to
- * it yet, so threads hash in parallel.
+ * after the last full group is chained alone. A group and one message
+ * walk their key schedules in one order: to sub-key 40, all the input
+ * layer reads, then the other 110 under that layer's t loop, KEY_STEPS
+ * per turn, and after it. Each key's walk is a chain of dependent steps,
+ * and so is each vector of a layer, so the two overlap. chain fills its
+ * new bytes object with the GIL released, which is safe because nothing
+ * else holds a reference to it yet, so threads hash in parallel.
  *
  * Every floating-point result is the one the Python code computes: sums
  * accumulate in ascending index order from the first product with the
@@ -43,10 +42,11 @@
  * place the 4-lane type is used (without AVX it is several times slower
  * than 2 lanes): a group's key schedules form 2 quads of (a, b, a', b'),
  * one key fills a quad with a copy of itself, and each message's layers
- * form 2, 2 and 1 quads. When the module loads, __builtin_cpu_supports
- * picks the widest width the processor steps, for groups and single
- * messages alike, and LANES tells which; _chain_pairs runs 2 lanes on
- * any host, for the tests. AVX2 brings no fused multiply-add.
+ * form 2, 2 and 1 quads. Each width compiles one chain function,
+ * chain_batch_2 and chain_batch_4. When the module loads,
+ * __builtin_cpu_supports picks the widest width the processor steps, and
+ * LANES tells which; _chain_pairs runs 2 lanes on any host, for the
+ * tests. AVX2 brings no fused multiply-add.
  *
  * The digests match only if the compiler rounds every operation to
  * binary64 on its own: build with -ffp-contract=off, and never with
@@ -183,49 +183,9 @@ copy_held(uint32_t (*k)[4], int keys, double (*s)[SUBKEY_COUNT],
     return 1;
 }
 
-/* Key schedule steps per turn of one message's input layer (2 measured
- * faster than 1 or 3) */
+/* Key schedule steps per turn of the input layer (2 measured faster than
+ * 1 or 3 for one message) */
 #define KEY_STEPS 2
-
-/* The lane code below #else, once per width: its names get the width as
- * a suffix (map_step_2, chain_group_4), and LANE_FN marks its functions */
-#define WIDE(name) WIDE_(name, LANES)
-#define WIDE_(name, width) WIDE__(name, width)
-#define WIDE__(name, width) name##_##width
-#define lanes WIDE(lanes)
-#define mask WIDE(mask)
-#define pick WIDE(pick)
-#define map_step WIDE(map_step)
-#define key_walk WIDE(key_walk)
-#define walk_start WIDE(walk_start)
-#define walk_step WIDE(walk_step)
-#define walk_to WIDE(walk_to)
-#define step_layer WIDE(step_layer)
-#define hash_blocks WIDE(hash_blocks)
-#define chain_words WIDE(chain_words)
-#define chain_group WIDE(chain_group)
-#define chain_one WIDE(chain_one)
-
-#define LANES 2
-#define LANE_FN
-#include "_kernel.c"
-#undef LANES
-#undef LANE_FN
-
-#if defined(__x86_64__)
-#define LANES 4
-#define LANE_FN __attribute__((target("avx2")))
-#include "_kernel.c"
-#undef LANES
-#undef LANE_FN
-#endif
-
-/* chain's group path and one-message path, set once when the module
- * loads */
-typedef void path_fn(const unsigned char **, Py_ssize_t, uint32_t (*)[4],
-                     long long, struct first_schedule *);
-static path_fn *host_group = chain_group_2;
-static path_fn *host_one = chain_one_2;
 
 static void
 load_key(const unsigned char *p, uint32_t key[4])
@@ -241,10 +201,45 @@ store_key(unsigned char *p, const uint32_t key[4])
         store_word(p + 4 * i, key[i]);
 }
 
-/* chain, its full groups hashed by `group` and the messages after the
- * last full group by `one`, one at a time */
+/* The lane code below #else, once per width: its names get the width as
+ * a suffix (map_step_2, chain_batch_4), and LANE_FN marks its functions */
+#define WIDE(name) WIDE_(name, LANES)
+#define WIDE_(name, width) WIDE__(name, width)
+#define WIDE__(name, width) name##_##width
+#define lanes WIDE(lanes)
+#define mask WIDE(mask)
+#define pick WIDE(pick)
+#define map_step WIDE(map_step)
+#define key_walk WIDE(key_walk)
+#define walk_start WIDE(walk_start)
+#define walk_step WIDE(walk_step)
+#define walk_to WIDE(walk_to)
+#define step_layer WIDE(step_layer)
+#define hash_blocks WIDE(hash_blocks)
+#define chain_words WIDE(chain_words)
+#define chain_batch WIDE(chain_batch)
+
+#define LANES 2
+#define LANE_FN
+#include "_kernel.c"
+#undef LANES
+#undef LANE_FN
+
+#if defined(__x86_64__)
+#define LANES 4
+#define LANE_FN __attribute__((target("avx2")))
+#include "_kernel.c"
+#undef LANES
+#undef LANE_FN
+#endif
+
+/* chain's lanes, set once when the module loads */
+typedef __typeof__(chain_batch_2) batch_fn;
+static batch_fn *host_batch = chain_batch_2;
+
+/* chain, its messages hashed by `batch` */
 static PyObject *
-chain_paths(PyObject *args, path_fn *group, path_fn *one)
+chain_with(PyObject *args, batch_fn *batch)
 {
     Py_buffer padded, keys;
     Py_ssize_t blocks;
@@ -264,23 +259,9 @@ chain_paths(PyObject *args, path_fn *group, path_fn *one)
     else {
         result = PyBytes_FromStringAndSize(NULL, KEY_BYTES * n);
         if (result != NULL) {
-            const unsigned char *raw = padded.buf, *key = keys.buf;
             unsigned char *out = (unsigned char *)PyBytes_AS_STRING(result);
-            struct first_schedule first = {0};
-            int msgs;
             Py_BEGIN_ALLOW_THREADS
-            for (Py_ssize_t i = 0; i < n; i += msgs) {
-                const unsigned char *message[GROUP];
-                uint32_t running[GROUP][4];
-                msgs = n - i < GROUP ? 1 : GROUP;
-                for (int m = 0; m < msgs; m++) {
-                    message[m] = raw + BLOCK_BYTES * blocks * (i + m);
-                    load_key(key + KEY_BYTES * (i + m), running[m]);
-                }
-                (msgs == GROUP ? group : one)(message, blocks, running, t, &first);
-                for (int m = 0; m < msgs; m++)
-                    store_key(out + KEY_BYTES * (i + m), running[m]);
-            }
+            batch(padded.buf, blocks, keys.buf, n, t, out);
             Py_END_ALLOW_THREADS
         }
     }
@@ -292,7 +273,7 @@ chain_paths(PyObject *args, path_fn *group, path_fn *one)
 static PyObject *
 chain(PyObject *module, PyObject *args)
 {
-    return chain_paths(args, host_group, host_one);
+    return chain_with(args, host_batch);
 }
 
 /* chain on 2 lanes whatever the processor, so that the tests reach both
@@ -300,7 +281,7 @@ chain(PyObject *module, PyObject *args)
 static PyObject *
 chain_pairs(PyObject *module, PyObject *args)
 {
-    return chain_paths(args, chain_group_2, chain_one_2);
+    return chain_with(args, chain_batch_2);
 }
 
 static PyMethodDef kernel_methods[] = {
@@ -325,8 +306,7 @@ PyInit__kernel(void)
 #if defined(__x86_64__)
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx2")) {
-        host_one = chain_one_4;
-        host_group = chain_group_4;
+        host_batch = chain_batch_4;
         width = 4;
     }
 #endif
@@ -371,7 +351,7 @@ map_step(lanes x, lanes q, lanes half, lanes top)
 }
 
 /* keyschedule.subkey_stream for `keys` (1 or GROUP) running keys, walked
- * in stages, so that one message's walk can run under its input layer:
+ * in stages, so that the walk can run under the input layer:
  * key m's orbit a and orbit b in two adjacent lanes, LANES / 2 keys to a
  * vector, walked side by side as orbit_sums walks them, the vectors
  * stepped together as step_layer steps a layer's. One key on 4 lanes
@@ -439,8 +419,8 @@ walk_to(struct key_walk *w, int keys, int end, double (*s)[SUBKEY_COUNT])
  * `msgs` messages, in place: message m's are x[neurons * m ...], under
  * its own q[m]. Every turn of the t loop steps every vector of every
  * message, so their dependency chains overlap. When `w` is not NULL, each
- * turn also walks one key's schedule KEY_STEPS sub-keys on into s, until
- * it is done: another chain that overlaps the layer's. */
+ * turn also walks the messages' key schedules KEY_STEPS sub-keys on into
+ * s, until they are done: more chains that overlap the layer's. */
 LANE_FN UNROLLED void
 step_layer(double *x, int msgs, int neurons, const double *q, long long t,
            struct key_walk *w, double (*s)[SUBKEY_COUNT])
@@ -474,13 +454,10 @@ step_layer(double *x, int msgs, int neurons, const double *q, long long t,
  * (GROUP messages, first block), the schedules are copied from it if it
  * holds them all, and otherwise the last key's is held there next. Each
  * layer steps all the messages' neurons together, each message under its
- * own layer q. A group's schedules are walked in full before its input
- * layer (walking them under it measured slower: four messages' vectors
- * already keep the processor busy). One message's are walked to s[40],
- * all that its input layer reads, and the rest under that layer's t
- * loop, KEY_STEPS a turn, and after it if any is left: one key's walk
- * and one message's 2 or 4 vectors are each bound by the latency of
- * their steps, so the two overlap. */
+ * own layer q. The schedules are walked to s[40], all that the input
+ * layer reads, and the rest under that layer's t loop, KEY_STEPS a turn,
+ * and after it if any is left: a key's walk and a layer's vectors are
+ * each bound by the latency of their steps, so the two overlap. */
 LANE_FN UNROLLED void
 hash_blocks(const unsigned char **block, uint32_t (*k)[4], int msgs, long long t,
             struct first_schedule *first, uint32_t (*digest)[4])
@@ -491,7 +468,7 @@ hash_blocks(const unsigned char **block, uint32_t (*k)[4], int msgs, long long t
 
     if (walk) {
         walk_start(&w, k, msgs, t);
-        walk_to(&w, msgs, msgs == 1 ? 41 : SUBKEY_COUNT, s);
+        walk_to(&w, msgs, 41, s);
     }
     for (int m = 0; m < msgs; m++) {
         double p[32];
@@ -502,7 +479,7 @@ hash_blocks(const unsigned char **block, uint32_t (*k)[4], int msgs, long long t
             c[8 * m + j] = weigh(p + 4 * j, s[m] + 4 * j, 4, s[m][32 + j]);
         q[m] = derive_param(s[m][40]);
     }
-    step_layer(c, msgs, 8, q, t, msgs == 1 && walk ? &w : NULL, s);
+    step_layer(c, msgs, 8, q, t, walk ? &w : NULL, s);
     if (walk) {
         walk_to(&w, msgs, SUBKEY_COUNT, s);
         if (first != NULL) {
@@ -534,8 +511,7 @@ hash_blocks(const unsigned char **block, uint32_t (*k)[4], int msgs, long long t
  * each, message m's at raw[m], from their running keys in `running`,
  * which end as their final keys. Each block's key schedules are walked
  * side by side and its blocks hashed in lockstep; the first block's
- * schedules go through `first` when it is not NULL (GROUP messages only).
- * Touches no Python object. */
+ * schedules go through `first` when it is not NULL (GROUP messages only). */
 LANE_FN UNROLLED void
 chain_words(const unsigned char **raw, Py_ssize_t blocks, uint32_t (*running)[4],
             int msgs, long long t, struct first_schedule *first)
@@ -553,21 +529,32 @@ chain_words(const unsigned char **raw, Py_ssize_t blocks, uint32_t (*running)[4]
     }
 }
 
-/* chain_words on one message, a path_fn that neither reads nor holds
- * `first` */
+/* chain's work: the n messages of `blocks` padded blocks each at raw,
+ * under the n keys at key, into their n final keys at out. Each full
+ * group of GROUP messages is chained together, and each message after
+ * the last full group alone. Touches no Python object. */
 LANE_FN static void
-chain_one(const unsigned char **raw, Py_ssize_t blocks, uint32_t (*running)[4],
-          long long t, struct first_schedule *first)
+chain_batch(const unsigned char *raw, Py_ssize_t blocks, const unsigned char *key,
+            Py_ssize_t n, long long t, unsigned char *out)
 {
-    chain_words(raw, blocks, running, 1, t, NULL);
-}
+    struct first_schedule first = {0};
+    int msgs;
 
-/* chain_words on a group of GROUP messages, a path_fn */
-LANE_FN static void
-chain_group(const unsigned char **raw, Py_ssize_t blocks, uint32_t (*running)[4],
-            long long t, struct first_schedule *first)
-{
-    chain_words(raw, blocks, running, GROUP, t, first);
+    for (Py_ssize_t i = 0; i < n; i += msgs) {
+        const unsigned char *message[GROUP];
+        uint32_t running[GROUP][4];
+        msgs = n - i < GROUP ? 1 : GROUP;
+        for (int m = 0; m < msgs; m++) {
+            message[m] = raw + BLOCK_BYTES * blocks * (i + m);
+            load_key(key + KEY_BYTES * (i + m), running[m]);
+        }
+        if (msgs == GROUP)
+            chain_words(message, blocks, running, GROUP, t, &first);
+        else
+            chain_words(message, blocks, running, 1, t, NULL);
+        for (int m = 0; m < msgs; m++)
+            store_key(out + KEY_BYTES * (i + m), running[m]);
+    }
 }
 
 #undef KEY_VECTORS

@@ -13,19 +13,18 @@ The sweeps and the birthday experiment hash thousands of independent
 messages, each flipped message or key rehashed whole, in one loop on
 the calling thread. They build each message's padded bytes directly (a
 flip is one XOR into a copy of the padded message) and hand them to
-the chain in batches: one chain call per batch, which on the
-compiled chain expands a run of equal first-block keys once and hashes
-four messages at a time, their key schedules and their layers' neurons
-in lockstep, on 4-lane AVX2 vectors where the processor has AVX2 (a
-check made once, when the kernel loads) and on 2-lane vectors
-otherwise. The paper's parallelism is also inside each hash: the
-compiled chain steps a layer's neurons in lockstep.
+the chain in batches of about 64 KiB: one chain call per batch, which
+on the compiled chain expands a run of equal first-block keys once and
+hashes four messages at a time in lockstep (ckernel's docstring says
+how). The paper's parallelism is also inside each hash: the compiled
+chain steps a layer's neurons in lockstep.
 """
 
 import csv
 import random
 import struct
 from dataclasses import dataclass, fields
+from itertools import islice
 
 from .chaosmap import check_count
 from .hashing import BLOCK_BITS, Message, _hash_many, _pad_bytes, check_message
@@ -70,45 +69,27 @@ def hdr(a, b) -> float:
 
 
 _BLOCK_BYTES = BLOCK_BITS // 8
-# a batch ends once its padded messages reach this many bytes, or where
-# the block count changes
+# a batch ends once its padded messages reach this many bytes
 _BATCH_BYTES = 1 << 16
 # the second padded block of a 1024-bit message: the '1' marker, then zeros
 _MARKER_BLOCK = b"\x80" + bytes(_BLOCK_BYTES - 1)
 
 
-def _batches(jobs):
-    """Consecutive (padded bytes, key) jobs as (padded list, key list) runs.
+def _hash_all(jobs, size: int, t: int) -> list:
+    """Digest of each (padded bytes, key) job, in order; every job's
+    padded bytes are `size` bytes long.
 
-    A run ends where the block count changes or once its padded bytes
-    reach _BATCH_BYTES.
+    `jobs` is consumed in order and hashed in batches of the fewest jobs
+    whose padded bytes reach _BATCH_BYTES, so a generator of jobs is
+    never held whole. Each batch is one `_hash_many` call, looked up when
+    the batch runs, so a wrapper installed on this module applies here
+    too.
     """
-    padded, keys = [], []
-    for raw, key in jobs:
-        if padded and len(raw) != len(padded[0]):
-            yield padded, keys
-            padded, keys = [], []
-        padded.append(raw)
-        keys.append(key)
-        if len(padded) * len(raw) >= _BATCH_BYTES:
-            yield padded, keys
-            padded, keys = [], []
-    if padded:
-        yield padded, keys
-
-
-def _hash_all(jobs, t: int) -> list:
-    """Digest of each (padded bytes, key) job, in order.
-
-    `jobs` is consumed in order, one job at a time, and hashed one batch
-    at a time, so a generator of jobs is never held whole. Each batch is
-    one `_hash_many` call, looked up when the batch runs, so a wrapper
-    installed on this module applies here too.
-    """
+    jobs = iter(jobs)
     digests = []
-    for padded, keys in _batches(jobs):
-        finals = _hash_many(b"".join(padded), len(padded[0]) // _BLOCK_BYTES,
-                            b"".join(keys), t)
+    while batch := list(islice(jobs, -(-_BATCH_BYTES // size))):
+        padded, keys = zip(*batch)
+        finals = _hash_many(b"".join(padded), size // _BLOCK_BYTES, b"".join(keys), t)
         digests.extend(struct.iter_unpack(">4I", finals))
     return digests
 
@@ -144,7 +125,7 @@ def message_sensitivity_sweep(message: Message, key: bytes, t: int) -> HdrReport
             flipped = bytearray(padded)
             flipped[i // 8] ^= 0x80 >> (i % 8)
             yield flipped, key
-    return _report(indices, _hash_all(jobs(), t))
+    return _report(indices, _hash_all(jobs(), len(padded), t))
 
 
 def key_sensitivity_sweep(message: Message, key: bytes, t: int) -> HdrReport:
@@ -155,7 +136,7 @@ def key_sensitivity_sweep(message: Message, key: bytes, t: int) -> HdrReport:
     indices = range(8 * KEY_BYTES)
     padded = _pad_bytes(message)
     jobs = [(padded, key)] + [(padded, flip_key_bit(key, i)) for i in indices]
-    return _report(indices, _hash_all(jobs, t))
+    return _report(indices, _hash_all(jobs, len(padded), t))
 
 
 def birthday_experiment(
@@ -184,7 +165,7 @@ def birthday_experiment(
                 yield value.to_bytes(_BLOCK_BYTES, "big") + _MARKER_BLOCK, key
 
     buckets = {}
-    for digest in _hash_all(jobs(), t):
+    for digest in _hash_all(jobs(), 2 * _BLOCK_BYTES, t):
         top = digest[0] >> (32 - width)
         buckets[top] = buckets.get(top, 0) + 1
     observed = sum(c * (c - 1) // 2 for c in buckets.values())

@@ -4,25 +4,25 @@ _kernel.c's chain hashes a batch of padded messages as hashing._chain
 does and returns the same bytes, each message's final running key (the
 contract is in hashing's docstring). It hashes four messages at a time,
 their key schedules and layers stepped in lockstep, and each message
-after the last full group alone, its key schedule walked under its
-input layer. Its sums keep the Python stage functions' order. Its map
-steps a vector of lanes at a time without a branch: masks pick each
-lane's numerator and divisor, the ones map_layer's branch would use,
-and one division follows, so each lane rounds the same binary64
-operations on the same operands. The upper clamp is applied to both
-halves of the map, which changes nothing in the lower half, where the
-quotient never exceeds 1.0 (chaosmap's docstring). Both paths step 4
-lanes, in functions compiled for AVX2, when the module finds at load
-that the processor has AVX2, and 2 lanes otherwise; the module's LANES
-says which, and its _chain_pairs steps 2 lanes on any host. On either
-width its digests are bit-equal to the Python path's as long as the
-compiler neither fuses a multiply and an add into one rounding nor
-reorders floating-point operations. FLAGS asks for -ffp-contract=off
-(clang's default, "on", fuses within an expression) and holds no
--ffast-math, -mfma or -march=native, and AVX2 brings no fused
-multiply-add. It hashes with the GIL released, as hashlib does, so a
-caller's own threads hash in parallel; the Python fallback holds the
-GIL.
+after the last full group alone; a group and one message alike walk a
+block's key schedules under its input layer. Its sums keep the Python
+stage functions' order. Its map steps a vector of lanes at a time
+without a branch: masks pick each lane's numerator and divisor, the ones
+map_layer's branch would use, and one division follows, so each lane
+rounds the same binary64 operations on the same operands. The upper
+clamp is applied to both halves of the map, which changes nothing in the
+lower half, where the quotient never exceeds 1.0 (chaosmap's docstring).
+Each width has one chain function: chain runs the 4-lane one, compiled
+for AVX2, when the module finds at load that the processor has AVX2, and
+the 2-lane one otherwise; the module's LANES says which, and its
+_chain_pairs runs the 2-lane one on any host. On either width its
+digests are bit-equal to the Python path's as long as the compiler
+neither fuses a multiply and an add into one rounding nor reorders
+floating-point operations. FLAGS asks for -ffp-contract=off (clang's
+default, "on", fuses within an expression) and holds no -ffast-math,
+-mfma or -march=native, and AVX2 brings no fused multiply-add. It hashes
+with the GIL released, as hashlib does, so a caller's own threads hash
+in parallel; the Python fallback holds the GIL.
 
 The first load() in a process finds the extension where CPython keeps
 _kernel.c's byte code (the __pycache__ directory beside it, or its
@@ -144,9 +144,8 @@ def _build(path: str):
 def _remove_other_builds(path: str) -> None:
     """Delete the kernels built beside `path` for another source or FLAGS.
 
-    Those are `_kernel.*` and the older scheme's `_chain-*` with this
-    interpreter's suffix. A `*.tmp` file is another process's build in
-    progress and is left alone.
+    Those are the `_kernel.*` files with this interpreter's suffix. A
+    `*.tmp` file is another process's build in progress and is left alone.
     """
     folder, name = os.path.split(path)
     try:
@@ -154,7 +153,7 @@ def _remove_other_builds(path: str) -> None:
     except OSError:
         return
     for other in others:
-        if (other != name and other.startswith(("_kernel.", "_chain-"))
+        if (other != name and other.startswith("_kernel.")
                 and other.endswith(EXTENSION_SUFFIXES[0])):
             try:
                 os.remove(os.path.join(folder, other))
@@ -167,8 +166,9 @@ def _reproduces_self_check(module) -> bool:
     batch A, B, B, A, A, A, A, A, A, B, on the lanes the module picked
     for this processor: a group of four under two keys, which holds A's
     first-block schedule, a group that copies it, then A and B, each
-    alone. At t = 50 a message alone walks 41 of a block's sub-keys
-    before its input layer, 100 under it and 10 after it."""
+    alone. At t = 50 each walk of a block's key schedules, a group's
+    and a message's alike, covers 41 sub-keys before its input layer,
+    100 under it and 10 after it."""
     from .hashing import Message, _pad_bytes
 
     padded = [_pad_bytes(Message(bytes.fromhex(message)))

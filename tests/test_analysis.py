@@ -403,11 +403,10 @@ def test_sweeps_under_a_wrapped_hash_many(monkeypatch):
     assert sum(jobs) == 121 + 129 + 50
 
 
-def test_hash_all_cuts_batches_at_64_kib_and_at_a_new_block_count(monkeypatch):
-    # 300 two-block jobs, 2 one-block, 1 two-block: batches of 256 and 44
-    # jobs, then 2, then 1; the digests are those of hash_message, in order
-    messages = ([Message(bytes([i % 256, i // 256]) * 64) for i in range(300)]
-                + [Message(b"one"), Message(b"block"), Message(bytes(200))])
+def test_hash_all_cuts_batches_at_64_kib(monkeypatch):
+    # 300 two-block jobs: batches of 256 and 44 jobs; the digests are
+    # those of hash_message, in order
+    messages = [Message(bytes([i % 256, i // 256]) * 64) for i in range(300)]
     keys = [bytes([i % 7]) * 16 for i in range(len(messages))]
     batches = []
 
@@ -417,9 +416,9 @@ def test_hash_all_cuts_batches_at_64_kib_and_at_a_new_block_count(monkeypatch):
 
     monkeypatch.setattr(analysis, "_hash_many", recording)
     jobs = ((hashing._pad_bytes(m), k) for m, k in zip(messages, keys))
-    assert analysis._hash_all(jobs, 1) == [hash_message(m, k, 1)
-                                           for m, k in zip(messages, keys)]
-    assert batches == [(2, 256, 65536), (2, 44, 44 * 256), (1, 2, 256), (2, 1, 256)]
+    assert analysis._hash_all(jobs, 256, 1) == [hash_message(m, k, 1)
+                                                for m, k in zip(messages, keys)]
+    assert batches == [(2, 256, 65536), (2, 44, 44 * 256)]
 
 
 def _captured_jobs(monkeypatch):

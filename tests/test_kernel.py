@@ -290,7 +290,20 @@ def _batch(blocks, sizes, keys):
 @example(batch=(1, [EDGE_Q[1]] * 6, [ON_Q, ON_TOP, ON_Q, ON_Q, B_DEAD, ON_Q]), t=1)
 @example(batch=(2, [EDGE_TOP[1]] * 6, [B_ON_TOP, ON_Q, B_ON_TOP, B_ON_TOP, A_DEAD,
                                       B_ON_TOP]), t=1)
-def test_chain_many_equals_chains_and_oracle(batch, t):
+# a group walks its key schedules as one message does: to s[40], then 2
+# sub-keys a turn under its input layer's t loop, and the rest after it;
+# the walk ends after the loop (54), on its last turn (55) or inside it
+# (56, 120), for a group of fresh keys and for a second group that copies
+# the first-block schedule the first group held
+@example(batch=_batch(2, [1100, 1200, 1300, 1400], Q_GROUP), t=54)
+@example(batch=_batch(2, [1100] * 8, [ON_Q] * 8), t=54)
+@example(batch=_batch(2, [1100, 1200, 1300, 1400], Q_GROUP), t=55)
+@example(batch=_batch(2, [1100] * 8, [ON_Q] * 8), t=55)
+@example(batch=_batch(2, [1100, 1200, 1300, 1400], Q_GROUP), t=56)
+@example(batch=_batch(2, [1100] * 8, [ON_Q] * 8), t=56)
+@example(batch=_batch(2, [1100, 1200, 1300, 1400], Q_GROUP), t=120)
+@example(batch=_batch(2, [1100] * 8, [ON_Q] * 8), t=120)
+def test_a_batch_equals_one_chain_per_message_and_oracle(batch, t):
     # each message's final key: a batch through the compiled chain on
     # the host's lanes and on 2 lanes and through the Python chain, one
     # call per message and the oracle agree
@@ -350,7 +363,7 @@ def test_self_check_records_are_golden_vectors_at_t_50():
         assert (key, message, 50, digest) in golden
 
 
-def test_a_kernel_whose_chain_many_disagrees_fails_the_self_check():
+def test_a_kernel_whose_batch_disagrees_fails_the_self_check():
     # the Python chain passes; a chain that swaps two lanes, repeats the
     # first lane, hashes all under the first key, gets only the third or
     # only the fourth message of the first group wrong, hashes the second
@@ -497,9 +510,9 @@ def _fusing_flags():
     return None
 
 
-def test_chain_many_groups_take_4_lanes_where_the_processor_has_avx2():
+def test_chain_takes_4_lanes_where_the_processor_has_avx2():
     # LANES is the width of chain's groups and single messages alike: the
-    # module picks both paths together when it loads
+    # module picks one chain function when it loads
     if neurohash.kernel != "c":
         pytest.skip("no compiled kernel: " + neurohash.kernel)
     avx2 = _x86_linux_has("avx2")
@@ -548,8 +561,8 @@ def test_a_second_process_loads_the_cache_without_compiling(tmp_path):
 
 
 def test_a_build_removes_the_other_builds_but_no_build_in_progress(tmp_path):
-    # builds of another source or FLAGS go, under either naming scheme;
-    # another interpreter's build and another process's *.tmp stay
+    # a build of another source or FLAGS goes; another interpreter's
+    # build and another process's *.tmp stay
     if shutil.which("cc") is None:
         pytest.skip("nothing is built without a C compiler")
     src = _copy_package(tmp_path)
@@ -557,7 +570,7 @@ def test_a_build_removes_the_other_builds_but_no_build_in_progress(tmp_path):
     cache = prefix / (src / "neurohash").relative_to(src.anchor)
     cache.mkdir(parents=True)
     suffix = EXTENSION_SUFFIXES[0]
-    stale = ["_kernel.0badf00d" + suffix, "_chain-73f28c25" + suffix]
+    stale = ["_kernel.0badf00d" + suffix]
     kept = ["_kernel.0badf00d.another-abi.so", "_kernel.feedface%s.4242.tmp" % suffix]
     for name in stale + kept:
         (cache / name).write_bytes(b"")
