@@ -2,23 +2,22 @@
  *
  * chain(padded, blocks, keys, t) hashes n messages of `blocks` padded
  * blocks each, given one after the other, under their n keys, as
- * hashing._chain does: for each 128-byte block the running key is
+ * hashing._chain does, and returns their n final running keys, 16 * n
+ * bytes. One function, chain_step, is the chain's step, as in the
+ * paper's multi-block mode and hashing.chain_step: the running key is
  * expanded into its 151 sub-keys (keyschedule.subkey_stream,
- * assign_subkeys), the block runs through the input, hidden and output
- * layers (network.hash_block), and the block digest is XORed into the
- * running key. It returns the n final running keys, 16 * n bytes. It
- * chains the messages four at a time, a group: their four key schedules
- * are walked side by side, and their blocks are hashed in lockstep, each
- * layer's neurons of all four messages stepped in one t loop. A group
- * whose four keys all equal the last first-block key expanded copies
- * that schedule, so a run of equal keys expands it once. Each message
- * after the last full group is chained alone. A group and one message
- * walk their key schedules in one order: to sub-key 40, all the input
- * layer reads, then the other 110 under that layer's t loop, KEY_STEPS
- * per turn, and after it. Each key's walk is a chain of dependent steps,
- * and so is each vector of a layer, so the two overlap. chain fills its
- * new bytes object with the GIL released, which is safe because nothing
- * else holds a reference to it yet, so threads hash in parallel.
+ * assign_subkeys), the 128-byte block runs through the input, hidden and
+ * output layers (network.hash_block), and the block digest is XORed into
+ * the running key. chain_batch steps the messages four at a time, a
+ * group: their four key schedules are walked side by side, and their
+ * blocks are hashed in lockstep, each layer's neurons of all four
+ * messages stepped in one t loop. A group whose four keys all equal the
+ * last first-block key expanded copies that schedule, so a run of equal
+ * keys expands it once. Each message after the last full group is
+ * stepped alone, by the same code, which walks the key schedules under
+ * the input layer (chain_step's comment says how). chain fills its new
+ * bytes object with the GIL released, which is safe because nothing else
+ * holds a reference to it yet, so threads hash in parallel.
  *
  * Every floating-point result is the one the Python code computes: sums
  * accumulate in ascending index order from the first product with the
@@ -161,12 +160,6 @@ struct first_schedule {
     double s[SUBKEY_COUNT];
 };
 
-static int
-same_key(const uint32_t a[4], const uint32_t b[4])
-{
-    return a[0] == b[0] && a[1] == b[1] && a[2] == b[2] && a[3] == b[3];
-}
-
 /* Whether `first` holds the schedule of each of the `keys` keys k; if it
  * does, that schedule is copied into each s[m] */
 static int
@@ -176,7 +169,7 @@ copy_held(uint32_t (*k)[4], int keys, double (*s)[SUBKEY_COUNT],
     if (!first->held)
         return 0;
     for (int m = 0; m < keys; m++)
-        if (!same_key(k[m], first->key))
+        if (memcmp(k[m], first->key, sizeof first->key) != 0)
             return 0;
     for (int m = 0; m < keys; m++)
         memcpy(s[m], first->s, sizeof first->s);
@@ -215,8 +208,7 @@ store_key(unsigned char *p, const uint32_t key[4])
 #define walk_step WIDE(walk_step)
 #define walk_to WIDE(walk_to)
 #define step_layer WIDE(step_layer)
-#define hash_blocks WIDE(hash_blocks)
-#define chain_words WIDE(chain_words)
+#define chain_step WIDE(chain_step)
 #define chain_batch WIDE(chain_batch)
 
 #define LANES 2
@@ -448,19 +440,21 @@ step_layer(double *x, int msgs, int neurons, const double *q, long long t,
             memcpy(x + neurons * m + LANES * p, &v[m][p], sizeof v[m][p]);
 }
 
-/* network.hash_block for each of `msgs` (1 or GROUP) messages: message
- * m's block at block[m] under the schedule of its running key k[m], as
- * sliced by assign_subkeys, into digest[m]. When `first` is not NULL
- * (GROUP messages, first block), the schedules are copied from it if it
- * holds them all, and otherwise the last key's is held there next. Each
- * layer steps all the messages' neurons together, each message under its
- * own layer q. The schedules are walked to s[40], all that the input
- * layer reads, and the rest under that layer's t loop, KEY_STEPS a turn,
- * and after it if any is left: a key's walk and a layer's vectors are
- * each bound by the latency of their steps, so the two overlap. */
+/* hashing.chain_step for each of `msgs` (1 or GROUP) messages: block n
+ * of message m, at message[m], hashed as network.hash_block under the
+ * schedule of its running key k[m], as sliced by assign_subkeys, and the
+ * block digest XORed into k[m]. When `first` is not NULL (GROUP messages,
+ * block 0), the schedules are copied from it if it holds them all, and
+ * otherwise the last key's is held there next, before the XOR changes
+ * that key. Each layer steps all the messages' neurons together, each
+ * message under its own layer q. The schedules are walked to s[40], all
+ * that the input layer reads, and the rest under that layer's t loop,
+ * KEY_STEPS a turn, and after it if any is left: a key's walk and a
+ * layer's vectors are each bound by the latency of their steps, so the
+ * two overlap. */
 LANE_FN UNROLLED void
-hash_blocks(const unsigned char **block, uint32_t (*k)[4], int msgs, long long t,
-            struct first_schedule *first, uint32_t (*digest)[4])
+chain_step(const unsigned char **message, Py_ssize_t n, uint32_t (*k)[4], int msgs,
+           long long t, struct first_schedule *first)
 {
     double s[GROUP][SUBKEY_COUNT], c[GROUP * 8], d[GROUP * 8], h[GROUP * 4], q[GROUP];
     struct key_walk w;
@@ -473,7 +467,7 @@ hash_blocks(const unsigned char **block, uint32_t (*k)[4], int msgs, long long t
     for (int m = 0; m < msgs; m++) {
         double p[32];
         for (int i = 0; i < 32; i++)
-            p[i] = quantize_word(load_word(block[m] + 4 * i));
+            p[i] = quantize_word(load_word(message[m] + BLOCK_BYTES * n + 4 * i));
         /* input neuron j reads p[4j .. 4j+3] with weights s[4j .. 4j+3] */
         for (int j = 0; j < 8; j++)
             c[8 * m + j] = weigh(p + 4 * j, s[m] + 4 * j, 4, s[m][32 + j]);
@@ -503,36 +497,15 @@ hash_blocks(const unsigned char **block, uint32_t (*k)[4], int msgs, long long t
     for (int m = 0; m < msgs; m++)
         for (int j = 0; j < 4; j++) {
             double x = h[4 * m + j] * 4294967296.0;
-            digest[m][j] = x < 4294967296.0 ? (uint32_t)x : 0xFFFFFFFFu;
+            k[m][j] ^= x < 4294967296.0 ? (uint32_t)x : 0xFFFFFFFFu;
         }
-}
-
-/* The chains of `msgs` (1 or GROUP) messages of `blocks` padded blocks
- * each, message m's at raw[m], from their running keys in `running`,
- * which end as their final keys. Each block's key schedules are walked
- * side by side and its blocks hashed in lockstep; the first block's
- * schedules go through `first` when it is not NULL (GROUP messages only). */
-LANE_FN UNROLLED void
-chain_words(const unsigned char **raw, Py_ssize_t blocks, uint32_t (*running)[4],
-            int msgs, long long t, struct first_schedule *first)
-{
-    uint32_t digest[GROUP][4];
-    const unsigned char *block[GROUP];
-
-    for (Py_ssize_t n = 0; n < blocks; n++) {
-        for (int m = 0; m < msgs; m++)
-            block[m] = raw[m] + BLOCK_BYTES * n;
-        hash_blocks(block, running, msgs, t, n == 0 ? first : NULL, digest);
-        for (int m = 0; m < msgs; m++)
-            for (int i = 0; i < 4; i++)
-                running[m][i] ^= digest[m][i];
-    }
 }
 
 /* chain's work: the n messages of `blocks` padded blocks each at raw,
  * under the n keys at key, into their n final keys at out. Each full
- * group of GROUP messages is chained together, and each message after
- * the last full group alone. Touches no Python object. */
+ * group of GROUP messages goes through chain_step together, block by
+ * block, and each message after the last full group alone. Touches no
+ * Python object. */
 LANE_FN static void
 chain_batch(const unsigned char *raw, Py_ssize_t blocks, const unsigned char *key,
             Py_ssize_t n, long long t, unsigned char *out)
@@ -548,10 +521,11 @@ chain_batch(const unsigned char *raw, Py_ssize_t blocks, const unsigned char *ke
             message[m] = raw + BLOCK_BYTES * blocks * (i + m);
             load_key(key + KEY_BYTES * (i + m), running[m]);
         }
-        if (msgs == GROUP)
-            chain_words(message, blocks, running, GROUP, t, &first);
-        else
-            chain_words(message, blocks, running, 1, t, NULL);
+        for (Py_ssize_t b = 0; b < blocks; b++)
+            if (msgs == GROUP)
+                chain_step(message, b, running, GROUP, t, b == 0 ? &first : NULL);
+            else
+                chain_step(message, b, running, 1, t, NULL);
         for (int m = 0; m < msgs; m++)
             store_key(out + KEY_BYTES * (i + m), running[m]);
     }

@@ -13,11 +13,9 @@ The sweeps and the birthday experiment hash thousands of independent
 messages, each flipped message or key rehashed whole, in one loop on
 the calling thread. They build each message's padded bytes directly (a
 flip is one XOR into a copy of the padded message) and hand them to
-the chain in batches of about 64 KiB: one chain call per batch, which
-on the compiled chain expands a run of equal first-block keys once and
-hashes four messages at a time in lockstep (ckernel's docstring says
-how). The paper's parallelism is also inside each hash: the compiled
-chain steps a layer's neurons in lockstep.
+the chain in batches of about 64 KiB: one chain call per batch, whose
+messages the compiled chain hashes together (_kernel.c's header comment
+says how).
 """
 
 import csv
@@ -27,7 +25,14 @@ from dataclasses import dataclass, fields
 from itertools import islice
 
 from .chaosmap import check_count
-from .hashing import BLOCK_BITS, Message, _hash_many, _pad_bytes, check_message
+from .hashing import (
+    BLOCK_BITS,
+    Message,
+    _BLOCK_BYTES,
+    _hash_many,
+    _pad_bytes,
+    check_message,
+)
 from .keyschedule import KEY_BYTES, check_iterations, check_key, flip_key_bit
 
 __all__ = [
@@ -68,11 +73,10 @@ def hdr(a, b) -> float:
     return distance / 128.0
 
 
-_BLOCK_BYTES = BLOCK_BITS // 8
 # a batch ends once its padded messages reach this many bytes
 _BATCH_BYTES = 1 << 16
-# the second padded block of a 1024-bit message: the '1' marker, then zeros
-_MARKER_BLOCK = b"\x80" + bytes(_BLOCK_BYTES - 1)
+# the second padded block of every 1024-bit message, as pad writes it
+_MARKER_BLOCK = _pad_bytes(Message(bytes(_BLOCK_BYTES)))[_BLOCK_BYTES:]
 
 
 def _hash_all(jobs, size: int, t: int) -> list:

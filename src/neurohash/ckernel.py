@@ -2,27 +2,17 @@
 
 _kernel.c's chain hashes a batch of padded messages as hashing._chain
 does and returns the same bytes, each message's final running key (the
-contract is in hashing's docstring). It hashes four messages at a time,
-their key schedules and layers stepped in lockstep, and each message
-after the last full group alone; a group and one message alike walk a
-block's key schedules under its input layer. Its sums keep the Python
-stage functions' order. Its map steps a vector of lanes at a time
-without a branch: masks pick each lane's numerator and divisor, the ones
-map_layer's branch would use, and one division follows, so each lane
-rounds the same binary64 operations on the same operands. The upper
-clamp is applied to both halves of the map, which changes nothing in the
-lower half, where the quotient never exceeds 1.0 (chaosmap's docstring).
-Each width has one chain function: chain runs the 4-lane one, compiled
-for AVX2, when the module finds at load that the processor has AVX2, and
-the 2-lane one otherwise; the module's LANES says which, and its
-_chain_pairs runs the 2-lane one on any host. On either width its
-digests are bit-equal to the Python path's as long as the compiler
-neither fuses a multiply and an add into one rounding nor reorders
-floating-point operations. FLAGS asks for -ffp-contract=off (clang's
-default, "on", fuses within an expression) and holds no -ffast-math,
--mfma or -march=native, and AVX2 brings no fused multiply-add. It hashes
-with the GIL released, as hashlib does, so a caller's own threads hash
-in parallel; the Python fallback holds the GIL.
+contract is in hashing's docstring). _kernel.c's header comment says
+how it steps the messages, in groups and on vectors of lanes; the
+module's LANES says how many lanes this processor steps, and its
+_chain_pairs runs 2 on any host. On either width its digests are
+bit-equal to the Python path's as long as the compiler neither fuses a
+multiply and an add into one rounding nor reorders floating-point
+operations. FLAGS asks for -ffp-contract=off (clang's default, "on",
+fuses within an expression) and holds no -ffast-math, -mfma or
+-march=native. It hashes with the GIL released, as hashlib does, so a
+caller's own threads hash in parallel; the Python fallback holds the
+GIL.
 
 The first load() in a process finds the extension where CPython keeps
 _kernel.c's byte code (the __pycache__ directory beside it, or its

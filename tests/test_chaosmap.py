@@ -166,8 +166,8 @@ def test_orbit_sums_match_literal_subkey_stream(words, count, t):
 # them in its first and last lane, the key walk in either orbit
 DOMAIN_KERNELS = {
     "map_iter": lambda x, q: map_iter(x, q, 5),
-    "map_orbit": lambda x, q: orbit_sums(x, q, 0.3, 0.2, 5, 3),
     "map_step": map_step,
+    "first_orbit": lambda x, q: orbit_sums(x, q, 0.3, 0.2, 5, 3),
     "second_orbit": lambda x, q: orbit_sums(0.3, 0.2, x, q, 5, 3),
     "map_layer_first": lambda x, q: map_layer([x, 0.3, 0.7], q, 5),
     "map_layer_last": lambda x, q: map_layer([0.3, 0.7, x], q, 5),

@@ -232,6 +232,9 @@ SPECIAL_KEYS = (DOUBLY_DEAD, *LANE_KEYS, SATURATED[0])
 # chain hashes four messages at a time; these keys give a group's
 # messages four different q in every layer
 Q_GROUP = (SATURATED[0], ON_Q, ON_TOP, B_AT_Q_MAX)
+# ON_Q's running key at t = 50 after the one block of _batch's 400-bit
+# message: a group of four under ON_Q ends its last message on it
+AFTER_ON_Q = bytes.fromhex("dae33404c652782bf90ccda0feaac510")
 
 
 @st.composite
@@ -286,6 +289,9 @@ def _batch(blocks, sizes, keys):
 @example(batch=_batch(2, [1100] * 8, [ON_Q] * 7 + [NEXT_TO_ON_Q]), t=50)
 @example(batch=_batch(2, [1100] * 8, [ON_Q] * 5 + [NEXT_TO_ON_Q] + [ON_Q] * 2), t=50)
 @example(batch=_batch(2, [1100] * 8, [ON_Q] * 4 + [NEXT_TO_ON_Q] + [ON_Q] * 3), t=50)
+# the held schedule records the key it was expanded from, ON_Q, not the
+# key its message's block leaves behind, which the next group is under
+@example(batch=_batch(1, [100, 200, 300, 400] * 2, [ON_Q] * 4 + [AFTER_ON_Q] * 4), t=50)
 # the edge keys in every lane of a group, beside other keys
 @example(batch=(1, [EDGE_Q[1]] * 6, [ON_Q, ON_TOP, ON_Q, ON_Q, B_DEAD, ON_Q]), t=1)
 @example(batch=(2, [EDGE_TOP[1]] * 6, [B_ON_TOP, ON_Q, B_ON_TOP, B_ON_TOP, A_DEAD,
