@@ -11,13 +11,17 @@
  * the running key. chain_batch steps the messages four at a time, a
  * group: their four key schedules are walked side by side, and their
  * blocks are hashed in lockstep, each layer's neurons of all four
- * messages stepped in one t loop. A group whose four keys all equal the
- * last first-block key expanded copies that schedule, so a run of equal
- * keys expands it once. Each message after the last full group is
- * stepped alone, by the same code, which walks the key schedules under
- * the input layer (chain_step's comment says how). chain fills its new
- * bytes object with the GIL released, which is safe because nothing else
- * holds a reference to it yet, so threads hash in parallel.
+ * messages stepped in one t loop. Each message after the last full group
+ * is stepped alone, by the same code, which walks the key schedules under
+ * the input layer (chain_step's comment says how). Each thread keeps the
+ * first-block schedules it walked last across chain calls (struct
+ * key_cache), under the key and t they were expanded from: a message
+ * whose first-block key is held, or a group whose four are, copies them
+ * and skips the key walk, so messages under a key in recent use, as when
+ * many are signed under one secret key, cost their layers alone. Later
+ * blocks never touch the cache. chain fills its new bytes object with the
+ * GIL released, which is safe because nothing else holds a reference to
+ * it yet, so threads hash in parallel.
  *
  * Every floating-point result is the one the Python code computes: sums
  * accumulate in ascending index order from the first product with the
@@ -152,28 +156,73 @@ weigh(const double *x, const double *w, int fan_in, double bias)
  * stores overlap with the other vectors' steps. */
 #define UNROLLED static inline __attribute__((always_inline))
 
-/* The first-block key schedule of the last key of the group chain
- * expanded last, so that a run of equal keys is expanded once per call */
-struct first_schedule {
-    int held;
-    uint32_t key[4];
-    double s[SUBKEY_COUNT];
+/* First-block key schedules held across chain calls, each under the
+ * running key and t it was expanded from (t too: a call may take any t).
+ * Each thread has one cache per width, thread_cache in the lane code,
+ * about 10 KB each: chain runs with the GIL released, and _chain_pairs
+ * never reads a schedule that chain held. CACHED covers the 4 keys of the
+ * `short` workload with room to spare. */
+#define CACHED 8                          /* schedules held, replaced round robin */
+
+struct key_cache {
+    struct held {
+        uint32_t key[4];
+        long long t;
+        double s[SUBKEY_COUNT];
+    } held[CACHED];
+    int count, next;                      /* entries in use, the one replaced next */
+    Py_ssize_t hits, misses;              /* first blocks copied, first blocks walked */
 };
 
-/* Whether `first` holds the schedule of each of the `keys` keys k; if it
- * does, that schedule is copied into each s[m] */
-static int
-copy_held(uint32_t (*k)[4], int keys, double (*s)[SUBKEY_COUNT],
-          const struct first_schedule *first)
+/* The schedule `cache` holds for key at t, or NULL */
+UNROLLED const double *
+find_held(const struct key_cache *cache, const uint32_t key[4], long long t)
 {
-    if (!first->held)
-        return 0;
+    for (int e = 0; e < cache->count; e++)
+        if (cache->held[e].t == t
+                && memcmp(cache->held[e].key, key, sizeof cache->held[e].key) == 0)
+            return cache->held[e].s;
+    return NULL;
+}
+
+/* Whether `cache` holds the schedule of each of the `keys` keys k at t;
+ * if it does, that schedule is copied into each s[m]. Either way the
+ * keys' first blocks are counted, as copied or as to be walked. */
+UNROLLED int
+copy_held(struct key_cache *cache, uint32_t (*k)[4], int keys, long long t,
+          double (*s)[SUBKEY_COUNT])
+{
+    const double *found[GROUP];
+
     for (int m = 0; m < keys; m++)
-        if (memcmp(k[m], first->key, sizeof first->key) != 0)
+        if ((found[m] = find_held(cache, k[m], t)) == NULL) {
+            cache->misses += keys;
             return 0;
+        }
     for (int m = 0; m < keys; m++)
-        memcpy(s[m], first->s, sizeof first->s);
+        memcpy(s[m], found[m], sizeof s[m]);
+    cache->hits += keys;
     return 1;
+}
+
+/* Hold the walked schedules s[m] of the `keys` keys k at t that `cache`
+ * lacks, each key once. copy_held has just missed, so a lone key is known
+ * to be missing and is not looked up again. */
+UNROLLED void
+hold(struct key_cache *cache, uint32_t (*k)[4], int keys, long long t,
+     double (*s)[SUBKEY_COUNT])
+{
+    for (int m = 0; m < keys; m++) {
+        if (keys > 1 && find_held(cache, k[m], t) != NULL)
+            continue;
+        struct held *entry = &cache->held[cache->next];
+        memcpy(entry->key, k[m], sizeof entry->key);
+        entry->t = t;
+        memcpy(entry->s, s[m], sizeof entry->s);
+        cache->next = (cache->next + 1) % CACHED;
+        if (cache->count < CACHED)
+            cache->count++;
+    }
 }
 
 /* Key schedule steps per turn of the input layer (2 measured faster than
@@ -210,6 +259,7 @@ store_key(unsigned char *p, const uint32_t key[4])
 #define step_layer WIDE(step_layer)
 #define chain_step WIDE(chain_step)
 #define chain_batch WIDE(chain_batch)
+#define thread_cache WIDE(thread_cache)
 
 #define LANES 2
 #define LANE_FN
@@ -276,11 +326,46 @@ chain_pairs(PyObject *module, PyObject *args)
     return chain_with(args, chain_batch_2);
 }
 
+/* The calling thread's cache on chain's lanes */
+static struct key_cache *
+host_cache(void)
+{
+#if defined(__x86_64__)
+    if (host_batch == chain_batch_4)
+        return &thread_cache_4;
+#endif
+    return &thread_cache_2;
+}
+
+static PyObject *
+cache_info(PyObject *module, PyObject *unused)
+{
+    const struct key_cache *cache = host_cache();
+    return Py_BuildValue("(nnii)", cache->hits, cache->misses, CACHED, cache->count);
+}
+
+static PyObject *
+cache_clear(PyObject *module, PyObject *unused)
+{
+    memset(&thread_cache_2, 0, sizeof thread_cache_2);
+#if defined(__x86_64__)
+    memset(&thread_cache_4, 0, sizeof thread_cache_4);
+#endif
+    Py_RETURN_NONE;
+}
+
 static PyMethodDef kernel_methods[] = {
     {"chain", chain, METH_VARARGS,
      "chain(padded, blocks, keys, t) -> each message's final key"},
     {"_chain_pairs", chain_pairs, METH_VARARGS,
      "chain on 2 lanes, for the tests"},
+    {"cache_info", cache_info, METH_NOARGS,
+     "cache_info() -> (hits, misses, maxsize, currsize) of the first-block\n"
+     "key schedules chain holds for the calling thread: first blocks copied\n"
+     "from the cache, first blocks walked, and schedules it holds at most\n"
+     "and now"},
+    {"cache_clear", cache_clear, METH_NOARGS,
+     "cache_clear() empties the calling thread's caches and zeroes their counts"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -443,22 +528,22 @@ step_layer(double *x, int msgs, int neurons, const double *q, long long t,
 /* hashing.chain_step for each of `msgs` (1 or GROUP) messages: block n
  * of message m, at message[m], hashed as network.hash_block under the
  * schedule of its running key k[m], as sliced by assign_subkeys, and the
- * block digest XORed into k[m]. When `first` is not NULL (GROUP messages,
- * block 0), the schedules are copied from it if it holds them all, and
- * otherwise the last key's is held there next, before the XOR changes
- * that key. Each layer steps all the messages' neurons together, each
- * message under its own layer q. The schedules are walked to s[40], all
- * that the input layer reads, and the rest under that layer's t loop,
- * KEY_STEPS a turn, and after it if any is left: a key's walk and a
- * layer's vectors are each bound by the latency of their steps, so the
- * two overlap. */
+ * block digest XORed into k[m]. When `cache` is not NULL (block 0), the
+ * schedules are copied from it if it holds them all, and otherwise the
+ * walked ones are held there, under the keys they were expanded from,
+ * before the XOR changes those keys. Each layer steps all the messages'
+ * neurons together, each message under its own layer q. The schedules
+ * are walked to s[40], all that the input layer reads, and the rest
+ * under that layer's t loop, KEY_STEPS a turn, and after it if any is
+ * left: a key's walk and a layer's vectors are each bound by the latency
+ * of their steps, so the two overlap. */
 LANE_FN UNROLLED void
 chain_step(const unsigned char **message, Py_ssize_t n, uint32_t (*k)[4], int msgs,
-           long long t, struct first_schedule *first)
+           long long t, struct key_cache *cache)
 {
     double s[GROUP][SUBKEY_COUNT], c[GROUP * 8], d[GROUP * 8], h[GROUP * 4], q[GROUP];
     struct key_walk w;
-    int walk = first == NULL || !copy_held(k, msgs, s, first);
+    int walk = cache == NULL || !copy_held(cache, k, msgs, t, s);
 
     if (walk) {
         walk_start(&w, k, msgs, t);
@@ -473,15 +558,16 @@ chain_step(const unsigned char **message, Py_ssize_t n, uint32_t (*k)[4], int ms
             c[8 * m + j] = weigh(p + 4 * j, s[m] + 4 * j, 4, s[m][32 + j]);
         q[m] = derive_param(s[m][40]);
     }
-    step_layer(c, msgs, 8, q, t, walk ? &w : NULL, s);
+    /* two calls, so that the input loop is compiled with the walk beside
+     * it and without: one call with walk ? &w : NULL took 3% longer a
+     * message on a cache hit and 4% on a miss */
     if (walk) {
+        step_layer(c, msgs, 8, q, t, &w, s);
         walk_to(&w, msgs, SUBKEY_COUNT, s);
-        if (first != NULL) {
-            memcpy(first->key, k[msgs - 1], sizeof first->key);
-            memcpy(first->s, s[msgs - 1], sizeof first->s);
-            first->held = 1;
-        }
-    }
+        if (cache != NULL)
+            hold(cache, k, msgs, t, s);
+    } else
+        step_layer(c, msgs, 8, q, t, NULL, s);
     for (int m = 0; m < msgs; m++) {
         for (int j = 0; j < 8; j++)
             d[8 * m + j] = weigh(c + 8 * m, s[m] + 41 + 8 * j, 8, s[m][105 + j]);
@@ -501,16 +587,20 @@ chain_step(const unsigned char **message, Py_ssize_t n, uint32_t (*k)[4], int ms
         }
 }
 
+/* This thread's first-block schedules on this width */
+static _Thread_local struct key_cache thread_cache;
+
 /* chain's work: the n messages of `blocks` padded blocks each at raw,
  * under the n keys at key, into their n final keys at out. Each full
  * group of GROUP messages goes through chain_step together, block by
- * block, and each message after the last full group alone. Touches no
+ * block, and each message after the last full group alone; the first
+ * block of each looks its schedules up in the thread's cache. Touches no
  * Python object. */
 LANE_FN static void
 chain_batch(const unsigned char *raw, Py_ssize_t blocks, const unsigned char *key,
             Py_ssize_t n, long long t, unsigned char *out)
 {
-    struct first_schedule first = {0};
+    struct key_cache *cache = &thread_cache;
     int msgs;
 
     for (Py_ssize_t i = 0; i < n; i += msgs) {
@@ -523,9 +613,9 @@ chain_batch(const unsigned char *raw, Py_ssize_t blocks, const unsigned char *ke
         }
         for (Py_ssize_t b = 0; b < blocks; b++)
             if (msgs == GROUP)
-                chain_step(message, b, running, GROUP, t, b == 0 ? &first : NULL);
+                chain_step(message, b, running, GROUP, t, b == 0 ? cache : NULL);
             else
-                chain_step(message, b, running, 1, t, NULL);
+                chain_step(message, b, running, 1, t, b == 0 ? cache : NULL);
         for (int m = 0; m < msgs; m++)
             store_key(out + KEY_BYTES * (i + m), running[m]);
     }

@@ -22,9 +22,9 @@ temporary name and os.replace moves it into place, so concurrent builds
 never see a partial file; the builds of other sources or FLAGS in that
 directory are then deleted. The module is used only after it reproduces
 SELF_CHECK, golden records at t = 50, where a contracted build goes
-wrong (at t = 1 it can still agree), through one chain call on a batch
-of ten, two full groups and two messages after them, on the lanes this
-processor steps.
+wrong (at t = 1 it can still agree), on the lanes this processor steps,
+through a group's key walk, a group's and a message's copy of held
+first-block schedules, and a message's key walk.
 Otherwise load() returns None, the Python stage functions stay in
 charge, and status() names the reason.
 """
@@ -152,20 +152,26 @@ def _remove_other_builds(path: str) -> None:
 
 
 def _reproduces_self_check(module) -> bool:
-    """Both SELF_CHECK records, A and B, through one chain call on the
-    batch A, B, B, A, A, A, A, A, A, B, on the lanes the module picked
-    for this processor: a group of four under two keys, which holds A's
-    first-block schedule, a group that copies it, then A and B, each
-    alone. At t = 50 each walk of a block's key schedules, a group's
-    and a message's alike, covers 41 sub-keys before its input layer,
-    100 under it and 10 after it."""
+    """Both SELF_CHECK records, A and B, through two chain calls on the
+    lanes the module picked for this processor, each from an empty
+    first-block cache: the batch A, B, B, A, A, A, A, A, A, B, a group of
+    four under two keys, which walks and holds A's and B's first-block
+    schedules, a group that copies A's, then A and B each alone, also
+    copied; and the batch A, B, each message alone and walked. At t = 50
+    each walk of a block's key schedules, a group's and a message's alike,
+    covers 41 sub-keys before its input layer, 100 under it and 10 after
+    it. The cache is left empty."""
     from .hashing import Message, _pad_bytes
 
     padded = [_pad_bytes(Message(bytes.fromhex(message)))
               for _, message, _ in SELF_CHECK]
     keys = [bytes.fromhex(key) for key, _, _ in SELF_CHECK]
     digests = [bytes.fromhex(digest) for _, _, digest in SELF_CHECK]
-    batch = (0, 1, 1, 0, 0, 0, 0, 0, 0, 1)
-    return (module.chain(b"".join(padded[i] for i in batch), 1,
+    for batch in ((0, 1, 1, 0, 0, 0, 0, 0, 0, 1), (0, 1)):
+        module.cache_clear()
+        if (module.chain(b"".join(padded[i] for i in batch), 1,
                          b"".join(keys[i] for i in batch), 50)
-            == b"".join(digests[i] for i in batch))
+                != b"".join(digests[i] for i in batch)):
+            return False
+    module.cache_clear()
+    return True

@@ -8,6 +8,7 @@ package under tmp_path in a fresh interpreter, so its cache starts cold.
 
 import os
 import platform
+import random
 import re
 import shutil
 import struct
@@ -118,6 +119,15 @@ def _messages(draw):
     return Message.from_int(value, nbits)
 
 
+@pytest.fixture(autouse=True)
+def cold_cache():
+    """Each test starts with this thread's first-block key cache empty, so
+    that its explicit examples reach the kernel's key walks."""
+    kernel = ckernel.load()
+    if kernel is not None:
+        kernel.cache_clear()
+
+
 def test_the_suite_runs_the_kernel_wherever_a_compiler_is(monkeypatch):
     if shutil.which("cc") is None:
         assert neurohash.kernel.startswith("python: ")
@@ -175,6 +185,8 @@ def test_kernel_equals_python_chain_and_oracle(message, key, t):
     if kernel is not None:
         chains += [kernel.chain, kernel._chain_pairs]
     for chain in chains:
+        if kernel is not None:
+            kernel.cache_clear()        # the first block's key walk runs
         assert chain(raw, blocks, key, t) == running[-1]
         for cut in range(1, blocks):
             head = chain(raw[:128 * cut], cut, key, t)
@@ -323,11 +335,115 @@ def test_a_batch_equals_one_chain_per_message_and_oracle(batch, t):
     if kernel is not None:
         chains += [kernel.chain, kernel._chain_pairs]
     for chain in chains:
+        if kernel is not None:
+            kernel.cache_clear()        # the groups walk their first blocks
         assert chain(b"".join(padded), blocks, b"".join(keys), t) == finals
     for i, (message, key) in enumerate(zip(messages, keys)):
         bits = bytes_to_bits(message.data)[:message.nbits]
         oracle = digest_to_bytes(hash_message_ref(bits, key, t))
         assert oracle == finals[16 * i:16 * (i + 1)]
+
+
+@st.composite
+def _calls(draw):
+    """2 to 6 chain calls of 1 to 5 messages of 1 or 2 blocks of any bytes,
+    each message under one of two keys and each call at one of two t."""
+    pool = draw(st.lists(KEYS, min_size=2, max_size=2, unique=True))
+    ts = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2, unique=True))
+    calls = []
+    for _ in range(draw(st.integers(2, 6))):
+        blocks, n = draw(st.integers(1, 2)), draw(st.integers(1, 5))
+        keys = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        raw = draw(st.binary(min_size=128 * blocks * n, max_size=128 * blocks * n))
+        calls.append((raw, blocks, b"".join(keys), draw(st.sampled_from(ts))))
+    return calls
+
+
+def _group_then_singles(key, ts):
+    """A group of four under key at each t in ts, then one message alone."""
+    return [(bytes(range(128)) * n, 1, key * n, t) for t in ts for n in (4, 1)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(calls=_calls())
+# the schedules held at one t must not serve another
+@example(calls=[(bytes(128), 1, ON_Q, 1), (bytes(128), 1, ON_Q, 2)])
+@example(calls=_group_then_singles(ON_Q, (50, 51)))
+@example(calls=_group_then_singles(ON_TOP, (2, 1, 2)))
+def test_calls_that_alternate_keys_and_t_equal_the_python_chain(calls):
+    # chain's first-block cache lives across calls: each call of a
+    # sequence, on the host's lanes and on 2 lanes, equals the Python chain
+    if neurohash.kernel != "c":
+        pytest.skip("no compiled kernel: " + neurohash.kernel)
+    kernel = ckernel.load()
+    expected = [hashing._chain(*call) for call in calls]
+    for chain in (kernel.chain, kernel._chain_pairs):
+        kernel.cache_clear()
+        assert [chain(*call) for call in calls] == expected
+
+
+def test_cache_info_counts_first_blocks_copied_and_walked():
+    # `short`'s shape: 0-300-byte messages (1-3 blocks) under 4 keys at
+    # t = 50, one hash_message each; only first blocks are counted
+    if neurohash.kernel != "c":
+        pytest.skip("no compiled kernel: " + neurohash.kernel)
+    kernel = ckernel.load()
+    assert kernel.cache_info() == (0, 0, 8, 0)
+    rng = random.Random(4)
+    keys = [rng.randbytes(16) for _ in range(9)]
+    for i in range(24):
+        hash_message(Message(rng.randbytes(rng.randrange(301))), keys[i % 4], 50)
+    assert kernel.cache_info() == (20, 4, 8, 4)
+    hash_message(Message(b"abc"), keys[0], 49)              # another t
+    assert kernel.cache_info() == (20, 5, 8, 5)
+    # a group is copied only when all four of its keys are held; when it
+    # is walked, the keys not held yet are held, each once
+    group = hashing._pad_bytes(Message(bytes(100))) * 4
+    kernel.chain(group, 1, b"".join(keys[:4]), 50)
+    assert kernel.cache_info() == (24, 5, 8, 5)
+    kernel.chain(group, 1, keys[0] + keys[4] * 3, 50)
+    assert kernel.cache_info() == (24, 9, 8, 6)
+    # eight schedules at most, the oldest replaced first
+    kernel.cache_clear()
+    assert kernel.cache_info() == (0, 0, 8, 0)
+    for key in keys + [keys[0], keys[8]]:
+        hash_message(Message(b"abc"), key, 50)
+    assert kernel.cache_info() == (1, 10, 8, 8)
+
+
+def test_two_threads_hashing_under_their_own_keys_get_their_own_digests():
+    # two threads chain at once, with the GIL released, each under its own
+    # key, single messages and groups, and check every result. What keeps
+    # them apart is that each thread's first-block cache is its own
+    # (_Thread_local in _kernel.c; CI checks that the object holds TLS
+    # symbols): whether the calls of two threads interleave at the moment
+    # that would show a shared cache is up to the scheduler
+    if neurohash.kernel != "c":
+        pytest.skip("no compiled kernel: " + neurohash.kernel)
+    kernel = ckernel.load()
+    rng = random.Random(2)
+    work = {}
+    for key in (ON_Q, ON_TOP):
+        calls = [(rng.randbytes(128 * n), 1, key * n, 3) for n in (1, 1, 4, 1, 4)]
+        work[key] = [(call, hashing._chain(*call)) for call in calls]
+    barrier = threading.Barrier(2)
+    wrong = []
+
+    def hash_in_turn(key):
+        barrier.wait(timeout=60)
+        for _ in range(300):
+            for chain in (kernel.chain, kernel._chain_pairs):
+                for call, expected in work[key]:
+                    if chain(*call) != expected:
+                        wrong.append(key)
+
+    threads = [threading.Thread(target=hash_in_turn, args=(key,)) for key in work]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 @pytest.mark.parametrize("args, error", [
@@ -376,7 +492,7 @@ def test_a_kernel_whose_batch_disagrees_fails_the_self_check():
     # group, whose schedule is the held one, under the other key, or gets
     # only the last message, which is hashed alone, wrong fails
     def python(chain):
-        return types.SimpleNamespace(chain=chain)
+        return types.SimpleNamespace(chain=chain, cache_clear=lambda: None)
 
     def swapped(padded, blocks, keys, t):
         out = hashing._chain(padded, blocks, keys, t)
