@@ -279,9 +279,12 @@ store_key(unsigned char *p, const uint32_t key[4])
 typedef __typeof__(chain_batch_2) batch_fn;
 static batch_fn *host_batch = chain_batch_2;
 
-/* chain, its messages hashed by `batch` */
+/* chain, its messages hashed by `batch` with `cache`, the calling
+ * thread's cache on those lanes, looked up once a call by the caller:
+ * taken inside chain_batch, gcc repeated the thread-local lookup at
+ * every use */
 static PyObject *
-chain_with(PyObject *args, batch_fn *batch)
+chain_with(PyObject *args, batch_fn *batch, struct key_cache *cache)
 {
     Py_buffer padded, keys;
     Py_ssize_t blocks;
@@ -303,27 +306,13 @@ chain_with(PyObject *args, batch_fn *batch)
         if (result != NULL) {
             unsigned char *out = (unsigned char *)PyBytes_AS_STRING(result);
             Py_BEGIN_ALLOW_THREADS
-            batch(padded.buf, blocks, keys.buf, n, t, out);
+            batch(padded.buf, blocks, keys.buf, n, t, out, cache);
             Py_END_ALLOW_THREADS
         }
     }
     PyBuffer_Release(&padded);
     PyBuffer_Release(&keys);
     return result;
-}
-
-static PyObject *
-chain(PyObject *module, PyObject *args)
-{
-    return chain_with(args, host_batch);
-}
-
-/* chain on 2 lanes whatever the processor, so that the tests reach both
- * widths on an AVX2 host */
-static PyObject *
-chain_pairs(PyObject *module, PyObject *args)
-{
-    return chain_with(args, chain_batch_2);
 }
 
 /* The calling thread's cache on chain's lanes */
@@ -335,6 +324,20 @@ host_cache(void)
         return &thread_cache_4;
 #endif
     return &thread_cache_2;
+}
+
+static PyObject *
+chain(PyObject *module, PyObject *args)
+{
+    return chain_with(args, host_batch, host_cache());
+}
+
+/* chain on 2 lanes whatever the processor, so that the tests reach both
+ * widths on an AVX2 host */
+static PyObject *
+chain_pairs(PyObject *module, PyObject *args)
+{
+    return chain_with(args, chain_batch_2, &thread_cache_2);
 }
 
 static PyObject *
@@ -594,13 +597,12 @@ static _Thread_local struct key_cache thread_cache;
  * under the n keys at key, into their n final keys at out. Each full
  * group of GROUP messages goes through chain_step together, block by
  * block, and each message after the last full group alone; the first
- * block of each looks its schedules up in the thread's cache. Touches no
- * Python object. */
+ * block of each looks its schedules up in `cache`, the calling thread's
+ * thread_cache. Touches no Python object. */
 LANE_FN static void
 chain_batch(const unsigned char *raw, Py_ssize_t blocks, const unsigned char *key,
-            Py_ssize_t n, long long t, unsigned char *out)
+            Py_ssize_t n, long long t, unsigned char *out, struct key_cache *cache)
 {
-    struct key_cache *cache = &thread_cache;
     int msgs;
 
     for (Py_ssize_t i = 0; i < n; i += msgs) {

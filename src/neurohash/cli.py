@@ -5,7 +5,8 @@ sweeps, run the birthday-collision experiment, print the operation
 counts, and regenerate the golden-vector file. Every command but
 goldens, whose content is fixed and which takes only --out, takes a
 key (--key-hex or --key-ascii) and --t; iteration counts below 50 are
-refused unless --unsafe-small-t is given.
+refused unless --unsafe-small-t is given. Each command imports the
+modules it runs when it runs, so hash loads only the hash path.
 """
 
 import argparse
@@ -13,16 +14,8 @@ import functools
 import os
 import sys
 
-from .analysis import (
-    birthday_experiment,
-    emit_csv,
-    key_sensitivity_sweep,
-    message_sensitivity_sweep,
-)
-from .goldens import write_vectors
 from .hashing import Message, format_digest, hash_message
 from .keyschedule import check_iterations, check_key, key_from_hex
-from .opcount import count_operations
 
 _PROG = "neurohash"
 
@@ -113,6 +106,7 @@ def _cmd_hash(args) -> int:
 
 
 def _cmd_sensitivity(args) -> int:
+    from .analysis import emit_csv, key_sensitivity_sweep, message_sensitivity_sweep
     key = _resolve_key(args)
     t = _resolve_t(args)
     message = _read_message(args.input)
@@ -131,6 +125,7 @@ def _cmd_sensitivity(args) -> int:
 
 
 def _cmd_birthday(args) -> int:
+    from .analysis import birthday_experiment, emit_csv
     key = _resolve_key(args)
     t = _resolve_t(args)
     report = birthday_experiment(args.width, args.trials, key, t, args.seed)
@@ -145,6 +140,8 @@ def _cmd_birthday(args) -> int:
 
 
 def _cmd_opcount(args) -> int:
+    from .analysis import emit_csv
+    from .opcount import count_operations
     key = _resolve_key(args)
     t = _resolve_t(args)
     report = count_operations(t, key)
@@ -157,6 +154,7 @@ def _cmd_opcount(args) -> int:
 
 
 def _cmd_goldens(args) -> int:
+    from .goldens import write_vectors
     path = args.out or "golden_vectors.csv"
     count = write_vectors(path)
     print("wrote %d vectors to %s" % (count, path))

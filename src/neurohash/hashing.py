@@ -21,7 +21,6 @@ The experiments hash their batches through _hash_many too.
 """
 
 import struct
-from dataclasses import dataclass
 
 from . import ckernel
 from .chaosmap import check_count, check_index
@@ -48,7 +47,6 @@ _BLOCK_BYTES = BLOCK_BITS // 8
 _BLOCK_FORMAT = ">%dI" % BLOCK_WORDS
 
 
-@dataclass(frozen=True, slots=True, init=False)
 class Message:
     """An immutable bit string; byte input expands MSB-first.
 
@@ -56,10 +54,15 @@ class Message:
     8 * len(data). Only the (nbits + 7) // 8 bytes that hold the string
     are kept, with the bits past nbits cleared, so equal bit strings
     compare and hash equal.
+
+    It behaves as a frozen dataclass of (data, nbits), but is a plain
+    slotted class, so that hashing never imports dataclasses: setting or
+    deleting an attribute raises AttributeError, and copies and pickles
+    rebuild it through __init__.
     """
 
-    data: bytes
-    nbits: int
+    __slots__ = ("data", "nbits")
+    __match_args__ = ("data", "nbits")
 
     def __init__(self, data: bytes = b"", nbits=None):
         if type(data) is not bytes:
@@ -104,6 +107,23 @@ class Message:
 
     def __repr__(self) -> str:
         return "Message(%s, nbits=%d)" % (self.data.hex() or "''", self.nbits)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.data == other.data and self.nbits == other.nbits
+
+    def __hash__(self) -> int:
+        return hash((self.data, self.nbits))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return self.__class__, (self.data, self.nbits)
 
 
 def check_message(message) -> Message:

@@ -12,9 +12,9 @@ hidden biases, 1 hidden parameter, 32 output weights, 4 output biases,
 1 output parameter.
 """
 
+import collections
 import functools
 import struct
-from dataclasses import dataclass
 
 from .chaosmap import Q_MAX, Q_MIN, check_count, check_index, orbit_sums
 
@@ -43,19 +43,10 @@ _SEED_MIN = 2.0 ** -32
 _SEED_MAX = 1.0 - 2.0 ** -32
 
 
-@dataclass(frozen=True)
-class SubKeys:
-    """Key material for the three layers: weights, biases, parameters."""
-
-    w0: tuple          # 32 input-layer weights
-    b0: tuple          # 8 input-layer biases
-    q0: float
-    w1: tuple          # 8 rows of 8 hidden-layer weights
-    b1: tuple          # 8 hidden-layer biases
-    q1: float
-    w2: tuple          # 4 rows of 8 output-layer weights
-    b2: tuple          # 4 output-layer biases
-    q2: float
+# Key material for the three layers: w0 the 32 input-layer weights, b0
+# its 8 biases, q0 its parameter; w1 the 8 rows of 8 hidden-layer
+# weights, b1, q1; w2 the 4 rows of 8 output-layer weights, b2, q2
+SubKeys = collections.namedtuple("SubKeys", "w0 b0 q0 w1 b1 q1 w2 b2 q2")
 
 
 def key_from_hex(text: str) -> bytes:

@@ -127,16 +127,39 @@ def _run_fresh(code: str) -> str:
     return result.stdout
 
 
+HEAVY = ["multiprocessing", "concurrent.futures", "pickle", "signal", "numpy"]
+HARNESS = ["neurohash.analysis", "neurohash.opcount", "neurohash.goldens"]
+# the harness's own imports: its reports are dataclasses, and dataclasses
+# imports inspect
+OFF_THE_HASH_PATH = HARNESS + ["dataclasses", "inspect", "csv", "neurohash.cli"]
+
+
 def test_import_loads_no_heavy_modules():
     # importing the package must not pay for pickling, signals, process
-    # pools or numpy
-    heavy = ["multiprocessing", "concurrent.futures", "pickle", "signal", "numpy"]
+    # pools or numpy, nor hashing through it for the harness: each public
+    # name loads its module on first access
     code = """
 import sys
 import neurohash
+print([name for name in sys.modules if name.startswith("neurohash.")])
+neurohash.hash_message(neurohash.Message(b"abc"), bytes(16), 50)
 print([name for name in %r if name in sys.modules])
-""" % heavy
-    assert _run_fresh(code).strip() == "[]"
+print(neurohash.hdr is sys.modules["neurohash.analysis"].hdr)
+""" % (HEAVY + OFF_THE_HASH_PATH)
+    assert _run_fresh(code).split("\n") == ["[]", "[]", "True", ""]
+
+
+def test_cli_hash_leaves_the_harness_unloaded(tmp_path):
+    path = tmp_path / "message.bin"
+    path.write_bytes(b"abc")
+    code = """
+import sys
+from neurohash import cli
+cli.main(["hash", %r, "--key-hex", %r])
+print([name for name in %r if name in sys.modules])
+""" % (str(path), KEY.hex(), HARNESS)
+    digest = hashing.format_digest(hash_message(Message(b"abc"), KEY, 50))
+    assert _run_fresh(code).split("\n") == [digest, "[]", ""]
 
 
 def test_no_threads_left_running():

@@ -67,6 +67,23 @@ def test_message_pickle_and_copy_round_trip():
                 twin.nbits = 0
 
 
+def test_message_is_frozen_and_slotted():
+    m = Message(b"abc", 20)
+    assert not hasattr(m, "__dict__")
+    for name in ("data", "nbits", "other"):
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(m, name, 0)
+        with pytest.raises(AttributeError, match="cannot delete"):
+            delattr(m, name)
+    assert (m.data, m.nbits) == (b"ab\x60", 20)
+    twin = Message(b"ab\x6f", 20)
+    assert twin == m and hash(twin) == hash(m)
+    assert m != Message(b"abc", 21) and m != Message(b"abc")
+    assert m != (m.data, m.nbits)
+    assert m != type("Sub", (Message,), {})(b"abc", 20)   # exact instances only
+    assert {m: 1}[twin] == 1
+
+
 def test_message_copies_a_mutable_source():
     # exact bytes are immutable and kept as given; any other bytes-like
     # source is copied to bytes, so changing it cannot change the Message

@@ -784,6 +784,11 @@ HEAVY = ["multiprocessing", "concurrent.futures", "pickle", "signal", "numpy"]
 # with no compiler before the lookup came first), and hashlib, which
 # alone costs about 4 ms of start-up
 BUILD_ONLY = ["subprocess", "sysconfig", "hashlib"]
+# what hashing must not import: the analysis harness, the CLI and the
+# dataclasses the reports use, which bring inspect, ast, dis and tokenize
+# (together about two thirds of a hashing process's start-up)
+OFF_THE_HASH_PATH = ["dataclasses", "inspect", "csv", "neurohash.analysis",
+                     "neurohash.opcount", "neurohash.goldens", "neurohash.cli"]
 
 
 def test_import_stays_light_on_a_cold_and_a_warm_cache(tmp_path):
@@ -792,14 +797,17 @@ def test_import_stays_light_on_a_cold_and_a_warm_cache(tmp_path):
 import sys
 before = set(sys.modules)
 import neurohash
+from neurohash.hashing import Message, hash_message
 print([name for name in %r if name in sys.modules])
-neurohash.hash_message(neurohash.Message(b"abc"), bytes(16), 50)
+hash_message(Message(b"abc"), bytes(16), 50)
 print(neurohash.kernel, [name for name in %r if name in set(sys.modules) - before])
-""" % (HEAVY, BUILD_ONLY)
+print([name for name in %r if name in set(sys.modules) - before])
+""" % (HEAVY, BUILD_ONLY, OFF_THE_HASH_PATH)
     cold = _run(src, code).splitlines()
     warm = _run(src, code).splitlines()
     bare = _run(src, code, no_compiler=True, prefix=tmp_path / "cold").splitlines()
     assert cold[0] == warm[0] == bare[0] == "[]"
+    assert cold[2] == warm[2] == bare[2] == "[]"
     assert bare[1] == "python: no C compiler (cc) on PATH []"
     if shutil.which("cc") is not None:
         assert warm[1] == "c []"

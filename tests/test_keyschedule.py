@@ -9,6 +9,7 @@ from neurohash.chaosmap import Q_MAX, Q_MIN
 from neurohash.hashing import Message, hash_message
 from neurohash.keyschedule import (
     SUBKEY_COUNT,
+    SubKeys,
     assign_subkeys,
     check_iterations,
     clamp_seed,
@@ -225,6 +226,17 @@ def test_assign_round_trip():
     assert keys.q0 == derive_param(stream[40])
     assert keys.q1 == derive_param(stream[113])
     assert keys.q2 == derive_param(stream[150])
+
+
+def test_subkeys_are_immutable_and_compare_by_value():
+    stream = [i / 151.0 for i in range(151)]
+    keys = assign_subkeys(stream)
+    rebuilt = SubKeys(w0=keys.w0, b0=keys.b0, q0=keys.q0, w1=keys.w1, b1=keys.b1,
+                      q1=keys.q1, w2=keys.w2, b2=keys.b2, q2=keys.q2)
+    assert rebuilt == keys and hash(rebuilt) == hash(keys)
+    assert rebuilt != assign_subkeys(stream[::-1])
+    with pytest.raises(AttributeError):
+        keys.q0 = 0.5
 
 
 def test_assign_length_error():
