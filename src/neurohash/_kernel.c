@@ -8,20 +8,21 @@
  * expanded into its 151 sub-keys (keyschedule.subkey_stream,
  * assign_subkeys), the 128-byte block runs through the input, hidden and
  * output layers (network.hash_block), and the block digest is XORed into
- * the running key. chain_batch steps the messages four at a time, a
- * group: their four key schedules are walked side by side, and their
- * blocks are hashed in lockstep, each layer's neurons of all four
- * messages stepped in one t loop. Each message after the last full group
- * is stepped alone, by the same code, which walks the key schedules under
- * the input layer (chain_step's comment says how). Each thread keeps the
- * first-block schedules it walked last across chain calls (struct
- * key_cache), under the key and t they were expanded from: a message
- * whose first-block key is held, or a group whose four are, copies them
- * and skips the key walk, so messages under a key in recent use, as when
- * many are signed under one secret key, cost their layers alone. Later
- * blocks never touch the cache. chain fills its new bytes object with the
- * GIL released, which is safe because nothing else holds a reference to
- * it yet, so threads hash in parallel.
+ * the running key. chain_batch steps the messages a group at a time,
+ * 2 * LANES messages (8 on 4 lanes, 4 on 2): their key schedules are
+ * walked side by side, and their blocks are hashed in lockstep, each
+ * layer's neurons of all the group's messages stepped in one t loop.
+ * Each message after the last full group is stepped alone, by the same
+ * code, which walks the key schedules under the input layer (chain_step's
+ * comment says how). Each thread keeps the first-block schedules it
+ * walked last across chain calls (struct key_cache), under the key and t
+ * they were expanded from: a message whose first-block key is held, or a
+ * group whose keys all are, copies them and skips the key walk, so
+ * messages under a key in recent use, as when many are signed under one
+ * secret key, cost their layers alone. Later blocks never touch the
+ * cache. chain fills its new bytes object with the GIL released, which
+ * is safe because nothing else holds a reference to it yet, so threads
+ * hash in parallel.
  *
  * Every floating-point result is the one the Python code computes: sums
  * accumulate in ascending index order from the first product with the
@@ -39,17 +40,17 @@
  *
  * The lane code is written once, at the end of this file, and compiled
  * once per width by including the file in itself. On 2 lanes (SSE2 on
- * x86-64, NEON on arm64) a key's two orbits form one pair, and one
- * message's layers of 8, 8 and 4 neurons 4, 4 and 2 pairs. On x86-64 it
- * is compiled again on 4 lanes inside functions built for AVX2, the only
- * place the 4-lane type is used (without AVX it is several times slower
- * than 2 lanes): a group's key schedules form 2 quads of (a, b, a', b'),
- * one key fills a quad with a copy of itself, and each message's layers
- * form 2, 2 and 1 quads. Each width compiles one chain function,
- * chain_batch_2 and chain_batch_4. When the module loads,
- * __builtin_cpu_supports picks the widest width the processor steps, and
- * LANES tells which; _chain_pairs runs 2 lanes on any host, for the
- * tests. AVX2 brings no fused multiply-add.
+ * x86-64, NEON on arm64) a key's two orbits form one pair, a group's 4
+ * keys 4 pairs, and one message's layers of 8, 8 and 4 neurons 4, 4 and
+ * 2 pairs. On x86-64 it is compiled again on 4 lanes inside functions
+ * built for AVX2, the only place the 4-lane type is used (without AVX it
+ * is several times slower than 2 lanes): a group's 8 key schedules form
+ * 4 quads of (a, b, a', b'), one key fills a quad with a copy of itself,
+ * and each message's layers form 2, 2 and 1 quads. Each width compiles
+ * one chain function, chain_batch_2 and chain_batch_4. When the module
+ * loads, __builtin_cpu_supports picks the widest width the processor
+ * steps, and LANES tells which; _chain_pairs runs 2 lanes on any host,
+ * for the tests. AVX2 brings no fused multiply-add.
  *
  * The digests match only if the compiler rounds every operation to
  * binary64 on its own: build with -ffp-contract=off, and never with
@@ -81,7 +82,6 @@
 #define SUBKEY_COUNT 151
 #define BLOCK_BYTES 128
 #define KEY_BYTES 16
-#define GROUP 4                           /* messages chain hashes together */
 
 /* Python's x % 1.0 for 0 <= x < 2^63, which every sum here is (at most 9
  * non-negative terms, none above 1). The cast truncates to floor(x),
@@ -185,26 +185,6 @@ find_held(const struct key_cache *cache, const uint32_t key[4], long long t)
     return NULL;
 }
 
-/* Whether `cache` holds the schedule of each of the `keys` keys k at t;
- * if it does, that schedule is copied into each s[m]. Either way the
- * keys' first blocks are counted, as copied or as to be walked. */
-UNROLLED int
-copy_held(struct key_cache *cache, uint32_t (*k)[4], int keys, long long t,
-          double (*s)[SUBKEY_COUNT])
-{
-    const double *found[GROUP];
-
-    for (int m = 0; m < keys; m++)
-        if ((found[m] = find_held(cache, k[m], t)) == NULL) {
-            cache->misses += keys;
-            return 0;
-        }
-    for (int m = 0; m < keys; m++)
-        memcpy(s[m], found[m], sizeof s[m]);
-    cache->hits += keys;
-    return 1;
-}
-
 /* Hold the walked schedules s[m] of the `keys` keys k at t that `cache`
  * lacks, each key once. copy_held has just missed, so a lone key is known
  * to be missing and is not looked up again. */
@@ -251,6 +231,7 @@ store_key(unsigned char *p, const uint32_t key[4])
 #define lanes WIDE(lanes)
 #define mask WIDE(mask)
 #define pick WIDE(pick)
+#define copy_held WIDE(copy_held)
 #define map_step WIDE(map_step)
 #define key_walk WIDE(key_walk)
 #define walk_start WIDE(walk_start)
@@ -403,6 +384,14 @@ PyInit__kernel(void)
 typedef double lanes __attribute__((vector_size(8 * LANES)));
 typedef __typeof__((lanes){0} < (lanes){0}) mask;
 
+/* Messages chain hashes together: their key orbits, two a key, fill 4
+ * vectors on either width. A group of 4 on quads held only 2, and its
+ * key walk and 4-quad output layer waited on the latency of their steps:
+ * 8 took 10-14% less time a message (1024 messages at t = 50, one CPU).
+ * On pairs 8 took 2-4% less on blocks that walk their keys and slightly
+ * more on groups that copy their schedules, so pairs keep 4. */
+#define GROUP (2 * LANES)
+
 /* yes in the lanes where m holds, no in the others */
 LANE_FN static lanes
 pick(mask m, lanes yes, lanes no)
@@ -430,6 +419,29 @@ map_step(lanes x, lanes q, lanes half, lanes top)
     return pick(num > div, one, num / div);
 }
 
+/* Whether `cache` holds the schedule of each of the `keys` keys k at t;
+ * if it does, that schedule is copied into each s[m]. Either way the
+ * keys' first blocks are counted, as copied or as to be walked. */
+LANE_FN UNROLLED int
+copy_held(struct key_cache *cache, uint32_t (*k)[4], int keys, long long t,
+          double (*s)[SUBKEY_COUNT])
+{
+    const double *found[GROUP];
+
+    for (int m = 0; m < keys; m++)
+        if ((found[m] = find_held(cache, k[m], t)) == NULL) {
+            cache->misses += keys;
+            return 0;
+        }
+    for (int m = 0; m < keys; m++)
+        memcpy(s[m], found[m], sizeof s[m]);
+    cache->hits += keys;
+    return 1;
+}
+
+/* The vectors that hold `keys` keys' orbits: 4 for a group */
+#define KEY_VECTORS(keys) ((2 * (keys) + LANES - 1) / LANES)
+
 /* keyschedule.subkey_stream for `keys` (1 or GROUP) running keys, walked
  * in stages, so that the walk can run under the input layer:
  * key m's orbit a and orbit b in two adjacent lanes, LANES / 2 keys to a
@@ -438,13 +450,10 @@ map_step(lanes x, lanes q, lanes half, lanes top)
  * fills its quad with a copy of itself, whose lanes 2-3 are never read.
  * `next` is the index of the next sub-key. */
 struct key_walk {
-    lanes x[2 * GROUP / LANES], q[2 * GROUP / LANES];
-    lanes half[2 * GROUP / LANES], top[2 * GROUP / LANES];
+    lanes x[KEY_VECTORS(GROUP)], q[KEY_VECTORS(GROUP)];
+    lanes half[KEY_VECTORS(GROUP)], top[KEY_VECTORS(GROUP)];
     int next;
 };
-
-/* The vectors that hold `keys` keys' orbits */
-#define KEY_VECTORS(keys) ((2 * (keys) + LANES - 1) / LANES)
 
 /* Decode the keys k and walk their orbits t - 1 steps: the next step
  * gives sub-key 0 */
@@ -528,18 +537,19 @@ step_layer(double *x, int msgs, int neurons, const double *q, long long t,
             memcpy(x + neurons * m + LANES * p, &v[m][p], sizeof v[m][p]);
 }
 
-/* hashing.chain_step for each of `msgs` (1 or GROUP) messages: block n
- * of message m, at message[m], hashed as network.hash_block under the
- * schedule of its running key k[m], as sliced by assign_subkeys, and the
- * block digest XORed into k[m]. When `cache` is not NULL (block 0), the
- * schedules are copied from it if it holds them all, and otherwise the
- * walked ones are held there, under the keys they were expanded from,
- * before the XOR changes those keys. Each layer steps all the messages'
- * neurons together, each message under its own layer q. The schedules
- * are walked to s[40], all that the input layer reads, and the rest
- * under that layer's t loop, KEY_STEPS a turn, and after it if any is
- * left: a key's walk and a layer's vectors are each bound by the latency
- * of their steps, so the two overlap. */
+/* hashing.chain_step for each of `msgs` (1 or GROUP, 2 * LANES)
+ * messages: block n of message m, at message[m], hashed as
+ * network.hash_block under the schedule of its running key k[m], as
+ * sliced by assign_subkeys, and the block digest XORed into k[m]. When
+ * `cache` is not NULL (block 0), the schedules are copied from it if it
+ * holds them all, and otherwise the walked ones are held there, under
+ * the keys they were expanded from, before the XOR changes those keys.
+ * Each layer steps all the messages' neurons together, each message
+ * under its own layer q. The schedules are walked to s[40], all that the
+ * input layer reads, and the rest under that layer's t loop, KEY_STEPS a
+ * turn, and after it if any is left: a key's walk and a layer's vectors
+ * are each bound by the latency of their steps, so the two overlap, and
+ * a group's 4 key vectors overlap with one another. */
 LANE_FN UNROLLED void
 chain_step(const unsigned char **message, Py_ssize_t n, uint32_t (*k)[4], int msgs,
            long long t, struct key_cache *cache)
@@ -595,10 +605,11 @@ static _Thread_local struct key_cache thread_cache;
 
 /* chain's work: the n messages of `blocks` padded blocks each at raw,
  * under the n keys at key, into their n final keys at out. Each full
- * group of GROUP messages goes through chain_step together, block by
- * block, and each message after the last full group alone; the first
- * block of each looks its schedules up in `cache`, the calling thread's
- * thread_cache. Touches no Python object. */
+ * group of GROUP messages, 8 on quads and 4 on pairs, goes through
+ * chain_step together, block by block, and each message after the last
+ * full group alone, up to GROUP - 1 of them; the first block of each
+ * looks its schedules up in `cache`, the calling thread's thread_cache.
+ * Touches no Python object. */
 LANE_FN static void
 chain_batch(const unsigned char *raw, Py_ssize_t blocks, const unsigned char *key,
             Py_ssize_t n, long long t, unsigned char *out, struct key_cache *cache)
@@ -624,5 +635,6 @@ chain_batch(const unsigned char *raw, Py_ssize_t blocks, const unsigned char *ke
 }
 
 #undef KEY_VECTORS
+#undef GROUP
 
 #endif /* LANES */

@@ -11,18 +11,21 @@ experiments take an explicit seed and record it in their report.
 
 The sweeps and the birthday experiment hash thousands of independent
 messages, each flipped message or key rehashed whole, in one loop on
-the calling thread. They build each message's padded bytes directly (a
-flip is one XOR into a copy of the padded message) and hand them to
-the chain in batches of about 64 KiB: one chain call per batch, whose
-messages the compiled chain hashes together (_kernel.c's header comment
-says how).
+the calling thread, in batches of about 64 KiB: one chain call per
+batch, whose messages the compiled chain hashes a group at a time
+(_kernel.c's header comment says how). Each batch's padded bytes are
+written straight into one buffer: the padded message repeated, each
+flip XORed into its own copy in place, or each birthday value followed
+by the marker block. The digests stay the chain's bytes, 16 a message:
+a sweep takes each ratio as the popcount of the XOR of two 128-bit
+ints, the float hdr gives, and the birthday experiment reads each
+digest's top word from them.
 """
 
 import csv
 import random
 import struct
 from dataclasses import dataclass, fields
-from itertools import islice
 
 from .chaosmap import check_count
 from .hashing import (
@@ -79,29 +82,32 @@ _BATCH_BYTES = 1 << 16
 _MARKER_BLOCK = _pad_bytes(Message(bytes(_BLOCK_BYTES)))[_BLOCK_BYTES:]
 
 
-def _hash_all(jobs, size: int, t: int) -> list:
-    """Digest of each (padded bytes, key) job, in order; every job's
-    padded bytes are `size` bytes long.
+def _hash_all(count: int, size: int, t: int, batch) -> bytes:
+    """The digests of `count` jobs, in order, as chain returns them: each
+    job's final running key, 16 bytes.
 
-    `jobs` is consumed in order and hashed in batches of the fewest jobs
-    whose padded bytes reach _BATCH_BYTES, so a generator of jobs is
+    Every job's padded bytes are `size` bytes long. The jobs are hashed
+    in batches of the fewest jobs whose padded bytes reach _BATCH_BYTES,
+    and batch(start, stop) builds the padded bytes and the keys of jobs
+    start to stop - 1, called once per batch, in order, so the jobs are
     never held whole. Each batch is one `_hash_many` call, looked up when
     the batch runs, so a wrapper installed on this module applies here
     too.
     """
-    jobs = iter(jobs)
-    digests = []
-    while batch := list(islice(jobs, -(-_BATCH_BYTES // size))):
-        padded, keys = zip(*batch)
-        finals = _hash_many(b"".join(padded), size // _BLOCK_BYTES, b"".join(keys), t)
-        digests.extend(struct.iter_unpack(">4I", finals))
-    return digests
+    per = -(-_BATCH_BYTES // size)
+    finals = []
+    for start in range(0, count, per):
+        padded, keys = batch(start, min(start + per, count))
+        finals.append(_hash_many(padded, size // _BLOCK_BYTES, keys, t))
+    return b"".join(finals)
 
 
-def _report(indices, digests) -> HdrReport:
-    """Hdr of each flip's digest against the unflipped baseline, digests[0]."""
-    baseline, *flipped = digests
-    ratios = [hdr(baseline, digest) for digest in flipped]
+def _report(indices, finals: bytes) -> HdrReport:
+    """Hdr of each flip's digest against the unflipped baseline, the
+    first of `finals`, taken on 128-bit ints: the floats hdr gives."""
+    baseline = int.from_bytes(finals[:16], "big")
+    ratios = [(baseline ^ int.from_bytes(finals[i:i + 16], "big")).bit_count() / 128.0
+              for i in range(16, len(finals), 16)]
     return HdrReport(
         per_flip=tuple(zip(indices, ratios)),
         mean=sum(ratios) / len(ratios),
@@ -122,14 +128,15 @@ def message_sensitivity_sweep(message: Message, key: bytes, t: int) -> HdrReport
     check_iterations(t)
     indices = range(min(BLOCK_BITS, message.nbits))
     padded = _pad_bytes(message)
+    size = len(padded)
 
-    def jobs():
-        yield padded, key
-        for i in indices:
-            flipped = bytearray(padded)
-            flipped[i // 8] ^= 0x80 >> (i % 8)
-            yield flipped, key
-    return _report(indices, _hash_all(jobs(), len(padded), t))
+    def batch(start, stop):
+        # job 0 is the padded message, job j its copy with bit j - 1 flipped
+        buffer = bytearray(padded) * (stop - start)
+        for job in range(max(start, 1), stop):
+            buffer[(job - start) * size + (job - 1) // 8] ^= 0x80 >> (job - 1) % 8
+        return bytes(buffer), key * (stop - start)
+    return _report(indices, _hash_all(1 + len(indices), size, t, batch))
 
 
 def key_sensitivity_sweep(message: Message, key: bytes, t: int) -> HdrReport:
@@ -139,8 +146,11 @@ def key_sensitivity_sweep(message: Message, key: bytes, t: int) -> HdrReport:
     check_iterations(t)
     indices = range(8 * KEY_BYTES)
     padded = _pad_bytes(message)
-    jobs = [(padded, key)] + [(padded, flip_key_bit(key, i)) for i in indices]
-    return _report(indices, _hash_all(jobs, len(padded), t))
+    keys = key + b"".join(flip_key_bit(key, i) for i in indices)
+
+    def batch(start, stop):
+        return padded * (stop - start), keys[16 * start:16 * stop]
+    return _report(indices, _hash_all(1 + len(indices), len(padded), t, batch))
 
 
 def birthday_experiment(
@@ -159,18 +169,22 @@ def birthday_experiment(
     key = check_key(key)
     check_iterations(t)
     rng = random.Random(seed)
+    seen = set()
 
-    def jobs():
-        seen = set()
-        while len(seen) < trials:
+    def batch(start, stop):
+        buffer = bytearray()
+        while len(seen) < stop:
             value = rng.getrandbits(BLOCK_BITS)
             if value not in seen:
                 seen.add(value)
-                yield value.to_bytes(_BLOCK_BYTES, "big") + _MARKER_BLOCK, key
+                buffer += value.to_bytes(_BLOCK_BYTES, "big")
+                buffer += _MARKER_BLOCK
+        return bytes(buffer), key * (stop - start)
 
+    finals = _hash_all(trials, 2 * _BLOCK_BYTES, t, batch)
     buckets = {}
-    for digest in _hash_all(jobs(), 2 * _BLOCK_BYTES, t):
-        top = digest[0] >> (32 - width)
+    for (word,) in struct.iter_unpack(">I12x", finals):   # each digest's word 0
+        top = word >> (32 - width)
         buckets[top] = buckets.get(top, 0) + 1
     observed = sum(c * (c - 1) // 2 for c in buckets.values())
     return BirthdayReport(
@@ -195,8 +209,8 @@ def _write_csv(report, handle) -> None:
     writer = csv.writer(handle)
     if isinstance(report, HdrReport):
         writer.writerow(["bit_index", "hdr"])
-        for index, ratio in report.per_flip:
-            writer.writerow([index, repr(ratio)])
+        # the csv module writes a float as its repr, an int as its str
+        writer.writerows(report.per_flip)
     else:
         # scalar fields only; structured extras stay on the dataclass
         names = [

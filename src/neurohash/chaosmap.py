@@ -43,8 +43,6 @@ that can change a result, which is why they check their domain, x in
   (1 - top) / q can exceed 1 by an ulp.
 """
 
-import random
-
 __all__ = [
     "Q_MIN",
     "Q_MAX",
@@ -220,6 +218,8 @@ def divergence_probe(delta: float, q: float, t: int, trials: int, seed: int) -> 
     if not 0.0 <= delta < 1.0:
         raise ValueError("delta must be in [0, 1)")
     check_count(trials, 1, "trials")
+    import random   # here: hashing imports this module and needs no random
+
     rng = random.Random(seed)
     diverged = 0
     for _ in range(trials):

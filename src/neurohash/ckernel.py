@@ -4,15 +4,16 @@ _kernel.c's chain hashes a batch of padded messages as hashing._chain
 does and returns the same bytes, each message's final running key (the
 contract is in hashing's docstring). _kernel.c's header comment says
 how it steps the messages, in groups and on vectors of lanes; the
-module's LANES says how many lanes this processor steps, and its
-_chain_pairs runs 2 on any host. On either width its digests are
-bit-equal to the Python path's as long as the compiler neither fuses a
-multiply and an add into one rounding nor reorders floating-point
-operations. FLAGS asks for -ffp-contract=off (clang's default, "on",
-fuses within an expression) and holds no -ffast-math, -mfma or
--march=native. It hashes with the GIL released, as hashlib does, so a
-caller's own threads hash in parallel; the Python fallback holds the
-GIL.
+module's LANES says how many lanes this processor steps, and a group
+is 2 * LANES messages, 8 on AVX2 quads and 4 on pairs. Its
+_chain_pairs runs 2 lanes, in groups of 4, on any host. On either
+width its digests are bit-equal to the Python path's as long as the
+compiler neither fuses a multiply and an add into one rounding nor
+reorders floating-point operations. FLAGS asks for -ffp-contract=off
+(clang's default, "on", fuses within an expression) and holds no
+-ffast-math, -mfma or -march=native. It hashes with the GIL released,
+as hashlib does, so a caller's own threads hash in parallel; the
+Python fallback holds the GIL.
 
 The first load() in a process finds the extension where CPython keeps
 _kernel.c's byte code (the __pycache__ directory beside it, or its
@@ -154,20 +155,24 @@ def _remove_other_builds(path: str) -> None:
 def _reproduces_self_check(module) -> bool:
     """Both SELF_CHECK records, A and B, through two chain calls on the
     lanes the module picked for this processor, each from an empty
-    first-block cache: the batch A, B, B, A, A, A, A, A, A, B, a group of
-    four under two keys, which walks and holds A's and B's first-block
-    schedules, a group that copies A's, then A and B each alone, also
-    copied; and the batch A, B, each message alone and walked. At t = 50
-    each walk of a block's key schedules, a group's and a message's alike,
-    covers 41 sub-keys before its input layer, 100 under it and 10 after
-    it. The cache is left empty."""
+    first-block cache. A group is 2 * module.LANES messages, g. The first
+    batch is 2 * g + 2 messages: a group of A, B, B, A repeated to g
+    messages, which walks and holds A's and B's first-block schedules, a
+    group of B, A, A, B repeated, which copies them, each lane the other
+    key's, then A and B each alone, also copied. The second is A, B, each
+    message alone and walked. At t = 50 each walk of a block's key
+    schedules, a group's and a message's alike, covers 41 sub-keys before
+    its input layer, 100 under it and 10 after it. The cache is left
+    empty."""
     from .hashing import Message, _pad_bytes
 
     padded = [_pad_bytes(Message(bytes.fromhex(message)))
               for _, message, _ in SELF_CHECK]
     keys = [bytes.fromhex(key) for key, _, _ in SELF_CHECK]
     digests = [bytes.fromhex(digest) for _, _, digest in SELF_CHECK]
-    for batch in ((0, 1, 1, 0, 0, 0, 0, 0, 0, 1), (0, 1)):
+    quartets = 2 * module.LANES // 4
+    walked_then_copied = (0, 1, 1, 0) * quartets + (1, 0, 0, 1) * quartets + (0, 1)
+    for batch in (walked_then_copied, (0, 1)):
         module.cache_clear()
         if (module.chain(b"".join(padded[i] for i in batch), 1,
                          b"".join(keys[i] for i in batch), 50)

@@ -25,7 +25,14 @@ from neurohash.analysis import (
     message_sensitivity_sweep,
 )
 from neurohash.goldens import SAMPLE_KEY, SAMPLE_SENTENCE
-from neurohash.hashing import BLOCK_BITS, Message, hash_message, parse_digest
+from neurohash.hashing import (
+    BLOCK_BITS,
+    Message,
+    bytes_to_digest,
+    digest_to_bytes,
+    hash_message,
+    parse_digest,
+)
 from oracles import hash_message_ref
 
 SEED = 66017
@@ -427,21 +434,40 @@ def test_sweeps_under_a_wrapped_hash_many(monkeypatch):
 
 
 def test_hash_all_cuts_batches_at_64_kib(monkeypatch):
-    # 300 two-block jobs: batches of 256 and 44 jobs; the digests are
-    # those of hash_message, in order
+    # 300 two-block jobs: batches of 256 and 44 jobs, each built once, in
+    # order; the digests are those of hash_message, in order, 16 bytes each
     messages = [Message(bytes([i % 256, i // 256]) * 64) for i in range(300)]
     keys = [bytes([i % 7]) * 16 for i in range(len(messages))]
-    batches = []
+    padded = [hashing._pad_bytes(m) for m in messages]
+    built, batches = [], []
+
+    def batch(start, stop):
+        built.append((start, stop))
+        return b"".join(padded[start:stop]), b"".join(keys[start:stop])
 
     def recording(padded, blocks, keys, t):
         batches.append((blocks, len(keys) // 16, len(padded)))
         return hashing._hash_many(padded, blocks, keys, t)
 
     monkeypatch.setattr(analysis, "_hash_many", recording)
-    jobs = ((hashing._pad_bytes(m), k) for m, k in zip(messages, keys))
-    assert analysis._hash_all(jobs, 256, 1) == [hash_message(m, k, 1)
-                                                for m, k in zip(messages, keys)]
+    assert analysis._hash_all(300, 256, 1, batch) == b"".join(
+        digest_to_bytes(hash_message(m, k, 1)) for m, k in zip(messages, keys))
+    assert built == [(0, 256), (256, 300)]
     assert batches == [(2, 256, 65536), (2, 44, 44 * 256)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(digests=st.lists(st.binary(min_size=16, max_size=16), min_size=2, max_size=20))
+@example(digests=[bytes(16), bytes(16)])
+@example(digests=[bytes(16), b"\xff" * 16, bytes(range(16))])
+def test_report_ratios_equal_hdr(digests):
+    # _report's ratios, taken on 128-bit ints, are hdr's floats on the
+    # 4-word digests, and their mean sums them in the same order
+    words = [bytes_to_digest(digest) for digest in digests]
+    ratios = [hdr(words[0], word) for word in words[1:]]
+    report = analysis._report(range(len(ratios)), b"".join(digests))
+    assert report == HdrReport(tuple(enumerate(ratios)), sum(ratios) / len(ratios),
+                               min(ratios), max(ratios))
 
 
 def _captured_jobs(monkeypatch):

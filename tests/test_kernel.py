@@ -241,20 +241,25 @@ def test_special_keys_and_words_show_their_property():
 
 
 SPECIAL_KEYS = (DOUBLY_DEAD, *LANE_KEYS, SATURATED[0])
-# chain hashes four messages at a time; these keys give a group's
-# messages four different q in every layer
+# chain hashes a group of 2 * LANES messages together, _chain_pairs a
+# group of 4: the group edges below are built for each size
+_KERNEL = ckernel.load()
+GROUPS = sorted({4} if _KERNEL is None else {4, 2 * _KERNEL.LANES})
+# these keys give four messages of a group four different q in every layer
 Q_GROUP = (SATURATED[0], ON_Q, ON_TOP, B_AT_Q_MAX)
 # ON_Q's running key at t = 50 after the one block of _batch's 400-bit
-# message: a group of four under ON_Q ends its last message on it
+# message: a group under ON_Q of messages of 100, 200, 300 and 400 bits,
+# repeated, ends its last message on it
 AFTER_ON_Q = bytes.fromhex("dae33404c652782bf90ccda0feaac510")
 
 
 @st.composite
 def _batches(draw):
-    """1 to 9 messages of 1 to 3 padded blocks each, and their keys: all
-    equal, all distinct, or runs of one key split by another."""
+    """1 to 2 * GROUPS[-1] + 1 messages (two of the largest groups and one
+    more) of 1 to 3 padded blocks each, and their keys: all equal, all
+    distinct, or runs of one key split by another."""
     blocks = draw(st.integers(1, 3))
-    n = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 2 * GROUPS[-1] + 1))
     messages = []
     for _ in range(n):
         nbits = draw(st.integers(1024 * (blocks - 1), 1024 * blocks - 1))
@@ -279,6 +284,56 @@ def _batch(blocks, sizes, keys):
                             size) for size in sizes], list(keys)
 
 
+def _group_edges(group):
+    """(batch, t) examples at the edges of a group of `group` messages."""
+    fresh = [Q_GROUP[m % 4] for m in range(group)]
+    # 2 * group distinct keys, the special ones first
+    mixed = [*SPECIAL_KEYS, NEXT_TO_ON_Q, B_ON_TOP, AFTER_ON_Q,
+             *(bytes([m]) * 16 for m in range(1, 2 * group))][:2 * group]
+    sizes = range(1100, 1100 + 100 * group, 100)
+    return [
+        # one message short of a group, a full group, one message past
+        # it, three past it, two groups
+        (_batch(1, [300] * (group - 1), mixed[:group - 1]), 50),
+        (_batch(1, [300] * group, fresh), 50),
+        (_batch(1, [300] * (group + 1), fresh + [DOUBLY_DEAD]), 50),
+        (_batch(1, range(50, 50 * (group + 4), 50), mixed[:group + 3]), 50),
+        (_batch(2, range(1100, 1100 + 50 * 2 * group, 50), mixed), 3),
+        # the schedule held from the first group, and a new key in the
+        # first, second, middle and last lane of the next
+        *((_batch(2, [1100] * 2 * group,
+                  [ON_Q] * (group + m) + [NEXT_TO_ON_Q] + [ON_Q] * (group - m - 1)), 50)
+          for m in sorted({0, 1, group // 2, group - 1})),
+        # the held schedule records the key it was expanded from, ON_Q, not
+        # the key its message's block leaves behind, which the next group is
+        # under
+        (_batch(1, [100, 200, 300, 400] * (group // 2),
+                [ON_Q] * group + [AFTER_ON_Q] * group), 50),
+        # the edge keys in every lane of a group but one, beside other keys
+        ((1, [EDGE_Q[1]] * (group + 2),
+          [ON_Q, ON_TOP] + [ON_Q] * (group - 2) + [B_DEAD, ON_Q]), 1),
+        ((2, [EDGE_TOP[1]] * (group + 2),
+          [B_ON_TOP, ON_Q] + [B_ON_TOP] * (group - 2) + [A_DEAD, B_ON_TOP]), 1),
+        # a group walks its key schedules as one message does: to s[40],
+        # then 2 sub-keys a turn under its input layer's t loop, and the
+        # rest after it; the walk ends after the loop (54), on its last
+        # turn (55) or inside it (56, 120), for a group of fresh keys and
+        # for a second group that copies the first-block schedule the
+        # first group held
+        *((_batch(2, sizes, fresh), t) for t in (54, 55, 56, 120)),
+        *((_batch(2, [1100] * 2 * group, [ON_Q] * 2 * group), t)
+          for t in (54, 55, 56, 120)),
+    ]
+
+
+def _with_group_edges(test):
+    """`test` with the _group_edges examples of every size in GROUPS."""
+    for group in GROUPS:
+        for batch, t in _group_edges(group):
+            test = example(batch=batch, t=t)(test)
+    return test
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(batch=_batches(), t=st.integers(1, 60))
 @example(batch=_batch(1, [8], [ON_Q]), t=1)
@@ -292,35 +347,7 @@ def _batch(blocks, sizes, keys):
 @example(batch=_batch(2, [1100, 1200, 1300, 1400], [SATURATED[0], A_AT_Q_MIN,
                                                     B_AT_Q_MAX, SATURATED[0]]), t=1)
 @example(batch=(1, [SATURATED[1]] * 2, [SATURATED[0]] * 2), t=1)
-# group edges: a full group, one and three messages past it, two groups
-@example(batch=_batch(1, [300] * 4, Q_GROUP), t=50)
-@example(batch=_batch(1, [300] * 5, [*Q_GROUP, DOUBLY_DEAD]), t=50)
-@example(batch=_batch(1, range(100, 800, 100), SPECIAL_KEYS[:7]), t=50)
-@example(batch=_batch(2, range(1100, 1900, 100), SPECIAL_KEYS), t=3)
-# the schedule held from the first group, and a new key in each lane of the next
-@example(batch=_batch(2, [1100] * 8, [ON_Q] * 7 + [NEXT_TO_ON_Q]), t=50)
-@example(batch=_batch(2, [1100] * 8, [ON_Q] * 5 + [NEXT_TO_ON_Q] + [ON_Q] * 2), t=50)
-@example(batch=_batch(2, [1100] * 8, [ON_Q] * 4 + [NEXT_TO_ON_Q] + [ON_Q] * 3), t=50)
-# the held schedule records the key it was expanded from, ON_Q, not the
-# key its message's block leaves behind, which the next group is under
-@example(batch=_batch(1, [100, 200, 300, 400] * 2, [ON_Q] * 4 + [AFTER_ON_Q] * 4), t=50)
-# the edge keys in every lane of a group, beside other keys
-@example(batch=(1, [EDGE_Q[1]] * 6, [ON_Q, ON_TOP, ON_Q, ON_Q, B_DEAD, ON_Q]), t=1)
-@example(batch=(2, [EDGE_TOP[1]] * 6, [B_ON_TOP, ON_Q, B_ON_TOP, B_ON_TOP, A_DEAD,
-                                      B_ON_TOP]), t=1)
-# a group walks its key schedules as one message does: to s[40], then 2
-# sub-keys a turn under its input layer's t loop, and the rest after it;
-# the walk ends after the loop (54), on its last turn (55) or inside it
-# (56, 120), for a group of fresh keys and for a second group that copies
-# the first-block schedule the first group held
-@example(batch=_batch(2, [1100, 1200, 1300, 1400], Q_GROUP), t=54)
-@example(batch=_batch(2, [1100] * 8, [ON_Q] * 8), t=54)
-@example(batch=_batch(2, [1100, 1200, 1300, 1400], Q_GROUP), t=55)
-@example(batch=_batch(2, [1100] * 8, [ON_Q] * 8), t=55)
-@example(batch=_batch(2, [1100, 1200, 1300, 1400], Q_GROUP), t=56)
-@example(batch=_batch(2, [1100] * 8, [ON_Q] * 8), t=56)
-@example(batch=_batch(2, [1100, 1200, 1300, 1400], Q_GROUP), t=120)
-@example(batch=_batch(2, [1100] * 8, [ON_Q] * 8), t=120)
+@_with_group_edges
 def test_a_batch_equals_one_chain_per_message_and_oracle(batch, t):
     # each message's final key: a batch through the compiled chain on
     # the host's lanes and on 2 lanes and through the Python chain, one
@@ -360,8 +387,9 @@ def _calls(draw):
 
 
 def _group_then_singles(key, ts):
-    """A group of four under key at each t in ts, then one message alone."""
-    return [(bytes(range(128)) * n, 1, key * n, t) for t in ts for n in (4, 1)]
+    """A group of each size in GROUPS under key at each t in ts, then one
+    message alone."""
+    return [(bytes(range(128)) * n, 1, key * n, t) for t in ts for n in (*GROUPS, 1)]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -396,13 +424,14 @@ def test_cache_info_counts_first_blocks_copied_and_walked():
     assert kernel.cache_info() == (20, 4, 8, 4)
     hash_message(Message(b"abc"), keys[0], 49)              # another t
     assert kernel.cache_info() == (20, 5, 8, 5)
-    # a group is copied only when all four of its keys are held; when it
-    # is walked, the keys not held yet are held, each once
-    group = hashing._pad_bytes(Message(bytes(100))) * 4
-    kernel.chain(group, 1, b"".join(keys[:4]), 50)
-    assert kernel.cache_info() == (24, 5, 8, 5)
-    kernel.chain(group, 1, keys[0] + keys[4] * 3, 50)
-    assert kernel.cache_info() == (24, 9, 8, 6)
+    # a group is copied only when all of its keys are held; when it is
+    # walked, the keys not held yet are held, each once
+    group = 2 * kernel.LANES
+    padded = hashing._pad_bytes(Message(bytes(100))) * group
+    kernel.chain(padded, 1, b"".join(keys[m % 4] for m in range(group)), 50)
+    assert kernel.cache_info() == (20 + group, 5, 8, 5)
+    kernel.chain(padded, 1, keys[0] + keys[4] * (group - 1), 50)
+    assert kernel.cache_info() == (20 + group, 5 + group, 8, 6)
     # eight schedules at most, the oldest replaced first
     kernel.cache_clear()
     assert kernel.cache_info() == (0, 0, 8, 0)
@@ -424,7 +453,8 @@ def test_two_threads_hashing_under_their_own_keys_get_their_own_digests():
     rng = random.Random(2)
     work = {}
     for key in (ON_Q, ON_TOP):
-        calls = [(rng.randbytes(128 * n), 1, key * n, 3) for n in (1, 1, 4, 1, 4)]
+        calls = [(rng.randbytes(128 * n), 1, key * n, 3)
+                 for n in (1, 1, *GROUPS, 1, *GROUPS)]
         work[key] = [(call, hashing._chain(*call)) for call in calls]
     barrier = threading.Barrier(2)
     wrong = []
@@ -486,13 +516,14 @@ def test_self_check_records_are_golden_vectors_at_t_50():
 
 
 def test_a_kernel_whose_batch_disagrees_fails_the_self_check():
-    # the Python chain passes; a chain that swaps two lanes, repeats the
-    # first lane, hashes all under the first key, gets only the third or
-    # only the fourth message of the first group wrong, hashes the second
-    # group, whose schedule is the held one, under the other key, or gets
-    # only the last message, which is hashed alone, wrong fails
-    def python(chain):
-        return types.SimpleNamespace(chain=chain, cache_clear=lambda: None)
+    # on either width, the Python chain passes; a chain that swaps two
+    # lanes, repeats the first lane, hashes all under the first key, gets
+    # only the third or only the fourth message of the first group wrong,
+    # hashes the second group, whose schedule is the held one, under the
+    # other key, or gets only the last message, which is hashed alone,
+    # wrong fails
+    def python(chain, lanes):
+        return types.SimpleNamespace(chain=chain, cache_clear=lambda: None, LANES=lanes)
 
     def swapped(padded, blocks, keys, t):
         out = hashing._chain(padded, blocks, keys, t)
@@ -512,17 +543,22 @@ def test_a_kernel_whose_batch_disagrees_fails_the_self_check():
         return out[:48] + out[32:48] + out[64:]
 
     def second_group_under_second_key(padded, blocks, keys, t):
-        return hashing._chain(padded, blocks, keys[:64] + keys[16:32] * 4 + keys[128:], t)
+        group = (len(keys) // 16 - 2) // 2      # two groups and two messages
+        return hashing._chain(padded, blocks, keys[:16 * group] + keys[16:32] * group
+                              + keys[32 * group:], t)
 
     def last_repeats_the_one_before(padded, blocks, keys, t):
         out = hashing._chain(padded, blocks, keys, t)
         return out[:-16] + out[-32:-16]
 
-    assert ckernel._reproduces_self_check(python(hashing._chain))
-    for broken in (swapped, first_lane_repeated, first_key_only, third_under_first_key,
-                   fourth_repeats_third, second_group_under_second_key,
-                   last_repeats_the_one_before):
-        assert not ckernel._reproduces_self_check(python(broken)), broken.__name__
+    for lanes in (2, 4):
+        assert ckernel._reproduces_self_check(python(hashing._chain, lanes))
+        for broken in (swapped, first_lane_repeated, first_key_only,
+                       third_under_first_key, fourth_repeats_third,
+                       second_group_under_second_key,
+                       last_repeats_the_one_before):
+            assert not ckernel._reproduces_self_check(python(broken, lanes)), (
+                broken.__name__, lanes)
     kernel = ckernel.load()
     if kernel is not None:
         assert ckernel._reproduces_self_check(kernel)
@@ -569,8 +605,9 @@ def _copy_package(tmp_path, flags=None):
     return src
 
 
-def _run(src, code, *, no_compiler=False, prefix=None) -> str:
-    """Stdout of `code` in a fresh interpreter importing the copy at `src`.
+def _run(src, code, *, no_compiler=False, prefix=None, flags=()) -> str:
+    """Stdout of `code` in a fresh interpreter importing the copy at `src`,
+    started with the interpreter `flags`.
 
     Its cache is the copy's __pycache__, or under `prefix` when given.
     """
@@ -582,7 +619,7 @@ def _run(src, code, *, no_compiler=False, prefix=None) -> str:
         empty = src.parent / "empty-path"
         empty.mkdir(exist_ok=True)
         env["PATH"] = str(empty)
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    result = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
                             text=True, timeout=120, env=env, cwd=str(src.parent))
     assert result.returncode == 0, result.stderr
     return result.stdout
@@ -786,8 +823,9 @@ HEAVY = ["multiprocessing", "concurrent.futures", "pickle", "signal", "numpy"]
 BUILD_ONLY = ["subprocess", "sysconfig", "hashlib"]
 # what hashing must not import: the analysis harness, the CLI and the
 # dataclasses the reports use, which bring inspect, ast, dis and tokenize
-# (together about two thirds of a hashing process's start-up)
-OFF_THE_HASH_PATH = ["dataclasses", "inspect", "csv", "neurohash.analysis",
+# (together about two thirds of a hashing process's start-up), and random,
+# which only the experiments and chaosmap.divergence_probe use
+OFF_THE_HASH_PATH = ["dataclasses", "inspect", "csv", "random", "neurohash.analysis",
                      "neurohash.opcount", "neurohash.goldens", "neurohash.cli"]
 
 
@@ -806,8 +844,10 @@ print([name for name in %r if name in set(sys.modules) - before])
     cold = _run(src, code).splitlines()
     warm = _run(src, code).splitlines()
     bare = _run(src, code, no_compiler=True, prefix=tmp_path / "cold").splitlines()
-    assert cold[0] == warm[0] == bare[0] == "[]"
-    assert cold[2] == warm[2] == bare[2] == "[]"
+    # without site, which may import random before the code runs
+    nosite = _run(src, code, flags=["-S"]).splitlines()
+    assert cold[0] == warm[0] == bare[0] == nosite[0] == "[]"
+    assert cold[2] == warm[2] == bare[2] == nosite[2] == "[]"
     assert bare[1] == "python: no C compiler (cc) on PATH []"
     if shutil.which("cc") is not None:
-        assert warm[1] == "c []"
+        assert warm[1] == nosite[1] == "c []"
