@@ -16,10 +16,13 @@ batch, whose messages the compiled chain hashes a group at a time
 (_kernel.c's header comment says how). Each batch's padded bytes are
 written straight into one buffer: the padded message repeated, each
 flip XORed into its own copy in place, or each birthday value followed
-by the marker block. The digests stay the chain's bytes, 16 a message:
-a sweep takes each ratio as the popcount of the XOR of two 128-bit
-ints, the float hdr gives, and the birthday experiment reads each
-digest's top word from them.
+by the marker block, joined from each value's 128 bytes. The digests
+stay the chain's bytes, 16 a message: a sweep counts the bits in which
+each digest differs from the baseline's, 64 bits at a time, and takes
+the ratio from a 129-entry table of c / 128, the floats hdr gives; the
+birthday experiment reads each digest's top word from them. A sweep's
+CSV rows take their ratio text from the same table's reprs, which is
+what the csv module writes; any other row goes through the csv module.
 """
 
 import csv
@@ -80,6 +83,10 @@ def hdr(a, b) -> float:
 _BATCH_BYTES = 1 << 16
 # the second padded block of every 1024-bit message, as pad writes it
 _MARKER_BLOCK = _pad_bytes(Message(bytes(_BLOCK_BYTES)))[_BLOCK_BYTES:]
+# the hdr of c differing digest bits, c = 0..128: the floats hdr gives
+_RATIOS = [c / 128.0 for c in range(129)]
+# the CSV text of each nonzero ratio, its repr, as the csv module writes it
+_RATIO_TEXT = {ratio: repr(ratio) for ratio in _RATIOS[1:]}
 
 
 def _hash_all(count: int, size: int, t: int, batch) -> bytes:
@@ -104,10 +111,12 @@ def _hash_all(count: int, size: int, t: int, batch) -> bytes:
 
 def _report(indices, finals: bytes) -> HdrReport:
     """Hdr of each flip's digest against the unflipped baseline, the
-    first of `finals`, taken on 128-bit ints: the floats hdr gives."""
-    baseline = int.from_bytes(finals[:16], "big")
-    ratios = [(baseline ^ int.from_bytes(finals[i:i + 16], "big")).bit_count() / 128.0
-              for i in range(16, len(finals), 16)]
+    first of `finals`: the popcount of the XOR of their two 64-bit
+    halves, looked up in _RATIOS, so the floats hdr gives."""
+    digests = struct.iter_unpack(">QQ", finals)
+    base_hi, base_lo = next(digests)
+    ratios = [_RATIOS[(base_hi ^ hi).bit_count() + (base_lo ^ lo).bit_count()]
+              for hi, lo in digests]
     return HdrReport(
         per_flip=tuple(zip(indices, ratios)),
         mean=sum(ratios) / len(ratios),
@@ -169,17 +178,16 @@ def birthday_experiment(
     key = check_key(key)
     check_iterations(t)
     rng = random.Random(seed)
-    seen = set()
+    seen = set()   # each value's 128 bytes, one to one with the 1024-bit ints
 
     def batch(start, stop):
-        buffer = bytearray()
+        values = []
         while len(seen) < stop:
-            value = rng.getrandbits(BLOCK_BITS)
+            value = rng.getrandbits(BLOCK_BITS).to_bytes(_BLOCK_BYTES, "big")
             if value not in seen:
                 seen.add(value)
-                buffer += value.to_bytes(_BLOCK_BYTES, "big")
-                buffer += _MARKER_BLOCK
-        return bytes(buffer), key * (stop - start)
+                values.append(value)
+        return _MARKER_BLOCK.join(values + [b""]), key * (stop - start)
 
     finals = _hash_all(trials, 2 * _BLOCK_BYTES, t, batch)
     buckets = {}
@@ -205,17 +213,46 @@ def emit_csv(report, destination) -> None:
             _write_csv(report, handle)
 
 
+class _Lines(list):
+    """A list that a csv writer appends its lines to."""
+
+    write = list.append
+
+
 def _write_csv(report, handle) -> None:
-    writer = csv.writer(handle)
     if isinstance(report, HdrReport):
-        writer.writerow(["bit_index", "hdr"])
-        # the csv module writes a float as its repr, an int as its str
-        writer.writerows(report.per_flip)
-    else:
-        # scalar fields only; structured extras stay on the dataclass
-        names = [
-            f.name for f in fields(report)
-            if isinstance(getattr(report, f.name), (int, float, str))
-        ]
-        writer.writerow(names)
-        writer.writerow([getattr(report, n) for n in names])
+        handle.write(_hdr_csv(report.per_flip))
+        return
+    writer = csv.writer(handle)
+    # scalar fields only; structured extras stay on the dataclass
+    names = [
+        f.name for f in fields(report)
+        if isinstance(getattr(report, f.name), (int, float, str))
+    ]
+    writer.writerow(names)
+    writer.writerow([getattr(report, n) for n in names])
+
+
+def _hdr_csv(rows) -> str:
+    """The text a csv writer writes for the header and `rows`.
+
+    The csv module writes an int as its str and a float as its repr, so
+    a sweep's row, an int and a ratio of _RATIO_TEXT, is written from
+    that table. Every other row goes through the csv module in its
+    place: 0.0 and -0.0, a bool, an int ratio (1 == 1.0 as a key), any
+    other float; a row that is not a pair sends every row through it.
+    """
+    lines = _Lines()
+    writer = csv.writer(lines)
+    writer.writerow(["bit_index", "hdr"])
+    text_of = _RATIO_TEXT.get
+    try:
+        for i, ratio in rows:
+            if type(i) is int and type(ratio) is float and (text := text_of(ratio)):
+                lines.append(f"{i},{text}\r\n")
+            else:
+                writer.writerow((i, ratio))
+    except (TypeError, ValueError):
+        del lines[1:]
+        writer.writerows(rows)
+    return "".join(lines)

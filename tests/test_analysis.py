@@ -2,6 +2,7 @@ import csv
 import functools
 import hashlib
 import io
+import math
 import os
 import random
 import subprocess
@@ -245,6 +246,39 @@ def test_emit_csv_empty_report():
     assert buf.getvalue().strip() == "bit_index,hdr"
 
 
+def _csv_writer_text(report) -> str:
+    """What csv.writer writes for an HdrReport: the header, then its rows."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["bit_index", "hdr"])
+    writer.writerows(report.per_flip)
+    return buf.getvalue()
+
+
+# every ratio a sweep can report, then the floats and ints equal to one of
+# them or to each other as dict keys but written otherwise
+TABLE_RATIOS = [c / 128 for c in range(129)]
+RATIOS = st.one_of(
+    st.sampled_from(TABLE_RATIOS),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 0, 1, True, False]),
+    st.floats(),
+)
+INDICES = st.one_of(st.integers(-2**70, 2**70), st.integers(0, 1023), st.booleans())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=st.lists(st.tuples(INDICES, RATIOS), max_size=40))
+@example(rows=[])
+@example(rows=[(0, 0.5), (1, -0.0), (2, 0.0), (3, 1), (4, 1.0), (True, 0.5),
+               (5, True), (6, math.nan), (7, 1 / 3), ("a,b", 0.5), (1.5, 0.5)])
+@example(rows=[(0, 0.5), (1, 0.25, "x"), ("a,b",), (2, 0.75)])  # not all pairs
+def test_emit_csv_writes_what_csv_writer_writes(rows):
+    # the table rows and every other row, in order, as csv.writer writes
+    # them, for any report
+    report = HdrReport(per_flip=tuple(rows), mean=0.0, min=0.0, max=0.0)
+    assert _csv_text(report) == _csv_writer_text(report)
+
+
 def test_emit_csv_birthday_to_path(tmp_path):
     rep = birthday_experiment(12, 50, KEY, 1, seed=1)
     path = tmp_path / "birthday.csv"
@@ -288,17 +322,24 @@ def _expected_key_sweep(message, key, t):
     return _expected_sweep(message, key, t, flipped)
 
 
-def _expected_birthday(width, trials, key, t, seed):
+def _distinct_draws(trials, seed):
+    """The first `trials` distinct 1024-bit values random.Random(seed) draws."""
     rng = random.Random(seed)
     values = []
     while len(values) < trials:
         value = rng.getrandbits(BLOCK_BITS)
         if value not in values:
             values.append(value)
+    return values
+
+
+def _expected_birthday(width, values, key, t, seed):
+    """BirthdayReport of an in-process loop over the drawn values."""
     buckets = {}
     for value in values:
         top = hash_message(Message.from_int(value, BLOCK_BITS), key, t)[0] >> (32 - width)
         buckets[top] = buckets.get(top, 0) + 1
+    trials = len(values)
     return BirthdayReport(width, trials, sum(c * (c - 1) // 2 for c in buckets.values()),
                           trials * (trials - 1) / 2 / 2.0 ** width, seed)
 
@@ -396,7 +437,7 @@ def test_concurrent_callers_get_in_process_reports(callers):
     # loop of hash_message
     m = _small_message()
     expected = (_expected_message_sweep(m, KEY, 1), _expected_key_sweep(m, KEY, 1),
-                _expected_birthday(8, 50, KEY, 1, 4))
+                _expected_birthday(8, _distinct_draws(50, 4), KEY, 1, 4))
     reports = [None] * callers
 
     def run(i):
@@ -428,7 +469,7 @@ def test_sweeps_under_a_wrapped_hash_many(monkeypatch):
     assert message_sensitivity_sweep(m, KEY, 1) == _expected_message_sweep(m, KEY, 1)
     assert key_sensitivity_sweep(m, KEY, 1) == _expected_key_sweep(m, KEY, 1)
     assert (birthday_experiment(8, 50, KEY, 1, seed=4)
-            == _expected_birthday(8, 50, KEY, 1, 4))
+            == _expected_birthday(8, _distinct_draws(50, 4), KEY, 1, 4))
     # every job of the message sweep, of the key sweep and of birthday
     assert sum(jobs) == 121 + 129 + 50
 
@@ -460,9 +501,13 @@ def test_hash_all_cuts_batches_at_64_kib(monkeypatch):
 @given(digests=st.lists(st.binary(min_size=16, max_size=16), min_size=2, max_size=20))
 @example(digests=[bytes(16), bytes(16)])
 @example(digests=[bytes(16), b"\xff" * 16, bytes(range(16))])
+@example(digests=[bytes(range(16)), bytes(range(16, 24)) + bytes(range(8, 16))])  # high half
+@example(digests=[bytes(range(16)), bytes(range(8)) + bytes(range(24, 32))])  # low half
+@example(digests=[bytes(range(16)), bytes(range(16))])  # equal: ratio 0.0
 def test_report_ratios_equal_hdr(digests):
-    # _report's ratios, taken on 128-bit ints, are hdr's floats on the
-    # 4-word digests, and their mean sums them in the same order
+    # _report's ratios, from the popcounts of both 64-bit halves, are
+    # hdr's floats on the 4-word digests, and their mean sums them in the
+    # same order
     words = [bytes_to_digest(digest) for digest in digests]
     ratios = [hdr(words[0], word) for word in words[1:]]
     report = analysis._report(range(len(ratios)), b"".join(digests))
@@ -509,14 +554,35 @@ def test_the_experiments_pad_as_pad_bytes(nbits, seed, trials):
         assert jobs == [(hashing._pad_bytes(message), key) for key in keys]
         jobs.clear()
         birthday_experiment(8, trials, KEY, 1, seed)
-    rng = random.Random(seed)
-    values = []
-    while len(values) < trials:
-        value = rng.getrandbits(BLOCK_BITS)
-        if value not in values:
-            values.append(value)
     assert jobs == [(hashing._pad_bytes(Message.from_int(value, BLOCK_BITS)), KEY)
-                    for value in values]
+                    for value in _distinct_draws(trials, seed)]
+
+
+def test_birthday_skips_repeated_draws(monkeypatch):
+    # 1024-bit draws never repeat by chance, so a stand-in for random.Random
+    # repeats two: draw 2 repeats draw 1, inside the first batch of 256
+    # jobs, and draw 258 repeats draw 100 of that batch while the second
+    # batch is built; each repeat is skipped, and the 300 distinct values
+    # are hashed in the order they were first drawn
+    rng = random.Random(SEED)
+    distinct = [rng.getrandbits(BLOCK_BITS) for _ in range(300)]
+    draws = distinct[:2] + [distinct[1]] + distinct[2:257] + [distinct[100]] + distinct[257:]
+
+    class Repeating:
+        def __init__(self, seed):
+            self.draws = iter(draws)
+
+        def getrandbits(self, k):
+            assert k == BLOCK_BITS
+            return next(self.draws)
+
+    monkeypatch.setattr(analysis.random, "Random", Repeating)
+    expected = _expected_birthday(8, distinct, KEY, 1, SEED)
+    assert birthday_experiment(8, 300, KEY, 1, SEED) == expected
+    jobs = _captured_jobs(monkeypatch)
+    birthday_experiment(8, 300, KEY, 1, SEED)
+    assert jobs == [(hashing._pad_bytes(Message.from_int(value, BLOCK_BITS)), KEY)
+                    for value in distinct]
 
 
 @pytest.mark.parametrize("seed, observed", [(1, 8), (2, 9)])
