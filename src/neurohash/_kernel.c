@@ -24,12 +24,19 @@
  * is safe because nothing else holds a reference to it yet, so threads
  * hash in parallel.
  *
- * Every floating-point result is the one the Python code computes: sums
- * accumulate in ascending index order from the first product with the
- * bias added last, and mod1 is Python's x % 1.0. The map runs on vectors
- * of lanes (map_step), a GCC vector extension: the two key orbits of a
- * key sit side by side, and a layer's neurons advance together, one step
- * each per turn of the t loop. A lane step has no data-dependent branch
+ * Every floating-point result is the one the Python code computes. A
+ * block's work runs on vectors of lanes, a GCC vector extension, but for
+ * the quantized input words, the three derive_param calls and the digest
+ * extract. The map (map_step) steps the two key orbits of a key side by
+ * side, and a layer's neurons together, one step each per turn of the t
+ * loop. Each step of the key walk emits the sub-keys of LANES keys at
+ * once, their orbits a plus their orbits b, mod 1 (emit). The weighted
+ * sums take a layer's neurons as lanes (weigh): each lane takes its first
+ * product, adds the others in ascending index order and then its bias,
+ * the operations of network's sums in their order. mod1, which both use,
+ * finds floor(x) by rounding x through 2^52 and subtracts it; that is
+ * exact, as Python's x % 1.0 is, so the two give the same double. A lane
+ * step has no data-dependent branch
  * for the processor to mispredict: comparison masks pick the numerator
  * and the divisor of the branch chaosmap.map_layer takes, and one
  * division follows. The unpicked differences are computed and discarded,
@@ -83,17 +90,6 @@
 #define BLOCK_BYTES 128
 #define KEY_BYTES 16
 
-/* Python's x % 1.0 for 0 <= x < 2^63, which every sum here is (at most 9
- * non-negative terms, none above 1). The cast truncates to floor(x),
- * an integer no larger than x and so a double too, and x minus it is x's
- * fractional bits, which a double holds exactly: no rounding occurs, and
- * an integer x gives +0.0, as Python does. */
-static double
-mod1(double x)
-{
-    return x - (double)(int64_t)x;
-}
-
 static double
 quantize_word(uint32_t word)
 {
@@ -137,17 +133,6 @@ store_word(unsigned char *p, uint32_t word)
     p[3] = (unsigned char)word;
 }
 
-/* A neuron's pre-activation: the weighted sum of its fan_in inputs plus
- * its bias, mod 1 */
-static double
-weigh(const double *x, const double *w, int fan_in, double bias)
-{
-    double s = w[0] * x[0];
-    for (int i = 1; i < fan_in; i++)
-        s = s + w[i] * x[i];
-    return mod1(s + bias);
-}
-
 /* Inlined wherever it is called, so that the count of keys or messages
  * (1 or GROUP) is a constant. For one message the loops unroll and the
  * lanes stay in registers: with a count known only at run time they lived
@@ -155,6 +140,23 @@ weigh(const double *x, const double *w, int fan_in, double bias)
  * and a load. A group's lanes outnumber the registers; their loads and
  * stores overlap with the other vectors' steps. */
 #define UNROLLED static inline __attribute__((always_inline))
+
+/* Where chain_step keeps sub-key j of a schedule: each layer's weights
+ * transposed, weight i of neuron k of a layer of n neurons at [n * i + k]
+ * of the layer's weights, so that a vector of them holds weight i of
+ * LANES neurons; the biases and the three q's where the stream has them.
+ * The held schedules keep this order too. */
+UNROLLED int
+subkey_slot(int j)
+{
+    if (j < 32)                           /* 8 input neurons, 4 weights each */
+        return 8 * (j % 4) + j / 4;
+    if (j >= 41 && j < 105)               /* 8 hidden neurons, 8 weights each */
+        return 41 + 8 * ((j - 41) % 8) + (j - 41) / 8;
+    if (j >= 114 && j < 146)              /* 4 output neurons, 8 weights each */
+        return 114 + 4 * ((j - 114) % 8) + (j - 114) / 8;
+    return j;
+}
 
 /* First-block key schedules held across chain calls, each under the
  * running key and t it was expanded from (t too: a call may take any t).
@@ -231,6 +233,10 @@ store_key(unsigned char *p, const uint32_t key[4])
 #define lanes WIDE(lanes)
 #define mask WIDE(mask)
 #define pick WIDE(pick)
+#define mod1 WIDE(mod1)
+#define emit WIDE(emit)
+#define weigh WIDE(weigh)
+#define dense WIDE(dense)
 #define copy_held WIDE(copy_held)
 #define map_step WIDE(map_step)
 #define key_walk WIDE(key_walk)
@@ -399,6 +405,22 @@ pick(mask m, lanes yes, lanes no)
     return (lanes)((m & (mask)yes) | (~m & (mask)no));
 }
 
+/* Python's x % 1.0 in each lane, for 0 <= x < 2^51, which every sum here
+ * is (a weighted sum is below 9, a sub-key's at most 2.0). Adding and
+ * subtracting 2^52 rounds x to its nearest integer r, exactly; floor(x)
+ * is r, or r - 1 where r > x, and x minus floor(x) is x's fractional
+ * bits, which a double holds exactly: no rounding occurs, and an integer
+ * x gives +0.0, as Python does. It needs round-to-nearest and the two
+ * operations on 2^52 kept apart, as ckernel.FLAGS keep them; a build
+ * that folded them would fail the self-check. */
+LANE_FN static lanes
+mod1(lanes x)
+{
+    const lanes zero = {0}, one = zero + 1.0, big = zero + 4503599627370496.0;
+    lanes r = (x + big) - big;
+    return x - pick(r > x, r - one, r);
+}
+
 /* One map step in each lane; half = 0.5 - q and top = 1.0 - q, as
  * map_layer has them. The masks pick the numerator of the lane's branch
  * (x, x - q, top - x or 1 - x) and its divisor: half where q <= x < top
@@ -447,7 +469,8 @@ copy_held(struct key_cache *cache, uint32_t (*k)[4], int keys, long long t,
  * key m's orbit a and orbit b in two adjacent lanes, LANES / 2 keys to a
  * vector, walked side by side as orbit_sums walks them, the vectors
  * stepped together as step_layer steps a layer's. One key on 4 lanes
- * fills its quad with a copy of itself, whose lanes 2-3 are never read.
+ * fills its quad with a copy of itself, and only lane 0 of its sub-keys
+ * is stored.
  * `next` is the index of the next sub-key. */
 struct key_walk {
     lanes x[KEY_VECTORS(GROUP)], q[KEY_VECTORS(GROUP)];
@@ -482,17 +505,48 @@ walk_start(struct key_walk *w, uint32_t (*k)[4], int keys, long long t)
     w->next = 0;
 }
 
-/* Step every orbit once, then emit sub-key w->next of each key into s */
+/* The sub-keys of the keys of two key vectors, u's and v's, whose lanes
+ * hold orbit a and orbit b of a key in turn: one vector of their orbits
+ * a and one of their orbits b, added and taken mod 1. Lane 2i holds u's
+ * key i, lane 2i + 1 v's key i. Written as initializers, the two vectors
+ * compile to one unpack each; built by lane stores in a loop, they took
+ * six shuffles each under gcc 12 */
+LANE_FN UNROLLED lanes
+emit(lanes u, lanes v)
+{
+#if LANES == 2
+    lanes a = {u[0], v[0]}, b = {u[1], v[1]};
+#else
+    lanes a = {u[0], v[0], u[2], v[2]}, b = {u[1], v[1], u[3], v[3]};
+#endif
+    return mod1(a + b);
+}
+
+/* Step every orbit once, then emit sub-key w->next of each key into its
+ * slot in s: key vectors 2i and 2i + 1 give LANES keys' sub-keys at
+ * once, and one key's vector is paired with itself */
 LANE_FN UNROLLED void
 walk_step(struct key_walk *w, int keys, double (*s)[SUBKEY_COUNT])
 {
     enum { PER = LANES / 2 };  /* keys per vector */
+    int vectors = KEY_VECTORS(keys), slot = subkey_slot(w->next);
 
-    for (int v = 0; v < KEY_VECTORS(keys); v++)
+    for (int v = 0; v < vectors; v++)
         w->x[v] = map_step(w->x[v], w->q[v], w->half[v], w->top[v]);
-    for (int m = 0; m < keys; m++)
-        s[m][w->next] = mod1(w->x[m / PER][2 * (m % PER)]
-                             + w->x[m / PER][2 * (m % PER) + 1]);
+    for (int v = 0; v < vectors; v += 2) {
+        /* lane 2i: key i of vector v, lane 2i + 1: key i of vector v + 1;
+         * written out, as a loop over the lanes was not unrolled at -O2 */
+        lanes sub = emit(w->x[v], w->x[v + 1 < vectors ? v + 1 : v]);
+        int m = PER * v;
+        s[m][slot] = sub[0];
+        if (keys > 1) {
+            s[m + PER][slot] = sub[1];
+#if LANES == 4
+            s[m + 1][slot] = sub[2];
+            s[m + 3][slot] = sub[3];
+#endif
+        }
+    }
     w->next++;
 }
 
@@ -537,6 +591,49 @@ step_layer(double *x, int msgs, int neurons, const double *q, long long t,
             memcpy(x + neurons * m + LANES * p, &v[m][p], sizeof v[m][p]);
 }
 
+/* mod1 of LANES neurons' weighted sums plus biases, into out: each lane
+ * takes its first product, adds the others in ascending index order and
+ * then its bias, as network's pre-activations do. Input i of the neurons
+ * is x[i], their weights i are at w + stride * i and their biases at
+ * bias. */
+LANE_FN UNROLLED void
+weigh(double *out, const lanes *x, int fan_in, const double *w, int stride,
+      const double *bias)
+{
+    lanes wi, b, sum;
+
+    memcpy(&wi, w, sizeof wi);
+    sum = wi * x[0];
+    for (int i = 1; i < fan_in; i++) {
+        memcpy(&wi, w + stride * i, sizeof wi);
+        sum = sum + wi * x[i];
+    }
+    memcpy(&b, bias, sizeof b);
+    sum = mod1(sum + b);
+    memcpy(out, &sum, sizeof sum);
+}
+
+/* The pre-activations of a fully connected layer of `neurons` neurons
+ * into out, from the 8 signals at in, each given to every lane: the
+ * weights at w as subkey_slot keeps them, the biases at bias */
+LANE_FN UNROLLED void
+dense(double *out, const double *in, int neurons, const double *w, const double *bias)
+{
+    lanes x[8];
+
+    /* written as initializers, each a broadcast from memory: as
+     * (lanes){0} + in[i] each cost an add as well */
+    for (int i = 0; i < 8; i++) {
+#if LANES == 2
+        x[i] = (lanes){in[i], in[i]};
+#else
+        x[i] = (lanes){in[i], in[i], in[i], in[i]};
+#endif
+    }
+    for (int v = 0; v < neurons / LANES; v++)
+        weigh(out + LANES * v, x, 8, w + LANES * v, neurons, bias + LANES * v);
+}
+
 /* hashing.chain_step for each of `msgs` (1 or GROUP, 2 * LANES)
  * messages: block n of message m, at message[m], hashed as
  * network.hash_block under the schedule of its running key k[m], as
@@ -566,9 +663,20 @@ chain_step(const unsigned char **message, Py_ssize_t n, uint32_t (*k)[4], int ms
         double p[32];
         for (int i = 0; i < 32; i++)
             p[i] = quantize_word(load_word(message[m] + BLOCK_BYTES * n + 4 * i));
-        /* input neuron j reads p[4j .. 4j+3] with weights s[4j .. 4j+3] */
-        for (int j = 0; j < 8; j++)
-            c[8 * m + j] = weigh(p + 4 * j, s[m] + 4 * j, 4, s[m][32 + j]);
+        /* input neuron j reads p[4j .. 4j+3]; x[i] is input i of LANES
+         * neurons, gathered by initializers: loaded as vectors from words
+         * stored one at a time in that order, they waited for the stores
+         * (on an AVX2 Xeon a copied block took 26 ns a message more) */
+        for (int v = 0; v < 8 / LANES; v++) {
+            const double *r = p + 4 * LANES * v;
+#if LANES == 2
+            lanes x[4] = {{r[0], r[4]}, {r[1], r[5]}, {r[2], r[6]}, {r[3], r[7]}};
+#else
+            lanes x[4] = {{r[0], r[4], r[8], r[12]}, {r[1], r[5], r[9], r[13]},
+                          {r[2], r[6], r[10], r[14]}, {r[3], r[7], r[11], r[15]}};
+#endif
+            weigh(c + 8 * m + LANES * v, x, 4, s[m] + LANES * v, 8, s[m] + 32 + LANES * v);
+        }
         q[m] = derive_param(s[m][40]);
     }
     /* two calls, so that the input loop is compiled with the walk beside
@@ -582,14 +690,12 @@ chain_step(const unsigned char **message, Py_ssize_t n, uint32_t (*k)[4], int ms
     } else
         step_layer(c, msgs, 8, q, t, NULL, s);
     for (int m = 0; m < msgs; m++) {
-        for (int j = 0; j < 8; j++)
-            d[8 * m + j] = weigh(c + 8 * m, s[m] + 41 + 8 * j, 8, s[m][105 + j]);
+        dense(d + 8 * m, c + 8 * m, 8, s[m] + 41, s[m] + 105);
         q[m] = derive_param(s[m][113]);
     }
     step_layer(d, msgs, 8, q, 1, NULL, s);
     for (int m = 0; m < msgs; m++) {
-        for (int j = 0; j < 4; j++)
-            h[4 * m + j] = weigh(d + 8 * m, s[m] + 114 + 8 * j, 8, s[m][146 + j]);
+        dense(h + 4 * m, d + 8 * m, 4, s[m] + 114, s[m] + 146);
         q[m] = derive_param(s[m][150]);
     }
     step_layer(h, msgs, 4, q, t, NULL, s);

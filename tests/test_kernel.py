@@ -6,6 +6,7 @@ and to the independent oracle. The build tests each run a copy of the
 package under tmp_path in a fresh interpreter, so its cache starts cold.
 """
 
+import math
 import os
 import platform
 import random
@@ -215,6 +216,10 @@ def test_special_keys_and_words_show_their_property():
     _, _, xb, qb = starts[ON_TOP]
     assert xb == 1.0 - qb and map_step(xb, qb) == 1.0
     assert starts[A_DEAD][0] == starts[B_DEAD][2] == 0.5
+    # at t = 1 a dead orbit's first value, which enters s[0], is 1.0
+    xa, qa, xb, qb = orbit_starts(struct.unpack(">4I", DOUBLY_DEAD))
+    assert map_step(xa, qa) + map_step(xb, qb) == 2.0
+    assert map_step(*starts[A_DEAD][:2]) == map_step(*starts[B_DEAD][2:]) == 1.0
     assert starts[A_AT_Q_MIN][1] == Q_MIN and starts[B_AT_Q_MAX][3] == Q_MAX
     # the other lane stays live: its orbit neither dies nor saturates
     for key, lane in ((A_DEAD, 1), (B_DEAD, 0), (A_AT_Q_MIN, 1), (B_AT_Q_MAX, 0)):
@@ -314,6 +319,15 @@ def _group_edges(group):
           [ON_Q, ON_TOP] + [ON_Q] * (group - 2) + [B_DEAD, ON_Q]), 1),
         ((2, [EDGE_TOP[1]] * (group + 2),
           [B_ON_TOP, ON_Q] + [B_ON_TOP] * (group - 2) + [A_DEAD, B_ON_TOP]), 1),
+        # the edges of the lane mod1 in every lane of a full group: at t = 1
+        # DOUBLY_DEAD's sub-key 0 is mod1 of exactly 2.0, and A_DEAD's and
+        # B_DEAD's of 1.0 plus the live orbit's value; the three keys turn
+        # through every message of the group, the first, a middle and the
+        # last among them
+        *((_batch(1, [300] * group,
+                  [{r: DOUBLY_DEAD, (r + 1) % group: A_DEAD,
+                    (r + 2) % group: B_DEAD}.get(m, fresh[m]) for m in range(group)]), 1)
+          for r in range(group)),
         # a group walks its key schedules as one message does: to s[40],
         # then 2 sub-keys a turn under its input layer's t loop, and the
         # rest after it; the walk ends after the loop (54), on its last
@@ -369,6 +383,31 @@ def test_a_batch_equals_one_chain_per_message_and_oracle(batch, t):
         bits = bytes_to_bits(message.data)[:message.nbits]
         oracle = digest_to_bytes(hash_message_ref(bits, key, t))
         assert oracle == finals[16 * i:16 * (i + 1)]
+
+
+def _mod1_through_2_52(x: float) -> float:
+    """The compiled chain's mod1, in Python floats: x rounded to its
+    nearest integer r through 2^52, floor(x) = r - (r > x), x - floor(x)."""
+    r = (x + 2.0 ** 52) - 2.0 ** 52
+    return x - (r - 1.0 if r > x else r)
+
+
+def _with_mod1_edges(test):
+    """`test` with the integers 0 .. 9, their neighbours in [0, 16), 0.5
+    and 2.0 as examples."""
+    for n in range(10):
+        for x in (math.nextafter(n, -1.0), float(n), math.nextafter(n, 16.0)):
+            if x >= 0.0:
+                test = example(x=x)(test)
+    return example(x=0.5)(example(x=2.0)(test))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(x=st.floats(0.0, 16.0, exclude_max=True))
+@_with_mod1_edges
+def test_the_floor_through_2_52_gives_python_remainder(x):
+    # the identity the kernel's lane mod1 rests on, bit for bit
+    assert struct.pack("<d", _mod1_through_2_52(x)) == struct.pack("<d", x % 1.0)
 
 
 @st.composite
